@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,11 +33,8 @@ from .errors import (
 )
 from .maps import DiskMap
 from .overflow import (
-    BOUNDARY_TANGENCY_TOL,
-    OverflowReport,
     _fiber_log_sum,
     _p1_kernel_double_integral,
-    overflow_definitional_oracle,
     overflow_to_C,
     overflow_to_P1,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -116,9 +117,13 @@ def _parse_psi(text: str) -> TruncatedSeries:
 
 def _parse_radii(text: str):
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        radii = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad radius list {text!r}: {exc}") from None
+    for r in radii:
+        if not (math.isfinite(r) and r > 0):
+            raise ConfigError(f"radius must be positive and finite, got {r!r}")
+    return radii
 
 
 # -- subcommand handlers ----------------------------------------------------------
@@ -492,3 +497,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -6,7 +6,7 @@ data and jets stay exact; numeric work converts to complex arrays on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -100,7 +100,7 @@ class DiskMap:
         return all(_near_zero(c, zero_tol) for c in w)
 
     def value_at_zero(self):
-        return _as_number(self.num[0]) / _as_number(self.den[0])
+        return self.num[0] / self.den[0]
 
     # -- ramification data at 0 -------------------------------------------
 
@@ -125,7 +125,7 @@ class DiskMap:
         for e in range(1, len(scaled)):
             if not _near_zero(scaled[e], zero_tol):
                 # [z^e](n/q) with n = scaled/q0:
-                a = _as_number(scaled[e]) / (_as_number(q[0]) ** 2)
+                a = scaled[e] / q[0] ** 2
                 return e, a
         raise ConstantMap("map is constant to machine precision")
 
@@ -178,12 +178,6 @@ def _near_zero(c, tol: float) -> bool:
     if isinstance(c, (Fraction, int)):
         return c == 0
     return abs(c) <= tol
-
-
-def _as_number(c):
-    if isinstance(c, Fraction):
-        return c
-    return c
 
 
 # -- tiny expression parser ----------------------------------------------

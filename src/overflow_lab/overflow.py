@@ -14,7 +14,7 @@ fibers with a companion-matrix root solver polished by Newton steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +58,6 @@ class OverflowReport:
     radius: float
     ramification_index: int
     certificate: Optional[Certificate] = None
-    residual: Optional[float] = None
     boundary_tangency: bool = False
 
     def as_dict(self) -> dict:
@@ -76,8 +75,6 @@ class OverflowReport:
                 "achieved": self.certificate.achieved,
                 "grid": self.certificate.grid,
             }
-        if self.residual is not None:
-            out["residual"] = self.residual
         return out
 
 

@@ -1,10 +1,15 @@
 """Numerical integration on circles and the torus, plus Nevanlinna characteristics.
 
 Integrands with logarithmic singularities along coincidence curves are handled
-by a staggered midpoint product rule: the two torus lattices are offset by half
-a cell so the singular set is never sampled, and the leading 1/N error of the
-diagonal band is removed by Richardson extrapolation (for the translation
-invariant part of the kernel this cancellation is exact at every N).
+by a staggered midpoint product rule: the inner torus lattice is a fixed even
+factor finer than the outer one and shifted by a quarter of its cell, so the two
+lattices never meet and the diagonal is never sampled.  The leading 1/N error
+of the diagonal band is removed by Richardson extrapolation (for the
+translation invariant part of the kernel this cancellation is exact at every N).
+
+The torus kernel walks the outer lattice in row blocks of about 2**16 pairs.
+Each block's differences are formed in real arithmetic into a few reused
+buffers, so the working set stays in cache at every lattice size.
 
 Area integrals against the log(r/|z|) weight use a Gauss rule generated for
 the weight u*log(1/u) on (0,1); its recurrence coefficients are computed once
@@ -34,56 +39,6 @@ from .errors import (
 )
 from .maps import DiskMap
 
-_CHUNK_ROWS = 256
-
-try:  # fused torus kernels; numpy chunks remain as the fallback
-    import numba
-
-    @numba.njit(parallel=True, cache=True, fastmath=False)
-    def _plain_rowsums(p1r, p1i, p2r, p2i, out):
-        n, m = p1r.shape[0], p2r.shape[0]
-        for j in numba.prange(n):
-            acc = 0.0
-            bad = 0
-            for k in range(m):
-                dr = p1r[j] - p2r[k]
-                di = p1i[j] - p2i[k]
-                sq = dr * dr + di * di
-                if sq == 0.0:
-                    bad = 1
-                else:
-                    acc += math.log(sq)
-            out[j] = math.nan if bad else acc
-
-    @numba.njit(parallel=True, cache=True, fastmath=False)
-    def _cross_rowsums(p1r, p1i, q1r, q1i, p2r, p2i, q2r, q2i, out):
-        n, m = p1r.shape[0], p2r.shape[0]
-        for j in numba.prange(n):
-            acc = 0.0
-            bad = 0
-            for k in range(m):
-                dr = p1r[j] * q2r[k] - p1i[j] * q2i[k] - (q1r[j] * p2r[k] - q1i[j] * p2i[k])
-                di = p1r[j] * q2i[k] + p1i[j] * q2r[k] - (q1r[j] * p2i[k] + q1i[j] * p2r[k])
-                sq = dr * dr + di * di
-                if sq == 0.0:
-                    bad = 1
-                else:
-                    acc += math.log(sq)
-            out[j] = math.nan if bad else acc
-
-    _HAVE_NUMBA = True
-
-    import os
-
-    _thread_cap = os.environ.get("OVERFLOW_LAB_THREADS")
-    if _thread_cap:
-        try:
-            numba.set_num_threads(max(1, min(int(_thread_cap), numba.get_num_threads())))
-        except ValueError:
-            pass
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
 
 @dataclass(frozen=True)
 class QuadratureSettings:
@@ -91,14 +46,12 @@ class QuadratureSettings:
 
     ``base_grid`` is the coarsest lattice size (a power of two), doubling up
     to ``max_depth`` times until two successive accepted estimates differ by
-    less than ``tol``.  ``stagger`` keeps the two torus lattices offset by
-    half a cell; disabling it is for diagnostics only.
+    less than ``tol``.
     """
 
     base_grid: int = 256
     tol: float = 1e-6
     max_depth: int = 6
-    stagger: bool = True
 
     def __post_init__(self):
         if self.base_grid < 2 or (self.base_grid & (self.base_grid - 1)) != 0:
@@ -160,6 +113,11 @@ def circle_mean(values: Callable[[np.ndarray], np.ndarray],
 #: linear cost; kept even so the lattices never collide.
 _INNER_REFINE = 8
 
+#: Pairs per row block of the torus kernel.  Each reused float64 buffer is then
+#: 512 KiB, so the two or three of them stay in a per-core L2 cache; the outer
+#: lattice is walked in blocks of max(1, _BLOCK_ELEMENTS // m) rows.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
                             settings: QuadratureSettings = DEFAULT_SETTINGS,
@@ -169,18 +127,18 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
     ``boundary`` evaluates the homogeneous pair (p, q) along the circle
     parameter.  The plain ratio kernel log|f(t) - f(s)| is the case q = 1.
     The two staggered midpoint lattices are refined together, the inner one
-    kept a fixed factor finer; each level's diagonal-band error is exactly
-    proportional to one over the lattice size, so acceptance is tested on
-    the Richardson pair 2*I(2N) - I(N).
+    kept a fixed factor finer and shifted by a quarter of its cell so no
+    inner node meets an outer one; each level's diagonal-band error is
+    exactly proportional to one over the lattice size, so acceptance is
+    tested on the Richardson pair 2*I(2N) - I(N).
     """
-    inner_offset = 0.25 if settings.stagger else 0.0
     raw = []
     n = settings.base_grid
     richardson_prev = None
     for _ in range(settings.max_depth + 1):
         m = n * _INNER_REFINE
         p1, q1 = boundary(_midpoints(n))
-        p2, q2 = boundary(_midpoints(m, inner_offset))
+        p2, q2 = boundary(_midpoints(m, 0.25))
         total = _log_cross_sum(p1, q1, p2, q2, label)
         raw.append(0.5 * total / (n * m))
         if len(raw) >= 2:
@@ -195,48 +153,61 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
 
 
 def _log_cross_sum(p1, q1, p2, q2, label: str) -> float:
-    """Sum of log of the cross-kernel modulus squared over the product lattice.
+    """Sum of log|p1 q2 - q1 p2|^2 over the product lattice (q = None means 1).
 
-    Row sums are accumulated independently (deterministic under threading),
-    then combined with numpy's pairwise summation.
+    The outer lattice is walked in row blocks; each block's squared modulus is
+    built from real and imaginary parts in reused buffers, its log taken in
+    place, and the block sums combined with numpy's pairwise summation.  An
+    exactly zero squared modulus (a shared boundary value, or a square that
+    underflows) makes a block's sum non-finite; only then is the block rebuilt
+    and searched for the zero.
     """
+    n, m = len(p1), len(p2)
+    rows = max(1, _BLOCK_ELEMENTS // m)
+    p1r, p1i = np.ascontiguousarray(p1.real), np.ascontiguousarray(p1.imag)
+    p2r, p2i = np.ascontiguousarray(p2.real), np.ascontiguousarray(p2.imag)
     plain = q1 is None
-    if _HAVE_NUMBA:
-        out = np.empty(len(p1))
+    if not plain:
+        q1r, q1i = np.ascontiguousarray(q1.real), np.ascontiguousarray(q1.imag)
+        q2r, q2i = np.ascontiguousarray(q2.real), np.ascontiguousarray(q2.imag)
+        tmp_buf = np.empty((rows, m))
+    re_buf = np.empty((rows, m))
+    im_buf = np.empty((rows, m))
+
+    def squared_modulus(lo: int, hi: int) -> np.ndarray:
+        re, im = re_buf[: hi - lo], im_buf[: hi - lo]
+        a_r, a_i = p1r[lo:hi, None], p1i[lo:hi, None]
         if plain:
-            _plain_rowsums(
-                np.ascontiguousarray(p1.real), np.ascontiguousarray(p1.imag),
-                np.ascontiguousarray(p2.real), np.ascontiguousarray(p2.imag),
-                out,
-            )
+            np.subtract(a_r, p2r, out=re)
+            np.subtract(a_i, p2i, out=im)
         else:
-            _cross_rowsums(
-                np.ascontiguousarray(p1.real), np.ascontiguousarray(p1.imag),
-                np.ascontiguousarray(q1.real), np.ascontiguousarray(q1.imag),
-                np.ascontiguousarray(p2.real), np.ascontiguousarray(p2.imag),
-                np.ascontiguousarray(q2.real), np.ascontiguousarray(q2.imag),
-                out,
-            )
-        if not np.all(np.isfinite(out)):
+            # p1 q2 - q1 p2, with p1 = a_r + i a_i and q1 = b_r + i b_i
+            b_r, b_i = q1r[lo:hi, None], q1i[lo:hi, None]
+            tmp = tmp_buf[: hi - lo]
+            np.multiply(a_r, q2r, out=re)
+            re -= np.multiply(a_i, q2i, out=tmp)
+            re -= np.multiply(b_r, p2r, out=tmp)
+            re += np.multiply(b_i, p2i, out=tmp)
+            np.multiply(a_r, q2i, out=im)
+            im += np.multiply(a_i, q2r, out=tmp)
+            im -= np.multiply(b_r, p2i, out=tmp)
+            im -= np.multiply(b_i, p2r, out=tmp)
+        np.multiply(re, re, out=re)
+        np.multiply(im, im, out=im)
+        return np.add(re, im, out=re)
+
+    starts = range(0, n, rows)
+    sums = np.empty(len(starts))
+    for b, lo in enumerate(starts):
+        hi = min(lo + rows, n)
+        sq = squared_modulus(lo, hi)
+        with np.errstate(divide="ignore"):
+            sums[b] = np.sum(np.log(sq, out=sq))
+        if not math.isfinite(sums[b]) and np.any(squared_modulus(lo, hi) == 0.0):
             raise NumericalError(
                 f"{label}: lattice hit an exact coincidence of boundary values"
             )
-        return float(np.sum(out))
-    total = 0.0
-    n = len(p1)
-    for lo in range(0, n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n)
-        if plain:
-            cross = p1[lo:hi, None] - p2[None, :]
-        else:
-            cross = p1[lo:hi, None] * q2[None, :] - q1[lo:hi, None] * p2[None, :]
-        sq = cross.real**2 + cross.imag**2
-        if np.any(sq == 0.0):
-            raise NumericalError(
-                f"{label}: lattice hit an exact coincidence of boundary values"
-            )
-        total += float(np.sum(np.log(sq)))
-    return total
+    return float(np.sum(sums))
 
 
 # -- circle log means -------------------------------------------------------

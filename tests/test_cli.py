@@ -1,10 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import overflow_lab
 from overflow_lab.cli import canonical_json, main
 
 
@@ -65,6 +70,14 @@ class TestOverflowCommand:
         ])
         assert code == 3
         assert json.loads(out)["error"]["type"] == "NoConvergence"
+
+    @pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf", "1,-inf"])
+    def test_bad_radius_rejected(self, radius):
+        code, out = run_cli(["overflow", "--map", "z^2+z", "--radius", radius])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "ConfigError"
+        assert "positive and finite" in err["message"]
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -236,3 +249,16 @@ class TestDeterminismAndRoundTrip:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["result"]["value"] == 1
+
+
+def test_module_entry_point_prints_report():
+    src = str(Path(overflow_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "overflow_lab.cli",
+         "dimbound", "--variant", "C", "--n", "2", "--d", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["value"] == 6

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from overflow_lab.errors import NoConvergence, PoleOnDisk
+from overflow_lab.errors import NoConvergence, NumericalError, PoleOnDisk
 from overflow_lab.maps import DiskMap, parse_map
 from overflow_lab.quadrature import (
+    _BLOCK_ELEMENTS,
     QuadratureSettings,
+    _log_cross_sum,
     circle_log_mean,
     gauss_log_rule,
     nevanlinna_T,
@@ -60,6 +62,63 @@ class TestTorusDoubleIntegral:
         # closed form: |m(z1)-m(z2)| = 4|z1-z2| / (|z1+2||z2+2|)
         # => integral = log 4 + 0 - 2 * mean log|z+2| = log 4 - 2 log 2 = 0
         assert got == pytest.approx(0.0, abs=1e-6)
+
+
+def _points(rng, k, scale=10.0):
+    return scale * (rng.normal(size=k) + 1j * rng.normal(size=k))
+
+
+def _naive_log_cross_sum(p1, q1, p2, q2):
+    if q1 is None:
+        cross = p1[:, None] - p2[None, :]
+    else:
+        cross = p1[:, None] * q2[None, :] - q1[:, None] * p2[None, :]
+    return float(np.sum(np.log(np.abs(cross) ** 2)))
+
+
+class TestLogCrossSumKernel:
+    # (n, m): n not a multiple of the block rows, and m beyond one block so
+    # every block is a single row
+    SHAPES = [(200, 1000), (3, _BLOCK_ELEMENTS + 3)]
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_matches_naive_complex_reference(self, n, m, cross):
+        if n == 200:
+            assert n % (_BLOCK_ELEMENTS // m) != 0
+        rng = np.random.default_rng(n + m)
+        p1, p2 = _points(rng, n), _points(rng, m)
+        q1, q2 = (_points(rng, n, 1.0), _points(rng, m, 1.0)) if cross else (None, None)
+        got = _log_cross_sum(p1, q1, p2, q2, "kernel")
+        assert got == pytest.approx(_naive_log_cross_sum(p1, q1, p2, q2), rel=1e-12)
+        assert _log_cross_sum(p1, q1, p2, q2, "kernel") == got
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_shared_boundary_value_raises(self, cross):
+        rng = np.random.default_rng(5)
+        m = 1000
+        n = 3 * (_BLOCK_ELEMENTS // m)
+        p1, p2 = _points(rng, n), _points(rng, m)
+        p1[n - 2] = p2[17]  # in the last block
+        q1 = q2 = None
+        if cross:
+            q1, q2 = np.ones(n, dtype=complex), np.ones(m, dtype=complex)
+            p1[n - 2] *= 3.0
+            q1[n - 2] = 3.0
+        with pytest.raises(NumericalError, match="exact coincidence"):
+            _log_cross_sum(p1, q1, p2, q2, "kernel")
+
+    def test_underflowing_square_raises(self):
+        p1 = np.array([1.0 + 1.0j, 1e-300 + 0.0j])
+        p2 = np.array([0.0j, 5.0 + 0.0j])
+        with pytest.raises(NumericalError, match="exact coincidence"):
+            _log_cross_sum(p1, None, p2, None, "kernel")
+
+    def test_overflowing_square_is_not_a_coincidence(self):
+        p1 = np.array([1e200 + 0.0j, 1.0 + 0.0j])
+        p2 = np.array([0.0j, 5.0 + 0.0j])
+        with np.errstate(over="ignore"):
+            assert _log_cross_sum(p1, None, p2, None, "kernel") == math.inf
 
 
 class TestGaussLogRule:
