@@ -36,12 +36,11 @@ def main() -> int:
     summary = []
     for expr in args.maps:
         alpha = parse_map(expr)
-        rows = [
-            (r, overflow_to_C(alpha, r, settings).value, "explicit") for r in radii
-        ]
+        values = [overflow_to_C(alpha, r, settings).value for r in radii]
+        rows = [(r, v, "explicit") for r, v in zip(radii, values)]
         stem = expr.replace("*", "").replace("/", "_").replace("^", "")
         (out_dir / f"excess_{stem}.csv").write_text(report_csv(rows))
-        fit = polynomial_asymptotics(alpha, radii, settings)
+        fit = polynomial_asymptotics(radii, values)
         summary.append({"map": expr, "fit": fit.as_dict()})
         print(f"{expr}: slope {fit.slope:.5f}, intercept {fit.intercept:+.5f}")
 

@@ -33,8 +33,10 @@ from .errors import (
 )
 from .maps import DiskMap
 from .overflow import (
+    _batched_roots,
     _fiber_log_sum,
     _p1_kernel_double_integral,
+    _poly_coeffs_desc,
     overflow_to_C,
     overflow_to_P1,
 )
@@ -197,16 +199,15 @@ _KAPPA_ANGLES = 8
 _KAPPA_RADIUS = 1e-2
 
 
-def _pushforward_potential(alpha: DiskMap, r: float, w: complex) -> float:
-    """Sum of log(r/|zeta|) over the fiber of w inside the open disk."""
-    coeffs = [complex(c) for c in reversed(alpha.num)]
-    coeffs[-1] -= w
-    roots = np.roots(coeffs)
-    moduli = np.abs(roots)
+def _pushforward_potential(alpha: DiskMap, r: float, ws: np.ndarray) -> np.ndarray:
+    """For each w: sum of log(r/|zeta|) over the fiber of w inside the open disk."""
+    batch = np.tile(_poly_coeffs_desc(alpha), (len(ws), 1))
+    batch[:, -1] -= ws
+    moduli = np.abs(_batched_roots(batch))
     inside = moduli < r
     if np.any(moduli[inside] == 0.0):
         raise DomainError("fiber hits the disk center")
-    return float(np.sum(np.log(r / moduli[inside])))
+    return np.sum(np.where(inside, np.log(r / moduli), 0.0), axis=1)
 
 
 def self_intersection_direct_oracle(m: MorphismToLine,
@@ -227,11 +228,8 @@ def self_intersection_direct_oracle(m: MorphismToLine,
     q0 = complex(alpha.value_at_zero())
 
     def kappa_at(s: float) -> float:
-        acc = 0.0
-        for j in range(_KAPPA_ANGLES):
-            w = q0 + s * np.exp(2j * np.pi * (j / _KAPPA_ANGLES))
-            acc += _pushforward_potential(alpha, r, complex(w))
-        return acc / _KAPPA_ANGLES + math.log(s)
+        ws = q0 + s * np.exp(2j * np.pi * (np.arange(_KAPPA_ANGLES) / _KAPPA_ANGLES))
+        return float(np.mean(_pushforward_potential(alpha, r, ws))) + math.log(s)
 
     f1 = kappa_at(_KAPPA_RADIUS)
     f2 = kappa_at(_KAPPA_RADIUS / 2)

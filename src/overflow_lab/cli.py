@@ -165,7 +165,8 @@ def _cmd_overflow(args) -> str:
 
     result = {"reports": per_radius}
     if len(radii) >= 3 and args.method in ("explicit", "both"):
-        fit = overflow.polynomial_asymptotics(alpha, radii, settings)
+        values = [entry["explicit"]["value"] for entry in per_radius]
+        fit = overflow.polynomial_asymptotics(radii, values)
         result["asymptotic_fit"] = fit.as_dict()
     return canonical_json(
         {

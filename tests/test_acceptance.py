@@ -163,7 +163,9 @@ def test_criterion_4_polynomial_asymptotics():
     start = time.time()
     results = []
     for expr, slope_ref, intercept_ref in cases:
-        fit = polynomial_asymptotics(parse_map(expr), [10.0, 100.0, 1000.0], SWEEP)
+        alpha, radii = parse_map(expr), [10.0, 100.0, 1000.0]
+        values = [overflow_to_C(alpha, r, SWEEP).value for r in radii]
+        fit = polynomial_asymptotics(radii, values)
         results.append((expr, fit, slope_ref, intercept_ref))
     elapsed = time.time() - start
     ok = elapsed <= 180 and all(

@@ -89,6 +89,42 @@ class TestOverflowCommand:
         assert json.loads(out)["error"]["type"] == "ConfigError"
 
 
+    @pytest.mark.parametrize("expr,target", [("(z-2)/(z+2)", "P1"), ("z^2+z", "C")])
+    def test_sweep_fits_the_reported_values(self, expr, target, fast_config):
+        code, out = run_cli([
+            "overflow", "--map", expr, "--radius", "0.5,1,1.5",
+            "--target", target, "--config", fast_config,
+        ])
+        assert code == 0
+        result = json.loads(out)["result"]
+        values = [entry["explicit"]["value"] for entry in result["reports"]]
+        assert result["asymptotic_fit"]["values"] == values
+        assert result["asymptotic_fit"]["radii"] == [0.5, 1.0, 1.5]
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN_DIR.glob("oracle_*.json")), ids=lambda p: p.stem
+)
+def test_oracle_matches_golden(path, tmp_path):
+    """Canonical oracle reports (tol 1e-8) recorded before the root solver changed."""
+    golden = json.loads(path.read_text())
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps(golden["settings"]))
+    (want,) = golden["result"]["reports"]
+    code, out = run_cli([
+        "overflow", f"--map={golden['inputs']['map']}", "--radius", repr(want["radius"]),
+        "--method", "oracle", "--config", str(cfg),
+    ])
+    assert code == 0
+    (got,) = json.loads(out)["result"]["reports"]
+    assert got["oracle"]["value"] == pytest.approx(want["oracle"]["value"], rel=0, abs=1e-12)
+    assert got["oracle"]["boundary_tangency"] == want["oracle"]["boundary_tangency"]
+    assert got["oracle"]["certificate"]["grid"] == want["oracle"]["certificate"]["grid"]
+
+
 class TestMorphismCommands:
     def test_selfint_borel(self, fast_config):
         code, out = run_cli([

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from overflow_lab.errors import ConstantMap, DomainError, UnsupportedDegree
+from overflow_lab import overflow
+from overflow_lab.errors import ConstantMap, DomainError, RootConditioning, UnsupportedDegree
 from overflow_lab.maps import DiskMap, parse_map
 from overflow_lab.overflow import (
     nevanlinna_bound_check,
@@ -99,6 +102,88 @@ class TestDefinitionalOracle:
         assert checked >= 40
 
 
+def assert_same_multiset(got, want, rel):
+    """Each root of want is matched by its own root of got within rel * |root|."""
+    unused = list(got)
+    for w in sorted(want, key=abs, reverse=True):
+        k = int(np.argmin([abs(g - w) for g in unused]))
+        assert abs(unused.pop(k) - w) <= rel * abs(w)
+
+
+def assert_residual_contract(coeffs, roots):
+    monic = coeffs / coeffs[:, :1]
+    d = monic.shape[1] - 1
+    residual = np.array([np.polyval(m, z) for m, z in zip(monic, roots)])
+    scale = np.max(np.abs(monic), axis=1)[:, None] * np.maximum(1.0, np.abs(roots)) ** d
+    assert np.all(np.abs(residual) <= overflow.ROOT_RESIDUAL_TOL * scale)
+
+
+@pytest.fixture()
+def rescued(monkeypatch):
+    """The monic rows that reach the companion-matrix rescue step."""
+    seen = []
+    companion = overflow._companion_roots
+
+    def spy(monic):
+        seen.extend(monic)
+        return companion(monic)
+
+    monkeypatch.setattr(overflow, "_companion_roots", spy)
+    return seen
+
+
+RESCUE_ROWS = {
+    "triple root": np.poly([2.0, 2.0, 2.0, -1.0, 0.5j]),
+    "(z-1)^8": np.poly([1.0] * 8),
+    "zero constant term": [1.0, 2.0, -3.0, 1.0, 0.0],
+    "moduli 1e-6, 1, 1e6": np.poly([1e-6, 1.0, 1e6]),
+}
+
+
+class TestBatchedRoots:
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_random_batches_match_np_roots(self, degree, rescued):
+        rng = np.random.default_rng(100 + degree)
+        batch = rng.normal(size=(200, degree + 1)) + 1j * rng.normal(size=(200, degree + 1))
+        got = overflow._batched_roots(batch)
+        for row, roots in zip(batch, got):
+            assert_same_multiset(roots, np.roots(row), rel=1e-12)
+        assert rescued == []
+
+    @pytest.mark.parametrize("name", RESCUE_ROWS)
+    def test_uncertified_rows_take_the_rescue_step(self, name, rescued):
+        row = np.asarray(RESCUE_ROWS[name], dtype=complex)
+        rng = np.random.default_rng(7)
+        generic = rng.normal(size=(2, len(row))) + 1j * rng.normal(size=(2, len(row)))
+        batch = np.array([generic[0], 2.0 * row, generic[1]])
+        roots = overflow._batched_roots(batch)
+        assert len(rescued) == 1
+        np.testing.assert_array_equal(rescued[0], row / row[0])
+        assert_residual_contract(batch, roots)
+
+    def test_residual_contract_rejects_bad_rescue_roots(self, monkeypatch):
+        def nothing_certified(monic):
+            return np.zeros((len(monic), monic.shape[1] - 1), dtype=complex), np.zeros(len(monic), bool)
+
+        monkeypatch.setattr(overflow, "_aberth_roots", nothing_certified)
+        monkeypatch.setattr(overflow, "_companion_roots", lambda monic: np.full(3, 1e6 + 0j)[None])
+        with pytest.raises(RootConditioning):
+            overflow._batched_roots(np.poly([1.0, 2.0, 3.0]).astype(complex)[None])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lead=st.complex_numbers(min_magnitude=0.5, max_magnitude=10.0),
+        rest=st.lists(st.complex_numbers(max_magnitude=10.0), min_size=1, max_size=8),
+    )
+    def test_roots_rebuild_the_coefficients(self, lead, rest):
+        coeffs = np.array([[lead, *rest]], dtype=complex)
+        roots = overflow._batched_roots(coeffs)
+        rebuilt = overflow._monic_from_roots(roots)[0]
+        # the certification bound: rounding in the product expansion grows like prod(1 + |z_k|)
+        bound = overflow.ROOT_RESIDUAL_TOL * np.prod(1.0 + np.abs(roots))
+        assert np.all(np.abs(rebuilt - coeffs[0] / lead) <= bound)
+
+
 class TestP1:
     @pytest.mark.parametrize("expr", ["z", "z^2", "(z-2)/(z+2)"])
     def test_injective_or_ramified_vanish(self, expr):
@@ -133,22 +218,39 @@ class TestNevanlinnaBound:
             assert bc.excess <= bc.bound + 1e-9
 
 
+def sweep_fit(alpha, radii):
+    return polynomial_asymptotics(radii, [overflow_to_C(alpha, r, FAST).value for r in radii])
+
+
 class TestAsymptotics:
     def test_monomial_flat(self):
-        fit = polynomial_asymptotics(DiskMap((0, 0, 0, 1)), [10.0, 100.0, 1000.0], FAST)
+        fit = sweep_fit(DiskMap((0, 0, 0, 1)), [10.0, 100.0, 1000.0])
         assert fit.slope == pytest.approx(0.0, abs=1e-6)
         assert fit.intercept == pytest.approx(0.0, abs=1e-5)
 
     def test_cubic(self):
-        fit = polynomial_asymptotics(parse_map("z^3+z"), [10.0, 100.0, 1000.0], FAST)
+        fit = sweep_fit(parse_map("z^3+z"), [10.0, 100.0, 1000.0])
         assert fit.slope == pytest.approx(2.0, rel=0.01)
         assert fit.intercept == pytest.approx(0.0, abs=0.05)
 
     def test_quartic_with_coefficients(self):
-        fit = polynomial_asymptotics(parse_map("2*z^4+3*z"), [10.0, 100.0, 1000.0], FAST)
+        fit = sweep_fit(parse_map("2*z^4+3*z"), [10.0, 100.0, 1000.0])
         assert fit.slope == pytest.approx(3.0, rel=0.01)
         assert fit.intercept == pytest.approx(-math.log(1.5), abs=0.05)
 
+    def test_fits_the_given_values(self):
+        radii = [0.5, 1.0, 1.5]
+        values = [1.0 - 2.0 * math.log(r) for r in radii]
+        fit = polynomial_asymptotics(radii, values)
+        assert fit.slope == pytest.approx(-2.0, abs=1e-12)
+        assert fit.intercept == pytest.approx(1.0, abs=1e-12)
+        assert fit.max_residual <= 1e-12
+        assert fit.values == tuple(values)
+
     def test_requires_increasing(self):
         with pytest.raises(DomainError):
-            polynomial_asymptotics(parse_map("z^2+z"), [10.0, 5.0], FAST)
+            polynomial_asymptotics([10.0, 5.0], [1.0, 2.0])
+
+    def test_requires_one_value_per_radius(self):
+        with pytest.raises(DomainError):
+            polynomial_asymptotics([1.0, 2.0, 3.0], [1.0, 2.0])
