@@ -34,19 +34,13 @@ from .errors import (
 from .maps import DiskMap
 from .overflow import (
     _batched_roots,
+    _characteristic_and_kernel,
     _fiber_log_sum,
-    _p1_kernel_double_integral,
     _poly_coeffs_desc,
     overflow_to_C,
     overflow_to_P1,
 )
-from .quadrature import (
-    DEFAULT_SETTINGS,
-    QuadratureSettings,
-    circle_mean,
-    nevanlinna_T,
-    torus_log_double_integral,
-)
+from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, circle_mean
 from .series import (
     TruncatedSeries,
     compose,
@@ -181,10 +175,11 @@ def self_intersection_A1(m: MorphismToLine,
     normal_part = e * m.surface.normal_degree
     finite = arithmetic_excess(m.alpha_hat)
     alpha_float = DiskMap(tuple(float(c) for c in m.alpha_an.num))
-    arch = overflow_to_C(alpha_float, float(m.surface.radius), settings)
-    doubled = 2.0 * torus_log_double_integral(
-        alpha_float, float(m.surface.radius), settings
-    )
+    r = float(m.surface.radius)
+    arch = overflow_to_C(alpha_float, r, settings)
+    # the disputed variant doubles the boundary double integral: excess plus jet term
+    jet = abs(complex(alpha_float.jet()))
+    doubled = 2.0 * (arch.value + (math.log(jet) + arch.ramification_index * math.log(r)))
     return SelfIntersectionA1(
         value=normal_part + finite + arch.value,
         normal_part=normal_part,
@@ -279,9 +274,7 @@ def self_intersection_P1(m: MorphismToLine,
     alpha = DiskMap(tuple(float(c) for c in m.alpha_an.num))
     r = float(m.surface.radius)
     ht = projective_height(m.constant_term)
-    method = "boundary" if not alpha.poles_inside(r) else "area"
-    t_char = nevanlinna_T(alpha, r, method, settings)
-    kernel, _ = _p1_kernel_double_integral(alpha, r, settings)
+    t_char, kernel = _characteristic_and_kernel(alpha, r, settings)
     value = 2.0 * ht + 2.0 * t_char - kernel
     return SelfIntersectionP1(
         value=value,

@@ -90,11 +90,14 @@ def load_settings(path: Optional[str]) -> QuadratureSettings:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return QuadratureSettings(
-        base_grid=int(data.get("grid", 256)),
-        tol=float(data.get("tol", 1e-6)),
-        max_depth=int(data.get("depth", 6)),
-    )
+    try:
+        return QuadratureSettings(
+            base_grid=int(data.get("grid", QuadratureSettings.base_grid)),
+            tol=float(data.get("tol", QuadratureSettings.tol)),
+            max_depth=int(data.get("depth", QuadratureSettings.max_depth)),
+        )
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from None
 
 
 def _settings_dict(settings: QuadratureSettings) -> dict:

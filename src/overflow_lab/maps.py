@@ -46,6 +46,32 @@ def _poly_add(a, b, sign=1):
     return _trim(out)
 
 
+def _poly_divmod(a, b):
+    """Exact quotient and remainder of polynomials (increasing degree)."""
+    rem, quot = list(a), [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        quot[k] = rem[k + len(b) - 1] / b[-1]
+        for j, bj in enumerate(b):
+            rem[k + j] -= quot[k] * bj
+    return _trim(quot), _trim(rem[: max(1, len(b) - 1)])
+
+
+def _cancel_common_factor(num, den):
+    """(num, den) divided by their monic gcd, found by Euclid over Fraction;
+    pairs with complex or non-finite coefficients are returned as given."""
+    try:
+        a, b = tuple(map(Fraction, num)), tuple(map(Fraction, den))
+    except (TypeError, ValueError, OverflowError):
+        return num, den
+    gcd, rem = a, b
+    while any(rem):
+        gcd, rem = rem, _poly_divmod(gcd, rem)[1]
+    if len(gcd) == 1:
+        return num, den
+    gcd = tuple(c / gcd[-1] for c in gcd)
+    return _poly_divmod(a, gcd)[0], _poly_divmod(b, gcd)[0]
+
+
 def _is_real(c) -> bool:
     if isinstance(c, complex):
         return c.imag == 0.0
@@ -56,9 +82,9 @@ def _is_real(c) -> bool:
 class DiskMap:
     """A map z -> num(z)/den(z), analytic on the closed disk of interest.
 
-    ``num`` and ``den`` are coefficient tuples in increasing degree.  The
-    denominator must not vanish at 0; a constant denominator of 1 encodes a
-    polynomial map.
+    ``num`` and ``den`` are coprime coefficient tuples in increasing degree (an
+    exact common factor of the inputs is divided out).  The denominator must
+    not vanish at 0; a constant denominator of 1 encodes a polynomial map.
     """
 
     num: tuple
@@ -68,6 +94,8 @@ class DiskMap:
         num, den = _trim(self.num), _trim(self.den)
         if all(c == 0 for c in den):
             raise DomainError("zero denominator")
+        if len(den) > 1:
+            num, den = _cancel_common_factor(num, den)
         if len(den) == 1 and den[0] != 1:
             num = tuple(c / den[0] for c in num)
             den = (1,)
@@ -188,6 +216,10 @@ def _near_zero(c, tol: float) -> bool:
 #           atom   := number | 'z' | '(' expr ')'
 # Values are (num, den) polynomial pairs; integer literals stay exact.
 
+#: Highest degree the parser expands: a product or power that would pass it
+#: (or an exponent above it) is a ParseError before any coefficient is formed.
+MAX_DEGREE = 64
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -218,7 +250,7 @@ class _Parser:
         while self.peek() and self.peek() in "+-":
             op = self.take()
             rhs = self.term()
-            value = _rf_add(value, rhs, 1 if op == "+" else -1)
+            value = _rf_add(value, rhs, 1 if op == "+" else -1, self)
         return value
 
     def term(self):
@@ -226,7 +258,7 @@ class _Parser:
         while self.peek() and self.peek() in "*/":
             op = self.take()
             rhs = self.factor()
-            value = _rf_mul(value, rhs) if op == "*" else _rf_div(value, rhs, self)
+            value = _rf_mul(value, rhs, self) if op == "*" else _rf_div(value, rhs, self)
         return value
 
     def factor(self):
@@ -238,7 +270,7 @@ class _Parser:
         value = self.atom()
         while self.peek() == "^":
             self.take()
-            value = _rf_pow(value, self.uint())
+            value = _rf_pow(value, self.uint(), self)
         return value
 
     def atom(self):
@@ -292,13 +324,21 @@ class _Parser:
         return int(self.text[start : self.pos])
 
 
-def _rf_add(a, b, sign):
+def _product(a, b, parser):
+    degree = len(a) + len(b) - 2
+    if degree > MAX_DEGREE:
+        parser.error(f"product of degree {degree} exceeds the cap {MAX_DEGREE}")
+    return _poly_mul(a, b)
+
+
+def _rf_add(a, b, sign, parser):
     (an, ad), (bn, bd) = a, b
-    return (_poly_add(_poly_mul(an, bd), _poly_mul(bn, ad), sign), _poly_mul(ad, bd))
+    num = _poly_add(_product(an, bd, parser), _product(bn, ad, parser), sign)
+    return (num, _product(ad, bd, parser))
 
 
-def _rf_mul(a, b):
-    return (_poly_mul(a[0], b[0]), _poly_mul(a[1], b[1]))
+def _rf_mul(a, b, parser):
+    return (_product(a[0], b[0], parser), _product(a[1], b[1], parser))
 
 
 def _rf_neg(a):
@@ -308,14 +348,16 @@ def _rf_neg(a):
 def _rf_div(a, b, parser):
     if all(c == 0 for c in b[0]):
         parser.error("division by zero")
-    return (_poly_mul(a[0], b[1]), _poly_mul(a[1], b[0]))
+    return (_product(a[0], b[1], parser), _product(a[1], b[0], parser))
 
 
-def _rf_pow(a, k):
-    num, den = (1,), (1,)
+def _rf_pow(a, k, parser):
+    if k > MAX_DEGREE:
+        parser.error(f"exponent {k} exceeds the degree cap {MAX_DEGREE}")
+    value = ((1,), (1,))
     for _ in range(k):
-        num, den = _poly_mul(num, a[0]), _poly_mul(den, a[1])
-    return (num, den)
+        value = _rf_mul(value, a, parser)
+    return value
 
 
 def parse_map(text: str) -> DiskMap:

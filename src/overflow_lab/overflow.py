@@ -1,10 +1,12 @@
 """The Archimedean excess of a pointed disk map, by two independent routes.
 
-Explicit route: the boundary double integral of log|alpha(z1) - alpha(z2)|
-against the harmonic measure minus the log of the capacitary jet norm.  The
-dual capacitary norm of dz on the disk of radius r is r, so the jet term is
-log(|alpha^(e)(0)/e!| * r^e) for target C and carries the extra factor
-(1 + |alpha(0)|^2)^{-1} for target P1.
+Explicit route, one formula for both targets: with (p, q) the coprime
+homogeneous pair of the map (q = 1 for a polynomial), e its ramification
+index and jet = alpha^(e)(0)/e!, the excess on the disk of radius r is
+cross - (2 log|q(0)| + log|jet| + e log r), where cross is the boundary double
+integral of log|p(t) q(s) - q(t) p(s)|.  For target P1 this is 2T(r) - kernel
+- log(jet norm) with Jensen's 2T(r) = mean log(|p|^2 + |q|^2) - log(|p(0)|^2 +
+|q(0)|^2), valid with poles inside the disk too: the circle means cancel.
 
 Definitional route (polynomials only): the excess as an integral of the
 equilibrium potential against the fiber divisors, evaluated by locating the
@@ -29,12 +31,10 @@ from .errors import (
     ConstantMap,
     DomainError,
     NumericalError,
-    PoleAtOrigin,
     RootConditioning,
     UnsupportedDegree,
 )
 from .maps import DiskMap
-from .potential import capacitary_norm_P1
 from .quadrature import (
     DEFAULT_SETTINGS,
     Certificate,
@@ -89,47 +89,57 @@ def _require_nonconstant(alpha: DiskMap) -> None:
         raise ConstantMap("excess is defined for nonconstant maps only")
 
 
-# -- explicit route, target C -------------------------------------------------
+# -- explicit route -----------------------------------------------------------
 
-def overflow_to_C(alpha: DiskMap, r: float,
-                  settings: QuadratureSettings = DEFAULT_SETTINGS) -> OverflowReport:
-    """Excess of a polynomial map from the disk of radius r to the plane."""
-    _require_nonconstant(alpha)
-    if not alpha.is_polynomial:
-        raise DomainError("target C requires a polynomial map; use the P1 target")
-
-    def boundary(ts: np.ndarray):
-        z = r * np.exp(2j * np.pi * ts)
-        p, _ = alpha.num_den_at(z)
-        return p, None
-
-    double, cert = torus_pair_log_integral(boundary, settings, label="excess kernel")
-    e = alpha.ramification_index()
-    jet = abs(complex(alpha.jet()))
-    value = double - (math.log(jet) + e * math.log(r))
-    return OverflowReport(value, "explicit", "C", r, e, certificate=cert)
-
-
-# -- explicit route, target P1 ------------------------------------------------
-
-def _p1_kernel_double_integral(alpha: DiskMap, r: float,
-                               settings: QuadratureSettings) -> Tuple[float, Certificate]:
-    """Double integral of the projective-line diagonal kernel along the boundary.
-
-    Written on homogeneous pairs (den, num) so interior poles of the map never
-    enter: the cross term is a polynomial expression of boundary values and
-    the chart factors are separable one-dimensional integrals.
-    """
+def _boundary_cross(alpha: DiskMap, r: float, settings: QuadratureSettings,
+                    label: str) -> Tuple[float, Certificate]:
+    """Double integral of log|p(t) q(s) - q(t) p(s)| over the circle of radius r,
+    (p, q) = (num, den), so interior poles never enter; a polynomial uses the
+    plain kernel log|p(t) - p(s)|."""
 
     def boundary(ts: np.ndarray):
         z = r * np.exp(2j * np.pi * ts)
         p, q = alpha.num_den_at(z)
-        if alpha.is_polynomial:
-            # homogeneous pair (1, p): the cross term reduces to p(t) - p(s)
-            return p, None
-        return q, p  # homogeneous pair (x0, x1) = (den, num)
+        return (p, None) if alpha.is_polynomial else (p, q)
 
-    cross, cert = torus_pair_log_integral(boundary, settings, label="P1 kernel")
+    return torus_pair_log_integral(boundary, settings, label=label)
+
+
+def _explicit_excess(alpha: DiskMap, r: float, settings: QuadratureSettings,
+                     target: str) -> OverflowReport:
+    """cross - (2 log|q(0)| + log|jet| + e log r): q(0) = 1 adds exactly 0.0,
+    so a polynomial's excess is the same float for both targets."""
+    _require_nonconstant(alpha)
+    cross, cert = _boundary_cross(alpha, r, settings, "excess kernel")
+    e = alpha.ramification_index()
+    jet = abs(complex(alpha.jet()))
+    q0 = abs(complex(alpha.den[0]))
+    value = cross - (2.0 * math.log(q0) + math.log(jet) + e * math.log(r))
+    return OverflowReport(value, "explicit", target, r, e, certificate=cert)
+
+
+def overflow_to_C(alpha: DiskMap, r: float,
+                  settings: QuadratureSettings = DEFAULT_SETTINGS) -> OverflowReport:
+    """Excess of a polynomial map from the disk of radius r to the plane."""
+    if not alpha.is_polynomial:
+        raise DomainError("target C requires a polynomial map; use the P1 target")
+    return _explicit_excess(alpha, r, settings, "C")
+
+
+def overflow_to_P1(alpha: DiskMap, r: float,
+                   settings: QuadratureSettings = DEFAULT_SETTINGS) -> OverflowReport:
+    """Excess of a rational map from the disk of radius r to the projective line."""
+    return _explicit_excess(alpha, r, settings, "P1")
+
+
+def _characteristic_and_kernel(alpha: DiskMap, r: float,
+                               settings: QuadratureSettings) -> Tuple[float, float]:
+    """(T(r), kernel): the Ahlfors-Shimizu characteristic (boundary formula
+    when the closed disk is pole-free, area formula otherwise) and the
+    boundary double integral of the projective-line diagonal kernel."""
+    method = "boundary" if not alpha.poles_inside(r) else "area"
+    t_char = nevanlinna_T(alpha, r, method, settings)
+    cross, _ = _boundary_cross(alpha, r, settings, "P1 kernel")
 
     def chart(ts: np.ndarray) -> np.ndarray:
         z = r * np.exp(2j * np.pi * ts)
@@ -137,26 +147,7 @@ def _p1_kernel_double_integral(alpha: DiskMap, r: float,
         return np.log(np.abs(p) ** 2 + np.abs(q) ** 2)
 
     sep, _ = circle_mean(chart, settings, label="P1 chart factor")
-    return -cross + sep, cert
-
-
-def overflow_to_P1(alpha: DiskMap, r: float,
-                   settings: QuadratureSettings = DEFAULT_SETTINGS) -> OverflowReport:
-    """Excess of a rational map from the disk of radius r to the projective line."""
-    _require_nonconstant(alpha)
-    if alpha.den[0] == 0:
-        raise PoleAtOrigin("alpha(0) must be finite")
-    method = "boundary" if not alpha.poles_inside(r) else "area"
-    t_char = nevanlinna_T(alpha, r, method, settings)
-    kernel, cert = _p1_kernel_double_integral(alpha, r, settings)
-    e = alpha.ramification_index()
-    jet = abs(complex(alpha.jet()))
-    a0 = abs(complex(alpha.value_at_zero()))
-    jet_norm_log = (
-        math.log(jet) + e * math.log(r) + math.log(capacitary_norm_P1(a0))
-    )
-    value = 2.0 * t_char - kernel - jet_norm_log
-    return OverflowReport(value, "explicit", "P1", r, e, certificate=cert)
+    return t_char, -cross + sep
 
 
 # -- definitional oracle ------------------------------------------------------
@@ -196,14 +187,14 @@ def _batched_roots(poly_coeffs_desc: np.ndarray) -> np.ndarray:
 
     deriv = monic[:, :-1] * np.arange(d, 0, -1)[None, :]
     scale = np.max(np.abs(monic), axis=1)[:, None] * np.maximum(1.0, np.abs(roots)) ** d
+    pv = _polyval_batch(monic, roots)
     for _ in range(6):
-        pv = _polyval_batch(monic, roots)
         if np.all(np.abs(pv) <= ROOT_RESIDUAL_TOL * scale):
-            break
+            return roots
         dv = _polyval_batch(deriv, roots)
         step = np.where(np.abs(dv) > 0, pv / np.where(dv == 0, 1, dv), 0)
         roots = roots - step
-    pv = _polyval_batch(monic, roots)
+        pv = _polyval_batch(monic, roots)
     if not np.all(np.abs(pv) <= ROOT_RESIDUAL_TOL * scale):
         raise RootConditioning("root residuals exceed the solver contract")
     return roots
@@ -406,11 +397,7 @@ def nevanlinna_bound_check(alpha: DiskMap, r: float,
     """Excess against its characteristic-function bound; the slack is the
     boundary double integral of the projective diagonal kernel, hence >= 0."""
     _require_nonconstant(alpha)
-    if alpha.den[0] == 0:
-        raise PoleAtOrigin("alpha(0) must be finite")
-    method = "boundary" if not alpha.poles_inside(r) else "area"
-    t_char = nevanlinna_T(alpha, r, method, settings)
-    kernel, _ = _p1_kernel_double_integral(alpha, r, settings)
+    t_char, kernel = _characteristic_and_kernel(alpha, r, settings)
     e = alpha.ramification_index()
     jet = abs(complex(alpha.jet()))
     a0 = abs(complex(alpha.value_at_zero()))

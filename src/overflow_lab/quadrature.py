@@ -34,7 +34,6 @@ from .errors import (
     DomainError,
     NoConvergence,
     NumericalError,
-    PoleAtOrigin,
     PoleOnDisk,
 )
 from .maps import DiskMap
@@ -78,33 +77,44 @@ def _midpoints(n: int, offset: float = 0.0) -> np.ndarray:
     return (np.arange(n) + 0.5 + offset) / n
 
 
-def circle_mean(values: Callable[[np.ndarray], np.ndarray],
-                settings: QuadratureSettings = DEFAULT_SETTINGS,
-                label: str = "circle mean") -> Tuple[float, Certificate]:
-    """Mean over [0,1) of a periodic integrand, midpoint rule with doubling.
-
-    Acceptance is tested on the Richardson pair 2*I(2N) - I(N): integrable
-    log spikes sitting at a fixed offset from the lattice contribute an
-    exactly-1/N error term which the pair removes; for smooth periodic
-    integrands the pair converges as fast as the raw sequence.
-    """
-    raw = []
-    richardson_prev = None
+def _richardson_ladder(estimate: Callable[[int], float],
+                       settings: QuadratureSettings,
+                       label: str) -> Tuple[float, Certificate]:
+    """Doubling ladder of the circle and torus rules over ``estimate(n)``, the
+    raw rule on n nodes: two successive Richardson pairs 2*I(2N) - I(N) within
+    ``tol`` accept the latter, and a non-finite level raises at once."""
+    raw_prev = richardson_prev = None
     n = settings.base_grid
     for _ in range(settings.max_depth + 1):
-        vals = np.asarray(values(_midpoints(n)), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NumericalError(f"{label}: integrand not finite on the grid")
-        raw.append(float(np.mean(vals)))
-        if len(raw) >= 2:
-            richardson = 2.0 * raw[-1] - raw[-2]
+        raw = estimate(n)
+        if not math.isfinite(raw):
+            raise NumericalError(f"{label}: estimate not finite at grid {n}")
+        if raw_prev is not None:
+            richardson = 2.0 * raw - raw_prev
             if richardson_prev is not None and abs(richardson - richardson_prev) <= settings.tol:
                 return richardson, Certificate(
                     settings.tol, abs(richardson - richardson_prev), n
                 )
             richardson_prev = richardson
+        raw_prev = raw
         n *= 2
     raise NoConvergence(f"{label}: no convergence at grid {n // 2}")
+
+
+def circle_mean(values: Callable[[np.ndarray], np.ndarray],
+                settings: QuadratureSettings = DEFAULT_SETTINGS,
+                label: str = "circle mean") -> Tuple[float, Certificate]:
+    """Mean over [0,1) of a periodic integrand, midpoint rule with doubling.
+
+    Integrable log spikes at a fixed offset from the lattice contribute an
+    exactly-1/N error term which the Richardson pair removes; for smooth
+    periodic integrands the pair converges as fast as the raw sequence.
+    """
+
+    def estimate(n: int) -> float:
+        return float(np.mean(np.asarray(values(_midpoints(n)), dtype=float)))
+
+    return _richardson_ladder(estimate, settings, label)
 
 
 #: Inner-lattice refinement of the torus product rule.  Equal-weight circle
@@ -129,27 +139,17 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
     The two staggered midpoint lattices are refined together, the inner one
     kept a fixed factor finer and shifted by a quarter of its cell so no
     inner node meets an outer one; each level's diagonal-band error is
-    exactly proportional to one over the lattice size, so acceptance is
-    tested on the Richardson pair 2*I(2N) - I(N).
+    exactly proportional to one over the lattice size, which the Richardson
+    pair removes.
     """
-    raw = []
-    n = settings.base_grid
-    richardson_prev = None
-    for _ in range(settings.max_depth + 1):
+
+    def estimate(n: int) -> float:
         m = n * _INNER_REFINE
         p1, q1 = boundary(_midpoints(n))
         p2, q2 = boundary(_midpoints(m, 0.25))
-        total = _log_cross_sum(p1, q1, p2, q2, label)
-        raw.append(0.5 * total / (n * m))
-        if len(raw) >= 2:
-            richardson = 2.0 * raw[-1] - raw[-2]
-            if richardson_prev is not None and abs(richardson - richardson_prev) <= settings.tol:
-                return richardson, Certificate(
-                    settings.tol, abs(richardson - richardson_prev), n
-                )
-            richardson_prev = richardson
-        n *= 2
-    raise NoConvergence(f"{label}: no convergence at grid {n // 2}")
+        return 0.5 * _log_cross_sum(p1, q1, p2, q2, label) / (n * m)
+
+    return _richardson_ladder(estimate, settings, label)
 
 
 def _log_cross_sum(p1, q1, p2, q2, label: str) -> float:
@@ -229,32 +229,6 @@ def circle_log_mean(alpha: DiskMap, c: complex, r: float,
     return value
 
 
-def torus_log_double_integral(alpha: DiskMap, r: float,
-                              settings: QuadratureSettings = DEFAULT_SETTINGS,
-                              with_certificate: bool = False):
-    """Double integral of log|alpha(r e(t1)) - alpha(r e(t2))| on the torus."""
-    if alpha.is_constant():
-        raise DomainError("torus integral of a constant map is singular")
-
-    def boundary(ts: np.ndarray):
-        z = r * np.exp(2j * np.pi * ts)
-        p, q = alpha.num_den_at(z)
-        return (p, None) if alpha.is_polynomial else (p, q)
-
-    value, cert = torus_pair_log_integral(boundary, settings,
-                                          label="torus_log_double_integral")
-    if not alpha.is_polynomial:
-        # log|p1/q1 - p2/q2| = log|p1 q2 - q1 p2| - log|q1| - log|q2|
-        def qvals(ts: np.ndarray) -> np.ndarray:
-            z = r * np.exp(2j * np.pi * ts)
-            _, q = alpha.num_den_at(z)
-            return np.log(np.abs(q))
-
-        corr, _ = circle_mean(qvals, settings, label="denominator mean")
-        value -= 2.0 * corr
-    return (value, cert) if with_certificate else value
-
-
 # -- Gauss rule for the weight u log(1/u) on (0,1) --------------------------
 
 def _chebyshev_recurrence(n: int):
@@ -316,8 +290,6 @@ def nevanlinna_T(alpha: DiskMap, r: float, method: str = "boundary",
                Fubini-Study form, in polar coordinates with the log weight
                absorbed into the radial Gauss rule; valid for meromorphic maps.
     """
-    if alpha.den[0] == 0:
-        raise PoleAtOrigin("alpha(0) is infinite")
     if alpha.is_constant():
         return 0.0
     if method == "boundary":

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -89,6 +90,28 @@ class TestOverflowCommand:
         assert json.loads(out)["error"]["type"] == "ConfigError"
 
 
+    @pytest.mark.parametrize("body", ['{"grid": "x"}', '{"tol": null}', '{"depth": [1]}'])
+    def test_bad_config_value_rejected(self, body, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(body)
+        code, out = run_cli([
+            "overflow", "--map", "z", "--radius", "1", "--config", str(cfg),
+        ])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ConfigError"
+
+    def test_huge_exponent_rejected(self):
+        code, out = run_cli(["overflow", "--map", "z^100000", "--radius", "1"])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_overflowing_boundary_exits_fast(self):
+        start = time.monotonic()
+        code, out = run_cli(["overflow", "--map", "z^2+z", "--radius", "1e150"])
+        assert code == 3
+        assert "not finite" in json.loads(out)["error"]["message"]
+        assert time.monotonic() - start < 10
+
     @pytest.mark.parametrize("expr,target", [("(z-2)/(z+2)", "P1"), ("z^2+z", "C")])
     def test_sweep_fits_the_reported_values(self, expr, target, fast_config):
         code, out = run_cli([
@@ -123,6 +146,42 @@ def test_oracle_matches_golden(path, tmp_path):
     assert got["oracle"]["value"] == pytest.approx(want["oracle"]["value"], rel=0, abs=1e-12)
     assert got["oracle"]["boundary_tangency"] == want["oracle"]["boundary_tangency"]
     assert got["oracle"]["certificate"]["grid"] == want["oracle"]["certificate"]["grid"]
+
+
+def _assert_close(got, want, path="report"):
+    """Same structure and non-float leaves; float leaves within 1e-8."""
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=0, abs=1e-8), path
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{k}]")
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in GOLDEN_DIR.glob("*.json") if not p.name.startswith("oracle_")),
+    ids=lambda p: p.stem,
+)
+def test_report_matches_golden(path, tmp_path):
+    """Canonical tol-1e-8 reports recorded before the P1 route became one formula."""
+    golden = json.loads(path.read_text())
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps(golden["settings"]))
+    inputs = dict(golden["inputs"])
+    if golden["command"] == "overflow":
+        inputs["radius"] = golden["result"]["reports"][0]["radius"]
+    argv = [golden["command"], "--config", str(cfg)]
+    argv += [f"--{key}={value}" for key, value in inputs.items()]
+    code, out = run_cli(argv)
+    assert code == 0
+    _assert_close(json.loads(out), golden)
 
 
 class TestMorphismCommands:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from overflow_lab.errors import ConstantMap, ParseError, PoleAtOrigin
-from overflow_lab.maps import DiskMap, parse_map
+from overflow_lab.maps import MAX_DEGREE, DiskMap, parse_map
 
 
 class TestParser:
@@ -41,6 +41,42 @@ class TestParser:
     def test_pole_at_origin_rejected(self):
         with pytest.raises(PoleAtOrigin):
             parse_map("1/z")
+
+    @pytest.mark.parametrize("text", [
+        "z^100000", "(z+1)^2000", "2^100000", "z^33*z^32", "(z^2)^33", "1/(z^40*z^25+1)",
+    ])
+    def test_degree_cap(self, text):
+        with pytest.raises(ParseError, match="cap"):
+            parse_map(text)
+
+    @pytest.mark.parametrize("text,degree", [("z^64", 64), ("(z^8)^8", 64), ("z^40+z^40", 40)])
+    def test_degree_cap_is_inclusive(self, text, degree):
+        assert parse_map(text).degree == degree <= MAX_DEGREE
+
+
+class TestCommonFactor:
+    def test_ratio_reduces_to_polynomial(self):
+        m = parse_map("(z^2-1)/(z-1)")
+        assert m.is_polynomial
+        assert m.num == (F(1), F(1))
+
+    def test_pole_cancelled_by_the_numerator(self):
+        m = parse_map("(z^2+2*z)/z")
+        assert m.is_polynomial
+        assert m.num == (F(2), F(1))
+
+    def test_remaining_ratio_is_coprime(self):
+        # z (z^2 - 1) / (z (2 z + 1) / 2): the common factor z goes
+        m = parse_map("(z^3-z)/(z^2+z/2)")
+        assert (m.num, m.den) == ((-2, 0, 2), (1, 2))
+
+    def test_float_coefficients_reduce_exactly(self):
+        m = DiskMap((-0.5, 0.5), (-1.0, 1.0))
+        assert m.is_polynomial and m.num == (F(1, 2),)
+
+    def test_complex_coefficients_kept(self):
+        m = DiskMap((1j, 1), (1j, 1))
+        assert m.num == (1j, 1) and m.den == (1j, 1)
 
 
 class TestDiskMapStructure:

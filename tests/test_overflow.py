@@ -18,6 +18,7 @@ from overflow_lab.overflow import (
 from overflow_lab.quadrature import QuadratureSettings
 
 FAST = QuadratureSettings(base_grid=64, tol=1e-6, max_depth=9)
+TIGHT = QuadratureSettings(base_grid=64, tol=1e-9, max_depth=10)
 
 
 def random_polynomial(rng, max_degree=5):
@@ -161,6 +162,19 @@ class TestBatchedRoots:
         np.testing.assert_array_equal(rescued[0], row / row[0])
         assert_residual_contract(batch, roots)
 
+    def test_residual_evaluated_once_without_polish_step(self, monkeypatch):
+        calls = []
+        polyval = overflow._polyval_batch
+
+        def spy(coeffs, z):
+            calls.append(coeffs.shape[1])
+            return polyval(coeffs, z)
+
+        monkeypatch.setattr(overflow, "_polyval_batch", spy)
+        rng = np.random.default_rng(11)
+        overflow._batched_roots(rng.normal(size=(50, 6)) + 1j * rng.normal(size=(50, 6)))
+        assert calls == [6]
+
     def test_residual_contract_rejects_bad_rescue_roots(self, monkeypatch):
         def nothing_certified(monic):
             return np.zeros((len(monic), monic.shape[1] - 1), dtype=complex), np.zeros(len(monic), bool)
@@ -196,6 +210,41 @@ class TestP1:
             alpha = random_polynomial(rng, max_degree=3)
             got = overflow_to_P1(alpha, 1.0, FAST)
             assert got.value >= -1e-5
+
+    # (a, b, c, d) of the Moebius map (a w + b)/(c w + d); the poles of
+    # m(z^k) sit at moduli 0.5^(1/k) and 2^(1/k), so across k and r they
+    # fall inside and outside the disk
+    @pytest.mark.parametrize("a,b,c,d", [(-3, -1, 2, 1), (1, -2, 1, 2)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_moebius_of_power_vanishes(self, a, b, c, d, k):
+        # a Moebius map of the target leaves the P1 excess unchanged, and
+        # z^k has excess 0
+        pad = (0,) * (k - 1)
+        alpha = DiskMap((b, *pad, a), (d, *pad, c))
+        for r in (0.6, 1.0, 1.5, 1.9):
+            assert overflow_to_P1(alpha, r, FAST).value == pytest.approx(0.0, abs=1e-9)
+
+    def test_polynomial_report_equals_target_c(self):
+        rng = np.random.default_rng(43)
+        for _ in range(4):
+            alpha = random_polynomial(rng, max_degree=4)
+            r = float(rng.uniform(0.5, 2.0))
+            p1 = overflow_to_P1(alpha, r, FAST).as_dict()
+            c = overflow_to_C(alpha, r, FAST).as_dict()
+            assert p1.pop("target") == "P1" and c.pop("target") == "C"
+            assert p1 == c
+
+    @pytest.mark.parametrize("expr,r", [
+        ("z^2", 1.0), ("z+z^2/4", 1.0), ("2*z^3+5", 1.5),
+        ("(2*z+1)/(z/4+1)", 1.0), ("(z+1/2)/(z^2/8+1)", 1.0),
+        ("(3*z-1)/(z+4)", 2.0), ("(z^2+3)/(z^2/9+1)", 1.0),
+    ])
+    def test_matches_characteristic_route(self, expr, r):
+        # the bound check still computes 2T(r) - kernel - log(jet norm)
+        alpha = parse_map(expr)
+        assert not alpha.poles_inside(r)
+        got = overflow_to_P1(alpha, r, TIGHT).value
+        assert got == pytest.approx(nevanlinna_bound_check(alpha, r, TIGHT).excess, abs=1e-7)
 
 
 class TestNevanlinnaBound:

@@ -10,9 +10,10 @@ from overflow_lab.quadrature import (
     QuadratureSettings,
     _log_cross_sum,
     circle_log_mean,
+    circle_mean,
     gauss_log_rule,
     nevanlinna_T,
-    torus_log_double_integral,
+    torus_pair_log_integral,
 )
 
 IDENTITY = DiskMap((0, 1))
@@ -43,25 +44,58 @@ class TestCircleLogMean:
             assert got == pytest.approx(expected, abs=1e-8)
 
 
+def _on_circle(r, p, q=None):
+    """Boundary callable of the homogeneous pair (p, q) on the circle of radius r."""
+
+    def boundary(ts):
+        z = r * np.exp(2j * np.pi * ts)
+        return p(z), None if q is None else q(z)
+
+    return boundary
+
+
 class TestTorusDoubleIntegral:
     def test_identity_unit_circle(self):
-        assert torus_log_double_integral(IDENTITY, 1.0, TIGHT) == pytest.approx(0.0, abs=1e-8)
+        got, _ = torus_pair_log_integral(_on_circle(1.0, lambda z: z), TIGHT)
+        assert got == pytest.approx(0.0, abs=1e-8)
 
     def test_identity_radius_two(self):
-        got = torus_log_double_integral(IDENTITY, 2.0, TIGHT)
+        got, _ = torus_pair_log_integral(_on_circle(2.0, lambda z: z), TIGHT)
         assert got == pytest.approx(math.log(2), abs=1e-8)
 
     def test_square_unit(self):
-        zsq = DiskMap((0, 0, 1))
-        assert torus_log_double_integral(zsq, 1.0, TIGHT) == pytest.approx(0.0, abs=1e-7)
+        got, _ = torus_pair_log_integral(_on_circle(1.0, lambda z: z**2), TIGHT)
+        assert got == pytest.approx(0.0, abs=1e-7)
 
     def test_moebius_consistency(self):
-        # log|m(z1)-m(z2)| for m = (z-2)/(z+2): cross form avoids poles
-        m = parse_map("(z-2)/(z+2)")
-        got = torus_log_double_integral(m, 1.0)
-        # closed form: |m(z1)-m(z2)| = 4|z1-z2| / (|z1+2||z2+2|)
-        # => integral = log 4 + 0 - 2 * mean log|z+2| = log 4 - 2 log 2 = 0
-        assert got == pytest.approx(0.0, abs=1e-6)
+        # (p, q) = (z - 2, z + 2): p1 q2 - q1 p2 = 4 (z1 - z2), so the cross
+        # integral is log 4 plus the identity's 0, with no pole on the torus
+        got, _ = torus_pair_log_integral(_on_circle(1.0, lambda z: z - 2, lambda z: z + 2))
+        assert got == pytest.approx(math.log(4), abs=1e-6)
+
+
+class TestLadderFailsFast:
+    def test_circle_non_finite_level(self):
+        grids = []
+
+        def values(ts):
+            grids.append(len(ts))
+            return np.full(len(ts), np.inf)
+
+        with pytest.raises(NumericalError, match="not finite at grid 256"):
+            circle_mean(values)
+        assert grids == [256]
+
+    def test_torus_overflowing_level(self):
+        grids = []
+
+        def boundary(ts):
+            grids.append(len(ts))
+            return 1e200 * np.exp(2j * np.pi * ts), None
+
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+            torus_pair_log_integral(boundary, QuadratureSettings(base_grid=16))
+        assert grids == [16, 128]
 
 
 def _points(rng, k, scale=10.0):
@@ -176,6 +210,6 @@ class TestNevanlinna:
 
 def test_no_convergence_raises():
     wild = QuadratureSettings(base_grid=4, tol=1e-14, max_depth=1)
-    alpha = parse_map("z^5+z^2+z")
+    boundary = _on_circle(1.3, lambda z: z**5 + z**2 + z)
     with pytest.raises(NoConvergence):
-        torus_log_double_integral(alpha, 1.3, wild)
+        torus_pair_log_integral(boundary, wild)
