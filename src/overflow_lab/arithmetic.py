@@ -33,9 +33,9 @@ from .errors import (
 )
 from .maps import DiskMap
 from .overflow import (
+    _BoundaryFibers,
     _batched_roots,
     _characteristic_and_kernel,
-    _fiber_log_sum,
     _poly_coeffs_desc,
     overflow_to_C,
     overflow_to_P1,
@@ -231,11 +231,9 @@ def self_intersection_direct_oracle(m: MorphismToLine,
     weight = 2.0 ** _KAPPA_ANGLES
     kappa = (weight * f2 - f1) / (weight - 1.0)
 
-    tangency = {"flag": False}
     boundary_term, _ = circle_mean(
-        lambda ts: _fiber_log_sum(alpha, r, ts, tangency),
-        settings,
-        label="direct oracle boundary term",
+        _BoundaryFibers(alpha, r), settings,
+        label="direct oracle boundary term", even=alpha.real_coefficients,
     )
     return kappa + boundary_term
 

@@ -6,6 +6,7 @@ data and jets stay exact; numeric work converts to complex arrays on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
@@ -46,9 +47,51 @@ def _poly_add(a, b, sign=1):
     return _trim(out)
 
 
+class _Gaussian:
+    """Exact Gaussian rational re + i im (Fraction parts), the field over
+    which common factors are cancelled, complex coefficients included."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
+        self.re, self.im = re, im
+
+    @classmethod
+    def exact(cls, c) -> "_Gaussian":
+        """The exact value of an int, Fraction, float or complex (each float
+        part converts exactly); a non-finite part raises."""
+        if isinstance(c, complex):
+            return cls(Fraction(c.real), Fraction(c.imag))
+        return cls(Fraction(c))
+
+    def number(self):
+        """A Fraction when real, else the nearest complex float."""
+        return self.re if self.im == 0 else complex(float(self.re), float(self.im))
+
+    def __sub__(self, other: "_Gaussian") -> "_Gaussian":
+        return _Gaussian(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other: "_Gaussian") -> "_Gaussian":
+        return _Gaussian(self.re * other.re - self.im * other.im,
+                         self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other: "_Gaussian") -> "_Gaussian":
+        norm = other.re * other.re + other.im * other.im
+        return _Gaussian((self.re * other.re + self.im * other.im) / norm,
+                         (self.im * other.re - self.re * other.im) / norm)
+
+    def __eq__(self, other) -> bool:
+        other = other if isinstance(other, _Gaussian) else _Gaussian.exact(other)
+        return self.re == other.re and self.im == other.im
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+
 def _poly_divmod(a, b):
-    """Exact quotient and remainder of polynomials (increasing degree)."""
-    rem, quot = list(a), [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    """Exact quotient and remainder of polynomials over the Gaussian
+    rationals (increasing degree)."""
+    rem, quot = list(a), [_Gaussian(Fraction(0))] * max(1, len(a) - len(b) + 1)
     for k in range(len(a) - len(b), -1, -1):
         quot[k] = rem[k + len(b) - 1] / b[-1]
         for j, bj in enumerate(b):
@@ -56,20 +99,26 @@ def _poly_divmod(a, b):
     return _trim(quot), _trim(rem[: max(1, len(b) - 1)])
 
 
+def _monic(p):
+    """p scaled to leading coefficient 1 (the zero polynomial as given), which
+    keeps Euclid's remainders from swelling."""
+    return tuple(c / p[-1] for c in p) if p[-1] else p
+
+
 def _cancel_common_factor(num, den):
-    """(num, den) divided by their monic gcd, found by Euclid over Fraction;
-    pairs with complex or non-finite coefficients are returned as given."""
+    """(num, den) divided by their monic gcd, found by Euclid over the
+    Gaussian rationals; pairs with non-finite coefficients are returned as
+    given."""
     try:
-        a, b = tuple(map(Fraction, num)), tuple(map(Fraction, den))
+        a, b = tuple(map(_Gaussian.exact, num)), tuple(map(_Gaussian.exact, den))
     except (TypeError, ValueError, OverflowError):
         return num, den
-    gcd, rem = a, b
+    gcd, rem = a, _monic(b)
     while any(rem):
-        gcd, rem = rem, _poly_divmod(gcd, rem)[1]
+        gcd, rem = rem, _monic(_poly_divmod(gcd, rem)[1])
     if len(gcd) == 1:
         return num, den
-    gcd = tuple(c / gcd[-1] for c in gcd)
-    return _poly_divmod(a, gcd)[0], _poly_divmod(b, gcd)[0]
+    return tuple(tuple(c.number() for c in _poly_divmod(p, gcd)[0]) for p in (a, b))
 
 
 def _is_real(c) -> bool:
@@ -361,6 +410,18 @@ def _rf_pow(a, k, parser):
 
 
 def parse_map(text: str) -> DiskMap:
-    """DiskMap from an expression in z, e.g. "z^3+z" or "(z-2)/(z+2)"."""
-    num, den = _Parser(text).parse()
-    return DiskMap(num, den)
+    """DiskMap from an expression in z, e.g. "z^3+z" or "(z-2)/(z+2)".
+
+    Every coefficient of the reduced map must be a finite float64 value:
+    numeric work evaluates them as floats, and an exact integer beyond that
+    range cannot even be combined with a float literal.
+    """
+    parser = _Parser(text)
+    try:
+        alpha = DiskMap(*parser.parse())
+        finite = all(math.isfinite(float(c)) for c in alpha.num + alpha.den)
+    except OverflowError:
+        finite = False
+    if not finite:
+        parser.error("coefficient outside the float64 range")
+    return alpha

@@ -13,7 +13,15 @@ equilibrium potential against the fiber divisors, evaluated by locating the
 fibers with one batched root solver: Aberth-Ehrlich iteration, with
 companion-matrix eigenvalues only for the rows it cannot certify, then Newton
 polish under a residual contract.  The same solver locates the fibers of the
-direct self-intersection oracle in arithmetic.py.
+direct self-intersection oracle in arithmetic.py.  Both oracles integrate one
+boundary integrand, _BoundaryFibers, which warm-starts each ladder level from
+the roots of the level before (node k of 2n nodes from node k // 2 of n).
+For a map with real coefficients the fiber over a conjugate boundary value is
+the conjugate fiber, so the integrand is even in t and each level evaluates
+half of the midpoint lattice.
+
+Both routes reject, before any integral runs, a map and radius whose boundary
+values cannot be squared in float64.
 
 The radius-sweep fit takes the excess values the sweep already reported, for
 either target.
@@ -22,7 +30,9 @@ either target.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,6 +99,55 @@ def _require_nonconstant(alpha: DiskMap) -> None:
         raise ConstantMap("excess is defined for nonconstant maps only")
 
 
+def _log_abs(c) -> float:
+    """log|c| without leaving float range: exact-rational coefficients go by
+    their integer parts, a non-finite one is a DomainError, zero is -inf."""
+    if isinstance(c, (int, Fraction)):
+        return math.log(abs(c.numerator)) - math.log(c.denominator) if c else -math.inf
+    c = complex(c)
+    big, small = sorted((abs(c.real), abs(c.imag)), reverse=True)
+    if not math.isfinite(big):
+        raise DomainError(f"map coefficient {c} is not finite")
+    if big == 0.0:
+        return -math.inf
+    return math.log(big) + 0.5 * math.log1p((small / big) ** 2)
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_TINY = math.log(sys.float_info.min)
+
+
+def _require_float_range(alpha: DiskMap, r: float) -> None:
+    """DomainError unless the boundary data of alpha = p/q on the circle of
+    radius r can be squared in float64, checked before any integral runs.
+
+    With P = sum |p_k| r^k and Q = sum |q_k| r^k, the square of max(P, Q,
+    2 P Q) (a bound for |p|, |q| and |p(t) q(s) - q(t) p(s)|) must not
+    overflow, and neither |q(0)|^2 nor the square of |jet| r^e |q(0)|^2 (the
+    scale of that difference near the diagonal) may fall below the smallest
+    normal float.  The bounds are formed in logs, so the check itself stays
+    finite.
+    """
+    if not (math.isfinite(r) and r > 0):
+        raise DomainError(f"radius must be positive and finite, got {r!r}")
+    log_r = math.log(r)
+
+    def log_size(coeffs) -> float:  # log of sum_k |c_k| r^k
+        terms = [_log_abs(c) + k * log_r for k, c in enumerate(coeffs) if c != 0]
+        top = max(terms)
+        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+    log_p, log_q = log_size(alpha.num), log_size(alpha.den)
+    if 2.0 * max(log_p, log_q, math.log(2.0) + log_p + log_q) > _LOG_FLOAT_MAX:
+        raise DomainError(f"boundary values overflow float64 when squared at radius {r!r}")
+    # the jet divides by q(0)^2, so that square is checked first
+    log_q0_sq = 2.0 * _log_abs(alpha.den[0])
+    if log_q0_sq < _LOG_FLOAT_TINY or 2.0 * (
+        _log_abs(alpha.jet()) + alpha.ramification_index() * log_r + log_q0_sq
+    ) < _LOG_FLOAT_TINY:
+        raise DomainError(f"boundary differences underflow float64 when squared at radius {r!r}")
+
+
 # -- explicit route -----------------------------------------------------------
 
 def _boundary_cross(alpha: DiskMap, r: float, settings: QuadratureSettings,
@@ -110,6 +169,7 @@ def _explicit_excess(alpha: DiskMap, r: float, settings: QuadratureSettings,
     """cross - (2 log|q(0)| + log|jet| + e log r): q(0) = 1 adds exactly 0.0,
     so a polynomial's excess is the same float for both targets."""
     _require_nonconstant(alpha)
+    _require_float_range(alpha, r)
     cross, cert = _boundary_cross(alpha, r, settings, "excess kernel")
     e = alpha.ramification_index()
     jet = abs(complex(alpha.jet()))
@@ -137,6 +197,7 @@ def _characteristic_and_kernel(alpha: DiskMap, r: float,
     """(T(r), kernel): the Ahlfors-Shimizu characteristic (boundary formula
     when the closed disk is pole-free, area formula otherwise) and the
     boundary double integral of the projective-line diagonal kernel."""
+    _require_float_range(alpha, r)
     method = "boundary" if not alpha.poles_inside(r) else "area"
     t_char = nevanlinna_T(alpha, r, method, settings)
     cross, _ = _boundary_cross(alpha, r, settings, "P1 kernel")
@@ -165,13 +226,16 @@ _ABERTH_STEP_TOL = 1e-14
 _ABERTH_PHASE = 0.4
 
 
-def _batched_roots(poly_coeffs_desc: np.ndarray) -> np.ndarray:
+def _batched_roots(poly_coeffs_desc: np.ndarray,
+                   start: Optional[np.ndarray] = None) -> np.ndarray:
     """Roots of a batch of monic-normalizable polynomials (deg x (n+1) desc order).
 
-    Batched Aberth-Ehrlich iteration first.  A row is certified when its
-    iteration converged, its roots are finite and the monic coefficients
-    rebuilt from them match the input; uncertified rows (multiple or clustered
-    roots, a zero constant term, widely spread moduli) fall back to
+    Batched Aberth-Ehrlich iteration first, from ``start`` (batch x deg
+    starting points, e.g. the roots of nearby polynomials) when given, else
+    from a circle.  A row is certified when its iteration converged, its roots
+    are finite and the monic coefficients rebuilt from them match the input;
+    uncertified rows (multiple or clustered roots, a zero constant term,
+    widely spread moduli, coinciding starting points) fall back to
     companion-matrix eigenvalues.  Every row is then polished by Newton steps;
     raises if the residual contract cannot be met.
     """
@@ -180,8 +244,11 @@ def _batched_roots(poly_coeffs_desc: np.ndarray) -> np.ndarray:
     lead = poly_coeffs_desc[:, :1]
     if np.any(np.abs(lead) == 0.0):
         raise NumericalError("leading coefficient vanished in root batch")
-    monic = poly_coeffs_desc / lead
-    roots, certified = _aberth_roots(monic)
+    with np.errstate(over="ignore", invalid="ignore"):
+        monic = poly_coeffs_desc / lead
+    if not np.all(np.isfinite(monic)):
+        raise NumericalError("root batch not finite after monic normalization")
+    roots, certified = _aberth_roots(monic, start)
     if not np.all(certified):
         roots[~certified] = _companion_roots(monic[~certified])
 
@@ -200,18 +267,24 @@ def _batched_roots(poly_coeffs_desc: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _aberth_roots(monic: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _aberth_roots(monic: np.ndarray,
+                  start: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Aberth-Ehrlich iteration on a batch of monic rows: (roots, certified).
 
-    Works on the transposed (degree, batch) layout so that every ufunc runs
-    along the batch axis, and keeps iterating only the rows still moving.
+    Starts from ``start`` (batch x deg) when given, else from the circle of
+    radius |a_0|^(1/d).  Works on the transposed (degree, batch) layout so
+    that every ufunc runs along the batch axis, and keeps iterating only the
+    rows still moving.
     """
     batch, ncoef = monic.shape
     d = ncoef - 1
     a0 = np.abs(monic[:, -1])
-    rho = np.where(a0 > 0.0, a0 ** (1.0 / d), 1.0)
-    angles = 2.0 * np.pi * np.arange(d) / d + _ABERTH_PHASE
-    z = np.exp(1j * angles)[:, None] * rho[None, :]
+    if start is None:
+        rho = np.where(a0 > 0.0, a0 ** (1.0 / d), 1.0)
+        angles = 2.0 * np.pi * np.arange(d) / d + _ABERTH_PHASE
+        z = np.exp(1j * angles)[:, None] * rho[None, :]
+    else:
+        z = np.array(start.T, dtype=complex)
     coeffs = np.ascontiguousarray(monic.T)
     roots = np.empty((d, batch), dtype=complex)
     converged = np.zeros(batch, dtype=bool)
@@ -310,29 +383,48 @@ def _poly_coeffs_desc(alpha: DiskMap) -> np.ndarray:
     return np.array([complex(c) for c in reversed(alpha.num)], dtype=complex)
 
 
-def _fiber_log_sum(alpha: DiskMap, r: float, ts: np.ndarray,
-                   tangency: dict) -> np.ndarray:
-    """For each node t: sum of log(r/|zeta|) over the fiber of alpha through
-    the boundary point, restricted to the open disk, trivial branch removed."""
-    z0 = r * np.exp(2j * np.pi * ts)
-    w = alpha(z0)
-    coeffs = _poly_coeffs_desc(alpha)
-    batch = np.tile(coeffs, (len(ts), 1))
-    batch[:, -1] -= w
-    roots = _batched_roots(batch)
-    # drop the known root at the boundary node itself
-    idx = np.argmin(np.abs(roots - z0[:, None]), axis=1)
-    mask = np.ones(roots.shape, dtype=bool)
-    mask[np.arange(len(ts)), idx] = False
-    moduli = np.abs(roots)
-    if np.any(mask & (np.abs(moduli - r) < BOUNDARY_TANGENCY_TOL)):
-        tangency["flag"] = True
-    inside = mask & (moduli < r)
-    with np.errstate(divide="ignore"):
-        contrib = np.where(inside, np.log(r) - np.log(moduli), 0.0)
-    if not np.all(np.isfinite(contrib)):
-        raise RootConditioning("fiber root at the singular point")
-    return np.sum(contrib, axis=1)
+class _BoundaryFibers:
+    """Boundary-term integrand of both fiber oracles.
+
+    For each node t: the sum of log(r/|zeta|) over the fiber of alpha through
+    the boundary point, restricted to the open disk, trivial branch removed.
+    ``tangent`` is set once a fiber root lies within the tangency tolerance of
+    the circle.  Each call keeps its roots: on a level of twice the previous
+    node count (the next ladder level, halved or not), node k starts the root
+    solver from the roots of old node k // 2, which sits 1/(4n) away on the
+    circle; any other call starts cold.
+    """
+
+    def __init__(self, alpha: DiskMap, r: float):
+        self.alpha = alpha
+        self.r = r
+        self.coeffs = _poly_coeffs_desc(alpha)
+        self.tangent = False
+        self._roots = None
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        r = self.r
+        z0 = r * np.exp(2j * np.pi * ts)
+        w = self.alpha(z0)
+        batch = np.tile(self.coeffs, (len(ts), 1))
+        batch[:, -1] -= w
+        start = None
+        if self._roots is not None and len(ts) == 2 * len(self._roots):
+            start = self._roots[np.arange(len(ts)) // 2]
+        roots = self._roots = _batched_roots(batch, start)
+        # drop the known root at the boundary node itself
+        idx = np.argmin(np.abs(roots - z0[:, None]), axis=1)
+        mask = np.ones(roots.shape, dtype=bool)
+        mask[np.arange(len(ts)), idx] = False
+        moduli = np.abs(roots)
+        if np.any(mask & (np.abs(moduli - r) < BOUNDARY_TANGENCY_TOL)):
+            self.tangent = True
+        inside = mask & (moduli < r)
+        with np.errstate(divide="ignore"):
+            contrib = np.where(inside, np.log(r) - np.log(moduli), 0.0)
+        if not np.all(np.isfinite(contrib)):
+            raise RootConditioning("fiber root at the singular point")
+        return np.sum(contrib, axis=1)
 
 
 def overflow_definitional_oracle(alpha: DiskMap, r: float,
@@ -343,7 +435,9 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
     term1 sums log(r/|z|) over the nonzero roots of alpha - alpha(0) inside
     the open disk; term2 integrates the same fiber sum along boundary values.
     Root moduli within the tangency tolerance of the circle set the
-    boundary_tangency flag and mark the value unreliable.
+    boundary_tangency flag and mark the value unreliable.  A real map's fiber
+    sum is even in t (conjugate boundary points have conjugate fibers), so
+    its boundary term evaluates half of each lattice.
     """
     _require_nonconstant(alpha)
     if not alpha.is_polynomial:
@@ -352,8 +446,9 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
         raise UnsupportedDegree(
             f"degree {alpha.degree} exceeds the oracle bound {degree_bound}"
         )
+    _require_float_range(alpha, r)
     e = alpha.ramification_index()
-    tangency = {"flag": False}
+    tangent = False
 
     # term1: fiber of alpha(0), origin branch stripped exactly
     shifted = [c - (alpha.num[0] if k == 0 else 0) for k, c in enumerate(alpha.num)]
@@ -362,21 +457,20 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
     if len(quotient) > 1:
         roots = _batched_roots(np.array([[complex(c) for c in reversed(quotient)]]))[0]
         moduli = np.abs(roots)
-        if np.any(np.abs(moduli - r) < BOUNDARY_TANGENCY_TOL):
-            tangency["flag"] = True
+        tangent = bool(np.any(np.abs(moduli - r) < BOUNDARY_TANGENCY_TOL))
         inside = moduli < r
         if np.any(moduli[inside] == 0.0):
             raise RootConditioning("unexpected fiber root at the origin")
         term1 = float(np.sum(np.log(r / moduli[inside])))
 
+    fibers = _BoundaryFibers(alpha, r)
     term2, cert = circle_mean(
-        lambda ts: _fiber_log_sum(alpha, r, ts, tangency),
-        settings,
-        label="definitional boundary term",
+        fibers, settings, label="definitional boundary term",
+        even=alpha.real_coefficients,
     )
     return OverflowReport(
         term1 + term2, "definitional", "C", r, e,
-        certificate=cert, boundary_tangency=tangency["flag"],
+        certificate=cert, boundary_tangency=tangent or fibers.tangent,
     )
 
 

@@ -9,6 +9,8 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import overflow_lab
 from overflow_lab.cli import canonical_json, main
@@ -106,11 +108,33 @@ class TestOverflowCommand:
         assert json.loads(out)["error"]["type"] == "ParseError"
 
     def test_overflowing_boundary_exits_fast(self):
+        # |p|^2 ~ 1e600 on this circle: rejected before any integral runs
         start = time.monotonic()
         code, out = run_cli(["overflow", "--map", "z^2+z", "--radius", "1e150"])
-        assert code == 3
-        assert "not finite" in json.loads(out)["error"]["message"]
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "DomainError" and "overflow" in err["message"]
         assert time.monotonic() - start < 10
+
+    @pytest.mark.parametrize("expr,radius", [
+        ("z^2+z", "1e-300"), ("1e308*z^2+z", "1"), ("1/(1e-160+z)", "1"),
+    ])
+    def test_unsquarable_boundary_rejected_quietly(self, expr, radius):
+        proc = _run_module("overflow", "--map", expr, "--radius", radius,
+                           "--target", "P1")
+        assert proc.returncode == 2
+        err = json.loads(proc.stdout)["error"]
+        assert err["type"] == "DomainError" and "float64" in err["message"]
+        assert proc.stderr == ""
+
+    def test_oracle_fiber_beyond_float_range_exits_3(self, fast_config):
+        # the boundary data is tiny, but the monic fiber polynomial overflows
+        code, out = run_cli([
+            "overflow", "--map=-3e121*z^4+1.46e-228*z^8", "--radius", "6.38e-39",
+            "--method", "oracle", "--config", fast_config,
+        ])
+        assert code == 3
+        assert "monic" in json.loads(out)["error"]["message"]
 
     @pytest.mark.parametrize("expr,target", [("(z-2)/(z+2)", "P1"), ("z^2+z", "C")])
     def test_sweep_fits_the_reported_values(self, expr, target, fast_config):
@@ -346,14 +370,59 @@ class TestDeterminismAndRoundTrip:
         assert json.loads(target.read_text())["result"]["value"] == 1
 
 
-def test_module_entry_point_prints_report():
+def _run_module(*argv):
     src = str(Path(overflow_lab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "overflow_lab.cli",
-         "dimbound", "--variant", "C", "--n", "2", "--d", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "overflow_lab.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_module_entry_point_prints_report():
+    proc = _run_module("dimbound", "--variant", "C", "--n", "2", "--d", "1")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["value"] == 6
+
+
+# -- the argv contract of the overflow command --------------------------------
+
+_COEFFICIENT = st.one_of(
+    st.integers(1, 9).map(str),
+    st.builds("{}e{}".format, st.integers(1, 9), st.integers(-400, 400)),
+    st.builds("{}.{:02d}e-{}".format, st.integers(1, 9), st.integers(0, 99), st.integers(0, 330)),
+    st.integers(1, 400).map(lambda digits: "9" * digits),
+)
+_POLY = st.builds(
+    lambda sign, terms: sign + "+".join(terms),
+    st.sampled_from(["", "-"]),
+    st.lists(st.builds("{}*z^{}".format, _COEFFICIENT, st.integers(0, 12)), min_size=1, max_size=4),
+)
+_MAP = st.one_of(_POLY, st.builds("({})/({})".format, _POLY, _POLY))
+_RADIUS = st.one_of(
+    st.builds("{}e{}".format, st.integers(1, 9), st.integers(-330, 330)),
+    st.sampled_from(["-1", "-2.5e3", "0", "nan", "inf", "1e-400"]),
+)
+
+
+@pytest.fixture(scope="module")
+def cheap_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "cheap.json"
+    path.write_text('{"grid": 8, "tol": 1e-3, "depth": 3}')
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=_MAP, radius=_RADIUS, target=st.sampled_from(["C", "P1"]),
+       method=st.sampled_from(["explicit", "oracle", "both"]))
+def test_overflow_argv_exits_0_2_or_3_with_json(cheap_config, expr, radius, target, method):
+    start = time.monotonic()
+    code, out = run_cli([
+        "overflow", f"--map={expr}", f"--radius={radius}", "--target", target,
+        "--method", method, "--config", cheap_config,
+    ])
+    assert code in (0, 2, 3)
+    body = json.loads(out)
+    assert ("error" in body) == (code != 0)
+    assert time.monotonic() - start < 1.0

@@ -49,6 +49,14 @@ class TestParser:
         with pytest.raises(ParseError, match="cap"):
             parse_map(text)
 
+    @pytest.mark.parametrize("text", [
+        "1e400*z", "1e308*z*10", "9" * 400 + "*z", "9" * 400 + "*z+1.5",
+        "(2e221*z^4+5e-175*z)/(9.83e-301*z)",
+    ])
+    def test_coefficient_outside_float_range(self, text):
+        with pytest.raises(ParseError, match="float64 range"):
+            parse_map(text)
+
     @pytest.mark.parametrize("text,degree", [("z^64", 64), ("(z^8)^8", 64), ("z^40+z^40", 40)])
     def test_degree_cap_is_inclusive(self, text, degree):
         assert parse_map(text).degree == degree <= MAX_DEGREE
@@ -74,9 +82,24 @@ class TestCommonFactor:
         m = DiskMap((-0.5, 0.5), (-1.0, 1.0))
         assert m.is_polynomial and m.num == (F(1, 2),)
 
-    def test_complex_coefficients_kept(self):
+    def test_complex_common_factor_cancelled(self):
         m = DiskMap((1j, 1), (1j, 1))
-        assert m.num == (1j, 1) and m.den == (1j, 1)
+        assert m.is_polynomial and m.num == (1,)
+
+    def test_complex_ratio_reduces_over_gaussian_rationals(self):
+        # (z + i)(2z + 1) / ((z + i)(z - 3))
+        m = DiskMap((1j, 1 + 2j, 2), (-3j, -3 + 1j, 1))
+        assert (m.num, m.den) == ((1, 2), (-3, 1))
+        assert all(isinstance(c, F) for c in m.num + m.den)
+
+    def test_complex_quotient_keeps_complex_coefficients(self):
+        # (z + 1)(z - i/2) / ((z + 1)(z + 2)): the common factor is real
+        m = DiskMap((-0.5j, 1 - 0.5j, 1), (2, 3, 1))
+        assert (m.num, m.den) == ((-0.5j, 1), (2, 1))
+
+    def test_coprime_complex_pair_kept(self):
+        m = DiskMap((1.5j, 1), (2, 1j))
+        assert m.num == (1.5j, 1) and m.den == (2, 1j)
 
 
 class TestDiskMapStructure:

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -103,6 +104,84 @@ class TestDefinitionalOracle:
         assert checked >= 40
 
 
+ORACLE_TIGHT = QuadratureSettings(base_grid=64, tol=1e-8, max_depth=11)
+
+
+@contextlib.contextmanager
+def full_lattice_cold_start():
+    """The oracle's boundary term on full lattices, every root batch cold."""
+    circle_mean, batched = overflow.circle_mean, overflow._batched_roots
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(overflow, "circle_mean",
+                  lambda values, settings, label, even=False: circle_mean(values, settings, label))
+        m.setattr(overflow, "_batched_roots", lambda coeffs, start=None: batched(coeffs))
+        yield
+
+
+@pytest.fixture()
+def node_counts(monkeypatch):
+    """Lattice lengths the oracle's boundary term is evaluated on."""
+    lengths = []
+    circle_mean = overflow.circle_mean
+
+    def spy(values, settings, label, even=False):
+        def counted(ts):
+            lengths.append(len(ts))
+            return values(ts)
+
+        return circle_mean(counted, settings, label, even)
+
+    monkeypatch.setattr(overflow, "circle_mean", spy)
+    return lengths
+
+
+class TestHalvedWarmOracle:
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_matches_full_lattice_cold_start(self, degree):
+        rng = np.random.default_rng(400 + degree)
+        for _ in range(2):
+            coeffs = rng.integers(-3, 4, size=degree + 1).astype(float)
+            coeffs[degree] = rng.choice([-2.0, -1.0, 1.0, 3.0])
+            coeffs[1] = coeffs[1] or 1.0
+            alpha = DiskMap(tuple(coeffs))
+            r = float(rng.uniform(0.5, 2.5))
+            got = overflow_definitional_oracle(alpha, r, ORACLE_TIGHT)
+            with full_lattice_cold_start():
+                want = overflow_definitional_oracle(alpha, r, ORACLE_TIGHT)
+            assert abs(got.value - want.value) <= 1e-13
+            assert got.certificate.grid == want.certificate.grid
+            assert got.boundary_tangency == want.boundary_tangency
+
+    @pytest.mark.parametrize("coeffs,fraction", [((0, 1, 0.5j), 1), ((0, 1, 0.5), 2)],
+                             ids=["complex", "real"])
+    def test_only_real_maps_halve_the_lattice(self, coeffs, fraction, node_counts):
+        alpha = DiskMap(coeffs)
+        oracle = overflow_definitional_oracle(alpha, 1.0, FAST)
+        grids = [64 * 2**k for k in range(len(node_counts))]
+        assert node_counts == [n // fraction for n in grids]
+        assert grids[-1] == oracle.certificate.grid
+        # criterion 2
+        assert not oracle.boundary_tangency
+        assert oracle.value == pytest.approx(overflow_to_C(alpha, 1.0, FAST).value, abs=1e-4)
+
+    def test_levels_start_from_the_previous_level(self, monkeypatch):
+        starts, found = [], []
+        batched = overflow._batched_roots
+
+        def spy(coeffs, start=None):
+            starts.append(start)
+            found.append(batched(coeffs, start))
+            return found[-1]
+
+        monkeypatch.setattr(overflow, "_batched_roots", spy)
+        fibers = overflow._BoundaryFibers(parse_map("z^3+z"), 1.5)
+        for n in (8, 16, 24):
+            fibers((np.arange(n) + 0.5) / (2 * n))
+        assert starts[0] is None
+        np.testing.assert_array_equal(starts[1], found[0][np.arange(16) // 2])
+        assert starts[2] is None
+
+
 def assert_same_multiset(got, want, rel):
     """Each root of want is matched by its own root of got within rel * |root|."""
     unused = list(got)
@@ -162,6 +241,27 @@ class TestBatchedRoots:
         np.testing.assert_array_equal(rescued[0], row / row[0])
         assert_residual_contract(batch, roots)
 
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_warm_starts_meet_the_residual_contract(self, degree, rescued):
+        rng = np.random.default_rng(300 + degree)
+        batch = rng.normal(size=(200, degree + 1)) + 1j * rng.normal(size=(200, degree + 1))
+        nearby = batch + 1e-3 * (rng.normal(size=batch.shape) + 1j * rng.normal(size=batch.shape))
+        got = overflow._batched_roots(nearby, start=overflow._batched_roots(batch))
+        assert_residual_contract(nearby, got)
+        for row, roots in zip(nearby, got):
+            assert_same_multiset(roots, np.roots(row), rel=1e-12)
+        assert rescued == []
+
+    def test_coinciding_starts_take_the_rescue_step(self, rescued):
+        rng = np.random.default_rng(9)
+        batch = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+        start = overflow._batched_roots(batch)
+        start[1, 1] = start[1, 0]
+        roots = overflow._batched_roots(batch, start=start)
+        assert len(rescued) == 1
+        np.testing.assert_array_equal(rescued[0], batch[1] / batch[1, 0])
+        assert_residual_contract(batch, roots)
+
     def test_residual_evaluated_once_without_polish_step(self, monkeypatch):
         calls = []
         polyval = overflow._polyval_batch
@@ -176,7 +276,7 @@ class TestBatchedRoots:
         assert calls == [6]
 
     def test_residual_contract_rejects_bad_rescue_roots(self, monkeypatch):
-        def nothing_certified(monic):
+        def nothing_certified(monic, start=None):
             return np.zeros((len(monic), monic.shape[1] - 1), dtype=complex), np.zeros(len(monic), bool)
 
         monkeypatch.setattr(overflow, "_aberth_roots", nothing_certified)

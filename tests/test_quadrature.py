@@ -98,6 +98,26 @@ class TestLadderFailsFast:
         assert grids == [16, 128]
 
 
+class TestEvenCircleMean:
+    @pytest.mark.parametrize("values", [
+        lambda ts: np.exp(np.cos(2 * np.pi * ts)),
+        lambda ts: 1.0 + np.log(np.abs(1.05 - np.exp(2j * np.pi * ts))),
+    ], ids=["smooth", "log spike"])
+    def test_half_lattice_matches_the_full_rule(self, values):
+        full, full_cert = circle_mean(values)
+        lengths = []
+
+        def counted(ts):
+            lengths.append(len(ts))
+            return values(ts)
+
+        half, half_cert = circle_mean(counted, even=True)
+        assert half == pytest.approx(full, rel=1e-15, abs=0)
+        assert half_cert.grid == full_cert.grid
+        assert lengths == [128 * 2**k for k in range(len(lengths))]
+        assert lengths[-1] == half_cert.grid // 2
+
+
 def _points(rng, k, scale=10.0):
     return scale * (rng.normal(size=k) + 1j * rng.normal(size=k))
 
