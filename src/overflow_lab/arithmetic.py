@@ -37,9 +37,11 @@ from .overflow import (
     _batched_roots,
     _characteristic_and_kernel,
     _poly_coeffs_desc,
+    _require_fiber_range,
     overflow_to_C,
     overflow_to_P1,
 )
+from .potential import DiskPotential
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, circle_mean
 from .series import (
     TruncatedSeries,
@@ -195,14 +197,13 @@ _KAPPA_RADIUS = 1e-2
 
 
 def _pushforward_potential(alpha: DiskMap, r: float, ws: np.ndarray) -> np.ndarray:
-    """For each w: sum of log(r/|zeta|) over the fiber of w inside the open disk."""
+    """For each w: the disk potential log+(r/|zeta|) summed over the fiber of w."""
     batch = np.tile(_poly_coeffs_desc(alpha), (len(ws), 1))
     batch[:, -1] -= ws
-    moduli = np.abs(_batched_roots(batch))
-    inside = moduli < r
-    if np.any(moduli[inside] == 0.0):
+    potential = DiskPotential(0j, r).values(_batched_roots(batch))
+    if np.any(np.isinf(potential)):
         raise DomainError("fiber hits the disk center")
-    return np.sum(np.where(inside, np.log(r / moduli), 0.0), axis=1)
+    return np.sum(potential, axis=1)
 
 
 def self_intersection_direct_oracle(m: MorphismToLine,
@@ -220,6 +221,7 @@ def self_intersection_direct_oracle(m: MorphismToLine,
         raise DomainError("direct oracle restricted to degree <= 8")
     alpha = DiskMap(tuple(float(c) for c in m.alpha_an.num))
     r = float(m.surface.radius)
+    _require_fiber_range(alpha, r)
     q0 = complex(alpha.value_at_zero())
 
     def kappa_at(s: float) -> float:

@@ -389,8 +389,16 @@ def _cmd_measure_mc(args) -> str:
 
 # -- argument parsing --------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ConfigError, so they exit 2 with a JSON body like
+    every other bad input; ``--help`` still prints and exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="overflow-lab",
         description="Cross-validated capacitary, overflow, and intersection invariants",
     )
@@ -478,9 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text = args.handler(args)
     except NumericalError as exc:
         sys.stdout.write(canonical_json(

@@ -51,10 +51,6 @@ class PoleAtOrigin(DomainError):
     """Map has a pole at the disk center."""
 
 
-class PoleOnDisk(DomainError):
-    """Boundary-integral method requires the map pole-free on the closed disk."""
-
-
 # -- overflow ----------------------------------------------------------------
 
 class ConstantMap(DomainError):

@@ -107,8 +107,10 @@ def _monic(p):
 
 def _cancel_common_factor(num, den):
     """(num, den) divided by their monic gcd, found by Euclid over the
-    Gaussian rationals; pairs with non-finite coefficients are returned as
-    given."""
+    Gaussian rationals.  Real coefficients come back as exact Fractions even
+    when the gcd is 1, so the structural arithmetic on them (is_constant,
+    jet) never mixes an exact product beyond the float range with a float.
+    Pairs with non-finite coefficients are returned as given."""
     try:
         a, b = tuple(map(_Gaussian.exact, num)), tuple(map(_Gaussian.exact, den))
     except (TypeError, ValueError, OverflowError):
@@ -116,8 +118,6 @@ def _cancel_common_factor(num, den):
     gcd, rem = a, _monic(b)
     while any(rem):
         gcd, rem = rem, _monic(_poly_divmod(gcd, rem)[1])
-    if len(gcd) == 1:
-        return num, den
     return tuple(tuple(c.number() for c in _poly_divmod(p, gcd)[0]) for p in (a, b))
 
 
@@ -230,12 +230,6 @@ class DiskMap:
         wn = np.polyval([complex(c) for c in reversed(w)], z)
         q = np.polyval([complex(c) for c in reversed(self.den)], z)
         return wn, q * q
-
-    def poles_inside(self, r: float, slack: float = 1e-9) -> bool:
-        if self.is_polynomial:
-            return False
-        roots = np.roots([complex(c) for c in reversed(self.den)])
-        return bool(np.any(np.abs(roots) <= r * (1 + slack)))
 
     def scaled(self, factor) -> "DiskMap":
         """The map z -> alpha(factor * z)."""

@@ -7,9 +7,12 @@ cross - (2 log|q(0)| + log|jet| + e log r), where cross is the boundary double
 integral of log|p(t) q(s) - q(t) p(s)|.  For target P1 this is 2T(r) - kernel
 - log(jet norm) with Jensen's 2T(r) = mean log(|p|^2 + |q|^2) - log(|p(0)|^2 +
 |q(0)|^2), valid with poles inside the disk too: the circle means cancel.
+Where T(r) and the kernel are reported, quadrature.nevanlinna_T takes that one
+circle mean and the kernel is 2T(r) + log(|p(0)|^2 + |q(0)|^2) - cross.
 
 Definitional route (polynomials only): the excess as an integral of the
-equilibrium potential against the fiber divisors, evaluated by locating the
+equilibrium potential (potential.DiskPotential, the one definition of
+log+(r/|zeta|)) against the fiber divisors, evaluated by locating the
 fibers with one batched root solver: Aberth-Ehrlich iteration, with
 companion-matrix eigenvalues only for the rows it cannot certify, then Newton
 polish under a residual contract.  The same solver locates the fibers of the
@@ -21,7 +24,8 @@ the conjugate fiber, so the integrand is even in t and each level evaluates
 half of the midpoint lattice.
 
 Both routes reject, before any integral runs, a map and radius whose boundary
-values cannot be squared in float64.
+values cannot be squared in float64; both fiber oracles also reject one whose
+fiber roots, by Cauchy's bound, could overflow the root solver's residual scale.
 
 The radius-sweep fit takes the excess values the sweep already reported, for
 either target.
@@ -45,6 +49,7 @@ from .errors import (
     UnsupportedDegree,
 )
 from .maps import DiskMap
+from .potential import DiskPotential
 from .quadrature import (
     DEFAULT_SETTINGS,
     Certificate,
@@ -117,6 +122,15 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_TINY = math.log(sys.float_info.min)
 
 
+def _log_size(coeffs, log_r: float) -> float:
+    """log of sum_k |c_k| r^k, formed in logs (-inf when every c_k is zero)."""
+    terms = [_log_abs(c) + k * log_r for k, c in enumerate(coeffs) if c != 0]
+    if not terms:
+        return -math.inf
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
 def _require_float_range(alpha: DiskMap, r: float) -> None:
     """DomainError unless the boundary data of alpha = p/q on the circle of
     radius r can be squared in float64, checked before any integral runs.
@@ -125,19 +139,13 @@ def _require_float_range(alpha: DiskMap, r: float) -> None:
     2 P Q) (a bound for |p|, |q| and |p(t) q(s) - q(t) p(s)|) must not
     overflow, and neither |q(0)|^2 nor the square of |jet| r^e |q(0)|^2 (the
     scale of that difference near the diagonal) may fall below the smallest
-    normal float.  The bounds are formed in logs, so the check itself stays
-    finite.
+    normal float; |jet| itself, whose log the excess takes, must be a normal
+    float.  The bounds are formed in logs, so the check itself stays finite.
     """
     if not (math.isfinite(r) and r > 0):
         raise DomainError(f"radius must be positive and finite, got {r!r}")
     log_r = math.log(r)
-
-    def log_size(coeffs) -> float:  # log of sum_k |c_k| r^k
-        terms = [_log_abs(c) + k * log_r for k, c in enumerate(coeffs) if c != 0]
-        top = max(terms)
-        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
-
-    log_p, log_q = log_size(alpha.num), log_size(alpha.den)
+    log_p, log_q = _log_size(alpha.num, log_r), _log_size(alpha.den, log_r)
     if 2.0 * max(log_p, log_q, math.log(2.0) + log_p + log_q) > _LOG_FLOAT_MAX:
         raise DomainError(f"boundary values overflow float64 when squared at radius {r!r}")
     # the jet divides by q(0)^2, so that square is checked first
@@ -146,6 +154,8 @@ def _require_float_range(alpha: DiskMap, r: float) -> None:
         _log_abs(alpha.jet()) + alpha.ramification_index() * log_r + log_q0_sq
     ) < _LOG_FLOAT_TINY:
         raise DomainError(f"boundary differences underflow float64 when squared at radius {r!r}")
+    if not _LOG_FLOAT_TINY <= _log_abs(alpha.jet()) <= _LOG_FLOAT_MAX:
+        raise DomainError("the leading Taylor coefficient at 0 is outside the float64 range")
 
 
 # -- explicit route -----------------------------------------------------------
@@ -194,21 +204,14 @@ def overflow_to_P1(alpha: DiskMap, r: float,
 
 def _characteristic_and_kernel(alpha: DiskMap, r: float,
                                settings: QuadratureSettings) -> Tuple[float, float]:
-    """(T(r), kernel): the Ahlfors-Shimizu characteristic (boundary formula
-    when the closed disk is pole-free, area formula otherwise) and the
-    boundary double integral of the projective-line diagonal kernel."""
+    """(T(r), kernel): the Ahlfors-Shimizu characteristic (nevanlinna_T, one
+    circle mean) and the boundary double integral of the projective-line
+    diagonal kernel, 2T(r) + log(|p(0)|^2 + |q(0)|^2) - cross."""
     _require_float_range(alpha, r)
-    method = "boundary" if not alpha.poles_inside(r) else "area"
-    t_char = nevanlinna_T(alpha, r, method, settings)
+    t_char = nevanlinna_T(alpha, r, "boundary", settings)
     cross, _ = _boundary_cross(alpha, r, settings, "P1 kernel")
-
-    def chart(ts: np.ndarray) -> np.ndarray:
-        z = r * np.exp(2j * np.pi * ts)
-        p, q = alpha.num_den_at(z)
-        return np.log(np.abs(p) ** 2 + np.abs(q) ** 2)
-
-    sep, _ = circle_mean(chart, settings, label="P1 chart factor")
-    return t_char, -cross + sep
+    p0, q0 = complex(alpha.num[0]), complex(alpha.den[0])
+    return t_char, 2.0 * t_char + math.log(abs(p0) ** 2 + abs(q0) ** 2) - cross
 
 
 # -- definitional oracle ------------------------------------------------------
@@ -383,11 +386,27 @@ def _poly_coeffs_desc(alpha: DiskMap) -> np.ndarray:
     return np.array([complex(c) for c in reversed(alpha.num)], dtype=complex)
 
 
+def _require_fiber_range(alpha: DiskMap, r: float) -> None:
+    """DomainError unless the root solver's residual scale stays in float64 on
+    every fiber of the polynomial alpha over the disk of radius r.
+
+    A root of alpha(zeta) = w with |w| <= P = sum |a_k| r^k obeys Cauchy's
+    bound |zeta| <= B = 1 + (sum_{k<d} |a_k| + P) / |a_d|, and the residual
+    scale of its monic row is at most (d + 1) B^(d + 1).  Checked in logs,
+    before any root is solved.
+    """
+    d = alpha.degree
+    log_sum = np.logaddexp(_log_size(alpha.num[:d], 0.0), _log_size(alpha.num, math.log(r)))
+    log_b = float(np.logaddexp(0.0, log_sum - _log_abs(alpha.num[d])))
+    if (d + 1) * log_b + math.log(d + 1) > _LOG_FLOAT_MAX:
+        raise DomainError(f"fiber roots may overflow float64 at radius {r!r}")
+
+
 class _BoundaryFibers:
     """Boundary-term integrand of both fiber oracles.
 
-    For each node t: the sum of log(r/|zeta|) over the fiber of alpha through
-    the boundary point, restricted to the open disk, trivial branch removed.
+    For each node t: the disk potential log+(r/|zeta|) summed over the fiber of
+    alpha through the boundary point, trivial branch removed.
     ``tangent`` is set once a fiber root lies within the tangency tolerance of
     the circle.  Each call keeps its roots: on a level of twice the previous
     node count (the next ladder level, halved or not), node k starts the root
@@ -398,6 +417,7 @@ class _BoundaryFibers:
     def __init__(self, alpha: DiskMap, r: float):
         self.alpha = alpha
         self.r = r
+        self.potential = DiskPotential(0j, r)
         self.coeffs = _poly_coeffs_desc(alpha)
         self.tangent = False
         self._roots = None
@@ -416,12 +436,9 @@ class _BoundaryFibers:
         idx = np.argmin(np.abs(roots - z0[:, None]), axis=1)
         mask = np.ones(roots.shape, dtype=bool)
         mask[np.arange(len(ts)), idx] = False
-        moduli = np.abs(roots)
-        if np.any(mask & (np.abs(moduli - r) < BOUNDARY_TANGENCY_TOL)):
+        if np.any(mask & (np.abs(np.abs(roots) - r) < BOUNDARY_TANGENCY_TOL)):
             self.tangent = True
-        inside = mask & (moduli < r)
-        with np.errstate(divide="ignore"):
-            contrib = np.where(inside, np.log(r) - np.log(moduli), 0.0)
+        contrib = np.where(mask, self.potential.values(roots), 0.0)
         if not np.all(np.isfinite(contrib)):
             raise RootConditioning("fiber root at the singular point")
         return np.sum(contrib, axis=1)
@@ -447,6 +464,7 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
             f"degree {alpha.degree} exceeds the oracle bound {degree_bound}"
         )
     _require_float_range(alpha, r)
+    _require_fiber_range(alpha, r)
     e = alpha.ramification_index()
     tangent = False
 
@@ -456,12 +474,11 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
     term1 = 0.0
     if len(quotient) > 1:
         roots = _batched_roots(np.array([[complex(c) for c in reversed(quotient)]]))[0]
-        moduli = np.abs(roots)
-        tangent = bool(np.any(np.abs(moduli - r) < BOUNDARY_TANGENCY_TOL))
-        inside = moduli < r
-        if np.any(moduli[inside] == 0.0):
+        tangent = bool(np.any(np.abs(np.abs(roots) - r) < BOUNDARY_TANGENCY_TOL))
+        potential = DiskPotential(0j, r).values(roots)
+        if np.any(np.isinf(potential)):
             raise RootConditioning("unexpected fiber root at the origin")
-        term1 = float(np.sum(np.log(r / moduli[inside])))
+        term1 = float(np.sum(potential))
 
     fibers = _BoundaryFibers(alpha, r)
     term2, cert = circle_mean(

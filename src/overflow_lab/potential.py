@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import CoincidentDivisors, DomainError, InvalidPoint, NoConvergence
-from .quadrature import DEFAULT_SETTINGS, Certificate, QuadratureSettings, circle_mean
+from .errors import CoincidentDivisors, DomainError, InvalidPoint
+from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, circle_mean
 
 INF = math.inf
 
@@ -40,22 +40,19 @@ class DiskPotential:
             raise DomainError("disk radius must be positive")
 
     def __call__(self, z: complex) -> float:
-        d = abs(complex(z) - complex(self.center))
-        if d == 0.0:
-            return INF
-        return max(0.0, math.log(self.radius / d))
+        return float(self.values(z))
 
     def values(self, z: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; singular points come out as inf."""
+        """Vectorized evaluation; singular points come out as inf.
+
+        The one definition of log+(r/|z - a|): the fiber oracles sum it over
+        fiber roots with a = 0.  Formed as log r - log|z - a|, so no quotient
+        can overflow.
+        """
         d = np.abs(np.asarray(z, dtype=complex) - complex(self.center))
         with np.errstate(divide="ignore"):
-            out = np.log(self.radius / d)
+            out = np.log(self.radius) - np.log(d)
         return np.maximum(out, 0.0)
-
-
-def disk_green(p: DiskPotential, z: complex) -> float:
-    """Value of the equilibrium potential at z (inf marker at the center)."""
-    return p(z)
 
 
 def capacitary_degree(r: float, psi_prime0) -> float:
@@ -140,41 +137,3 @@ def star_product_integral(g1: DiskPotential, g2: DiskPotential,
 
     mean_term, _ = circle_mean(values, settings, label="star product mean")
     return point_term + mean_term
-
-
-def truncated_integral(g: DiskPotential, mu_center: complex, mu_radius: float,
-                       radii_schedule: Sequence[float],
-                       settings: QuadratureSettings = DEFAULT_SETTINGS,
-                       ) -> Tuple[float, Certificate]:
-    """Integral of g against the uniform measure on a circle, by truncation.
-
-    Each iterate caps g at the level it reaches at distance ``rho`` from its
-    singular point, for ``rho`` running through the strictly decreasing
-    schedule; the limit is accepted once two successive iterates agree within
-    the tolerance.  This keeps every iterate finite even when the circle
-    passes through the singular point.
-    """
-    if not (mu_radius > 0):
-        raise DomainError("measure circle radius must be positive")
-    schedule = list(radii_schedule)
-    if not schedule or any(x <= 0 for x in schedule):
-        raise DomainError("schedule must consist of positive radii")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError("schedule must be strictly decreasing")
-
-    prev = None
-    for rho in schedule:
-        cap = math.log(g.radius / rho)
-        if cap <= 0:
-            # truncation level not yet positive: iterate is trivially 0-capped
-            cap = 0.0
-
-        def values(ts: np.ndarray, _cap=cap) -> np.ndarray:
-            z = complex(mu_center) + mu_radius * np.exp(2j * np.pi * ts)
-            return np.minimum(g.values(z), _cap)
-
-        est, _ = circle_mean(values, settings, label="truncated integral")
-        if prev is not None and abs(est - prev) <= settings.tol:
-            return est, Certificate(settings.tol, abs(est - prev), 0)
-        prev = est
-    raise NoConvergence("truncation schedule exhausted without stabilizing")

@@ -11,10 +11,14 @@ The torus kernel walks the outer lattice in row blocks of about 2**16 pairs.
 Each block's differences are formed in real arithmetic into a few reused
 buffers, so the working set stays in cache at every lattice size.
 
-Area integrals against the log(r/|z|) weight use a Gauss rule generated for
-the weight u*log(1/u) on (0,1); its recurrence coefficients are computed once
-from the exact rational moments 1/(k+2)^2, so the radial rule converges
-spectrally for the smooth pullback densities that arise here.
+The Ahlfors-Shimizu characteristic T(r) has one boundary formula for every
+map, Jensen's formula for the lift (p, q): one circle mean of
+log(|p|^2 + |q|^2), poles inside the disk included.  Its independent check is
+the area integral against the log(r/|z|) weight, which uses a Gauss rule
+generated for the weight u*log(1/u) on (0,1); its recurrence coefficients are
+computed once from the exact rational moments 1/(k+2)^2, so the radial rule
+converges spectrally for the smooth pullback densities that arise here, and
+the accepted level must agree with the rule of half as many radial nodes.
 
 All grid reductions use numpy's pairwise summation; results are deterministic
 for fixed settings.
@@ -30,12 +34,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NoConvergence,
-    NumericalError,
-    PoleOnDisk,
-)
+from .errors import DomainError, NoConvergence, NumericalError
 from .maps import DiskMap
 
 
@@ -284,46 +283,57 @@ def _fubini_study_density(alpha: DiskMap, z: np.ndarray) -> np.ndarray:
     return (np.abs(wn) ** 2) / (np.pi * denom)
 
 
+#: Radial Gauss nodes of the area route; its accepted level is checked against
+#: the rule of half as many nodes, which must agree within the tolerance.
 _RADIAL_NODES = 48
 
 
 def nevanlinna_T(alpha: DiskMap, r: float, method: str = "boundary",
                  settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """Ahlfors-Shimizu characteristic of alpha at radius r.
+    """Ahlfors-Shimizu characteristic of alpha = p/q at radius r.
 
-    boundary:  (1/2) int log(1 + |alpha(r e(t))|^2) dt - (1/2) log(1 + |alpha(0)|^2),
-               valid for maps pole-free on the closed disk.
+    boundary:  Jensen's formula for the lift (p, q), valid for every map,
+               poles inside the disk included:
+               (1/2) int log(|p|^2 + |q|^2)(r e(t)) dt - (1/2) log(|p(0)|^2 + |q(0)|^2).
     area:      int over the disk of log(r/|z|) against the pulled-back
                Fubini-Study form, in polar coordinates with the log weight
-               absorbed into the radial Gauss rule; valid for meromorphic maps.
+               absorbed into the radial Gauss rule; the independent check of
+               the boundary formula.
     """
     if alpha.is_constant():
         return 0.0
     if method == "boundary":
-        if alpha.poles_inside(r):
-            raise PoleOnDisk(f"map has a pole on the closed disk of radius {r}")
 
         def values(ts: np.ndarray) -> np.ndarray:
             z = r * np.exp(2j * np.pi * ts)
             p, q = alpha.num_den_at(z)
-            return np.log(np.abs(p) ** 2 + np.abs(q) ** 2) - 2.0 * np.log(np.abs(q))
+            return np.log(np.abs(p) ** 2 + np.abs(q) ** 2)
 
         mean, _ = circle_mean(values, settings, label="nevanlinna boundary")
-        a0 = complex(alpha.value_at_zero())
-        return 0.5 * mean - 0.5 * math.log1p(abs(a0) ** 2)
+        p0, q0 = complex(alpha.num[0]), complex(alpha.den[0])
+        return 0.5 * mean - 0.5 * math.log(abs(p0) ** 2 + abs(q0) ** 2)
     if method == "area":
-        nodes, weights = gauss_log_rule(_RADIAL_NODES)
-        prev = None
-        n_theta = settings.base_grid
-        for _ in range(settings.max_depth + 1):
-            ts = _midpoints(n_theta)
-            phases = np.exp(2j * np.pi * ts)
+
+        def estimate(n_theta: int, radial_nodes: int) -> float:
+            nodes, weights = gauss_log_rule(radial_nodes)
+            phases = np.exp(2j * np.pi * _midpoints(n_theta))
             total = 0.0
             for u, w in zip(nodes, weights):
                 dens = _fubini_study_density(alpha, r * u * phases)
                 total += w * float(np.mean(dens))
-            est = 2.0 * math.pi * r * r * total
+            return 2.0 * math.pi * r * r * total
+
+        prev = None
+        n_theta = settings.base_grid
+        for _ in range(settings.max_depth + 1):
+            est = estimate(n_theta, _RADIAL_NODES)
             if prev is not None and abs(est - prev) <= settings.tol:
+                coarse = estimate(n_theta, _RADIAL_NODES // 2)
+                if abs(est - coarse) > settings.tol:
+                    raise NoConvergence(
+                        f"nevanlinna area integral: radial rules of {_RADIAL_NODES} and "
+                        f"{_RADIAL_NODES // 2} nodes differ by {abs(est - coarse):.3g}"
+                    )
                 return est
             prev = est
             n_theta *= 2

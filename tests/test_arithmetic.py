@@ -153,6 +153,14 @@ class TestDirectOracle:
             direct = self_intersection_direct_oracle(m, FAST)
             assert direct == pytest.approx(decomposition, abs=1e-3)
 
+    def test_fibers_beyond_float_range_rejected(self):
+        # fiber roots near -1e300 would overflow the root solver's residual scale
+        big = 10 ** 100
+        psi = TruncatedSeries([F(0), F(big)] + [F(0)] * 7)
+        m = build_morphism(SurfaceDescriptor(1.0, psi), DiskMap((0, big, F(1, big ** 2))), 8)
+        with pytest.raises(DomainError, match="fiber roots"):
+            self_intersection_direct_oracle(m, FAST)
+
 
 class TestSelfIntersectionP1:
     def test_identity_surface(self):

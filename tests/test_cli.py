@@ -118,6 +118,10 @@ class TestOverflowCommand:
 
     @pytest.mark.parametrize("expr,radius", [
         ("z^2+z", "1e-300"), ("1e308*z^2+z", "1"), ("1/(1e-160+z)", "1"),
+        # exact products of 156-digit integers met a float literal in is_constant
+        pytest.param("({0}+1e0*z)/(1+{0}*z^2)".format("9" * 156), "1", id="huge-mixed-ratio"),
+        # the jet, about -1e-324, underflowed to 0.0 before its log was taken
+        pytest.param("z^2/(1.00e-18*z^3+{0}*z^2)".format("9" * 153), "1", id="jet-underflow"),
     ])
     def test_unsquarable_boundary_rejected_quietly(self, expr, radius):
         proc = _run_module("overflow", "--map", expr, "--radius", radius,
@@ -127,14 +131,39 @@ class TestOverflowCommand:
         assert err["type"] == "DomainError" and "float64" in err["message"]
         assert proc.stderr == ""
 
-    def test_oracle_fiber_beyond_float_range_exits_3(self, fast_config):
+    def test_oracle_fiber_beyond_float_range_exits_2(self, fast_config):
         # the boundary data is tiny, but the monic fiber polynomial overflows
         code, out = run_cli([
             "overflow", "--map=-3e121*z^4+1.46e-228*z^8", "--radius", "6.38e-39",
             "--method", "oracle", "--config", fast_config,
         ])
-        assert code == 3
-        assert "monic" in json.loads(out)["error"]["message"]
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "DomainError" and "fiber roots" in err["message"]
+
+    def test_oracle_fiber_roots_overflow_rejected_quietly(self):
+        # Cauchy's bound puts the fiber roots near 3e207: their residual scale overflows
+        proc = _run_module("overflow", "--map", "5.91e-208*z^2+2*z",
+                           "--radius", "1.56e-141", "--method", "oracle")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["overflow", "--map", "-5*z^9+2", "--radius", "1"],
+        ["overflow", "--map", "z", "--radius", "1", "--bogus"],
+        ["dimbound", "--n", "x"],
+        [],
+    ])
+    def test_argument_errors_exit_2_with_json(self, argv):
+        proc = _run_module(*argv)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "ConfigError"
+        assert proc.stderr == ""
+
+    def test_help_exits_0(self):
+        proc = _run_module("overflow", "--help")
+        assert proc.returncode == 0 and "--radius" in proc.stdout
 
     @pytest.mark.parametrize("expr,target", [("(z-2)/(z+2)", "P1"), ("z^2+z", "C")])
     def test_sweep_fits_the_reported_values(self, expr, target, fast_config):
@@ -415,12 +444,16 @@ def cheap_config(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(expr=_MAP, radius=_RADIUS, target=st.sampled_from(["C", "P1"]),
-       method=st.sampled_from(["explicit", "oracle", "both"]))
-def test_overflow_argv_exits_0_2_or_3_with_json(cheap_config, expr, radius, target, method):
+       method=st.sampled_from(["explicit", "oracle", "both"]), joined=st.booleans())
+def test_overflow_argv_exits_0_2_or_3_with_json(cheap_config, expr, radius, target, method,
+                                                 joined):
+    # values go as --opt=value or as --opt value; a map starting with "-" is
+    # then taken for an option, which must also end in a JSON error
+    values = [("--map", expr), ("--radius", radius)]
+    argv = [f"{k}={v}" for k, v in values] if joined else [x for kv in values for x in kv]
     start = time.monotonic()
     code, out = run_cli([
-        "overflow", f"--map={expr}", f"--radius={radius}", "--target", target,
-        "--method", method, "--config", cheap_config,
+        "overflow", *argv, "--target", target, "--method", method, "--config", cheap_config,
     ])
     assert code in (0, 2, 3)
     body = json.loads(out)

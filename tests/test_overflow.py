@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overflow_lab import overflow
-from overflow_lab.errors import ConstantMap, DomainError, RootConditioning, UnsupportedDegree
+from overflow_lab import overflow, quadrature
+from overflow_lab.errors import (
+    ConstantMap,
+    DomainError,
+    NumericalError,
+    RootConditioning,
+    UnsupportedDegree,
+)
 from overflow_lab.maps import DiskMap, parse_map
 from overflow_lab.overflow import (
     nevanlinna_bound_check,
@@ -262,6 +268,10 @@ class TestBatchedRoots:
         np.testing.assert_array_equal(rescued[0], batch[1] / batch[1, 0])
         assert_residual_contract(batch, roots)
 
+    def test_non_finite_monic_rows_raise(self):
+        with pytest.raises(NumericalError, match="monic"):
+            overflow._batched_roots(np.array([[1e-300, 1e10, 1.0]], dtype=complex))
+
     def test_residual_evaluated_once_without_polish_step(self, monkeypatch):
         calls = []
         polyval = overflow._polyval_batch
@@ -342,7 +352,6 @@ class TestP1:
     def test_matches_characteristic_route(self, expr, r):
         # the bound check still computes 2T(r) - kernel - log(jet norm)
         alpha = parse_map(expr)
-        assert not alpha.poles_inside(r)
         got = overflow_to_P1(alpha, r, TIGHT).value
         assert got == pytest.approx(nevanlinna_bound_check(alpha, r, TIGHT).excess, abs=1e-7)
 
@@ -365,6 +374,27 @@ class TestNevanlinnaBound:
             bc = nevanlinna_bound_check(alpha, 1.0, FAST)
             assert bc.slack >= -1e-5
             assert bc.excess <= bc.bound + 1e-9
+
+    def test_moebius_with_interior_pole_vanishes(self):
+        # a Moebius map has excess 0; its pole -1/2 lies inside the disk
+        bc = nevanlinna_bound_check(parse_map("(-1-3*z)/(2*z+1)"), 1.9)
+        assert bc.excess == pytest.approx(0.0, abs=1e-8)
+
+    def test_kernel_takes_one_circle_mean_and_one_torus_integral(self, monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(quadrature, "circle_mean", spy("circle", quadrature.circle_mean))
+        monkeypatch.setattr(overflow, "circle_mean", spy("circle", overflow.circle_mean))
+        monkeypatch.setattr(overflow, "torus_pair_log_integral",
+                            spy("torus", overflow.torus_pair_log_integral))
+        overflow._characteristic_and_kernel(parse_map("(z+1/2)/(z^2/8+1)"), 1.0, FAST)
+        assert sorted(calls) == ["circle", "torus"]
 
 
 def sweep_fit(alpha, radii):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from overflow_lab.errors import CoincidentDivisors, InvalidPoint, NoConvergence
+from overflow_lab.errors import CoincidentDivisors, InvalidPoint
 from overflow_lab.potential import (
     INF,
     DiagonalGreen,
@@ -11,9 +11,7 @@ from overflow_lab.potential import (
     capacitary_degree,
     capacitary_norm_P1,
     diagonal_green,
-    disk_green,
     star_product_integral,
-    truncated_integral,
 )
 from overflow_lab.quadrature import QuadratureSettings, torus_pair_log_integral
 
@@ -23,15 +21,15 @@ GC = DiagonalGreen("C")
 
 class TestDiskGreen:
     def test_direct_value(self):
-        assert disk_green(DiskPotential(0, 1.0), 0.5) == pytest.approx(math.log(2))
+        assert DiskPotential(0, 1.0)(0.5) == pytest.approx(math.log(2))
 
     def test_boundary_zero(self):
         g = DiskPotential(0, 1.0)
-        assert disk_green(g, 1.0) == 0.0
-        assert disk_green(g, 1j) == 0.0
+        assert g(1.0) == 0.0
+        assert g(1j) == 0.0
 
     def test_singular_marker(self):
-        assert disk_green(DiskPotential(2.0, 1.0), 2.0) == INF
+        assert DiskPotential(2.0, 1.0)(2.0) == INF
 
     def test_nonnegative_and_zero_outside(self):
         g = DiskPotential(1 + 1j, 0.75)
@@ -138,42 +136,6 @@ class TestStarProduct:
             assert star_product_integral(g1, g2, tight) == pytest.approx(
                 star_product_integral(g2, g1, tight), abs=1e-6
             )
-
-
-class TestTruncatedIntegral:
-    SCHEDULE = [2.0 ** (-k) for k in range(1, 30)]
-
-    def test_interior_circle(self):
-        g = DiskPotential(0, 1.0)
-        value, cert = truncated_integral(g, 0.0, 0.5, self.SCHEDULE)
-        assert value == pytest.approx(math.log(2), abs=1e-9)
-        assert cert.achieved <= cert.tol
-
-    def test_boundary_circle(self):
-        g = DiskPotential(0, 1.0)
-        value, _ = truncated_integral(g, 0.0, 1.0, self.SCHEDULE)
-        assert value == pytest.approx(0.0, abs=1e-12)
-
-    def test_outside_circle(self):
-        g = DiskPotential(0, 1.0)
-        value, _ = truncated_integral(g, 0.0, 2.0, self.SCHEDULE)
-        assert value == pytest.approx(0.0, abs=1e-12)
-
-    def test_circle_through_singularity(self):
-        # uniform measure on |z - 1/2| = 1/2 passes through the singular point;
-        # mid-range caps give kink-limited inner quadrature, so the certificate
-        # tops out near 1e-4 even though the accepted value is far better
-        g = DiskPotential(0, 1.0)
-        value, _ = truncated_integral(
-            g, 0.5, 0.5, self.SCHEDULE, QuadratureSettings(tol=1e-4)
-        )
-        # closed form: -mean log|z| on that circle = log 2
-        assert value == pytest.approx(math.log(2), abs=1e-5)
-
-    def test_schedule_exhaustion(self):
-        g = DiskPotential(0, 1.0)
-        with pytest.raises(NoConvergence):
-            truncated_integral(g, 0.5, 0.5, [0.5, 0.4])
 
 
 def test_p1_kernel_unit_circle_double_integral():
