@@ -13,6 +13,13 @@ ramification, finite-place excess, Archimedean excess) and from a direct
 evaluation of the intersection pairing.  The in-text corollary that doubles
 the boundary double integral is reported alongside, labeled disputed: on the
 reference family it exceeds the two agreeing routes by exactly a factor two.
+
+Every boundary quantity is read from the public reports of overflow.py, on
+the exact analytic map: the decomposition and D take the explicit excess, the
+direct route takes the definitional oracle's fiber sums (Jensen's formula
+turns its root sum into the constant kappa), and the projective-line
+self-intersection takes the P1 excess plus T(r) from quadrature.nevanlinna_T,
+the same cross integral as `overflow --target P1`.
 """
 
 from __future__ import annotations
@@ -32,17 +39,8 @@ from .errors import (
     NotPseudoconcave,
 )
 from .maps import DiskMap
-from .overflow import (
-    _BoundaryFibers,
-    _batched_roots,
-    _characteristic_and_kernel,
-    _poly_coeffs_desc,
-    _require_fiber_range,
-    overflow_to_C,
-    overflow_to_P1,
-)
-from .potential import DiskPotential
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, circle_mean
+from .overflow import overflow_definitional_oracle, overflow_to_C, overflow_to_P1
+from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, circle_mean, nevanlinna_T
 from .series import (
     TruncatedSeries,
     compose,
@@ -154,7 +152,6 @@ class SelfIntersectionA1:
     finite_excess: float
     archimedean_excess: float
     doubled_corollary_value: float  # disputed in-text variant
-    boundary_tangency: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -169,6 +166,12 @@ class SelfIntersectionA1:
         }
 
 
+def _jet_term(alpha: DiskMap, r: float) -> float:
+    """log|jet| + e log r: the part of the boundary double integral that the
+    excess subtracts."""
+    return math.log(abs(complex(alpha.jet()))) + alpha.ramification_index() * math.log(r)
+
+
 def self_intersection_A1(m: MorphismToLine,
                          settings: QuadratureSettings = DEFAULT_SETTINGS,
                          ) -> SelfIntersectionA1:
@@ -176,34 +179,17 @@ def self_intersection_A1(m: MorphismToLine,
     e = m.ramification
     normal_part = e * m.surface.normal_degree
     finite = arithmetic_excess(m.alpha_hat)
-    alpha_float = DiskMap(tuple(float(c) for c in m.alpha_an.num))
     r = float(m.surface.radius)
-    arch = overflow_to_C(alpha_float, r, settings)
+    arch = overflow_to_C(m.alpha_an, r, settings)
     # the disputed variant doubles the boundary double integral: excess plus jet term
-    jet = abs(complex(alpha_float.jet()))
-    doubled = 2.0 * (arch.value + (math.log(jet) + arch.ramification_index * math.log(r)))
+    doubled = 2.0 * (arch.value + _jet_term(m.alpha_an, r))
     return SelfIntersectionA1(
         value=normal_part + finite + arch.value,
         normal_part=normal_part,
         finite_excess=finite,
         archimedean_excess=arch.value,
         doubled_corollary_value=doubled,
-        boundary_tangency=arch.boundary_tangency,
     )
-
-
-_KAPPA_ANGLES = 8
-_KAPPA_RADIUS = 1e-2
-
-
-def _pushforward_potential(alpha: DiskMap, r: float, ws: np.ndarray) -> np.ndarray:
-    """For each w: the disk potential log+(r/|zeta|) summed over the fiber of w."""
-    batch = np.tile(_poly_coeffs_desc(alpha), (len(ws), 1))
-    batch[:, -1] -= ws
-    potential = DiskPotential(0j, r).values(_batched_roots(batch))
-    if np.any(np.isinf(potential)):
-        raise DomainError("fiber hits the disk center")
-    return np.sum(potential, axis=1)
 
 
 def self_intersection_direct_oracle(m: MorphismToLine,
@@ -211,33 +197,18 @@ def self_intersection_direct_oracle(m: MorphismToLine,
                                     ) -> float:
     """Self-intersection evaluated directly on the pushed-forward divisor.
 
-    The degree part is the constant kappa in the expansion of the direct
-    image of the equilibrium potential at the image point, extracted by a
-    shrinking-radius limit (angular averages at s and s/2 combined by
-    Richardson); the boundary part integrates that direct image against its
-    own curvature measure via the fiber root sums.
+    The degree part is the constant kappa of the direct image of the
+    equilibrium potential log+(r/|zeta|) at alpha(0); Jensen's formula on that
+    fiber gives kappa = log|jet| + e log r + sum log(r/|eta|) over the
+    nontrivial fiber roots eta inside the disk.  The boundary part integrates
+    the direct image against its own curvature measure.  The root sum and the
+    boundary part are the two terms of the definitional oracle, so this route
+    shares its fiber roots and stays independent of the torus integral and
+    of psi.
     """
-    if m.alpha_an.degree > 8:
-        raise DomainError("direct oracle restricted to degree <= 8")
-    alpha = DiskMap(tuple(float(c) for c in m.alpha_an.num))
     r = float(m.surface.radius)
-    _require_fiber_range(alpha, r)
-    q0 = complex(alpha.value_at_zero())
-
-    def kappa_at(s: float) -> float:
-        ws = q0 + s * np.exp(2j * np.pi * (np.arange(_KAPPA_ANGLES) / _KAPPA_ANGLES))
-        return float(np.mean(_pushforward_potential(alpha, r, ws))) + math.log(s)
-
-    f1 = kappa_at(_KAPPA_RADIUS)
-    f2 = kappa_at(_KAPPA_RADIUS / 2)
-    weight = 2.0 ** _KAPPA_ANGLES
-    kappa = (weight * f2 - f1) / (weight - 1.0)
-
-    boundary_term, _ = circle_mean(
-        _BoundaryFibers(alpha, r), settings,
-        label="direct oracle boundary term", even=alpha.real_coefficients,
-    )
-    return kappa + boundary_term
+    oracle = overflow_definitional_oracle(m.alpha_an, r, settings)
+    return oracle.value + _jet_term(m.alpha_an, r)
 
 
 @dataclass(frozen=True)
@@ -271,11 +242,14 @@ def self_intersection_P1(m: MorphismToLine,
                          settings: QuadratureSettings = DEFAULT_SETTINGS,
                          ) -> SelfIntersectionP1:
     """Self-intersection over the projective line: heights plus characteristic."""
-    alpha = DiskMap(tuple(float(c) for c in m.alpha_an.num))
+    alpha = m.alpha_an
     r = float(m.surface.radius)
     ht = projective_height(m.constant_term)
-    t_char, kernel = _characteristic_and_kernel(alpha, r, settings)
-    value = 2.0 * ht + 2.0 * t_char - kernel
+    excess = overflow_to_P1(alpha, r, settings).value
+    t_char = nevanlinna_T(alpha, r, "boundary", settings)
+    a0 = abs(complex(alpha.value_at_zero()))
+    value = 2.0 * ht + excess + _jet_term(alpha, r) - math.log(1.0 + a0 * a0)
+    kernel = 2.0 * ht + 2.0 * t_char - value
     return SelfIntersectionP1(
         value=value,
         height_part=2.0 * ht,
@@ -299,11 +273,10 @@ def D_invariant(m: MorphismToLine,
     if not (deg > 0):
         raise NotPseudoconcave(f"normal degree {deg} is not positive")
     finite = arithmetic_excess(m.alpha_hat)
-    alpha_float = DiskMap(tuple(float(c) for c in m.alpha_an.num))
     if target == "A1":
-        arch = overflow_to_C(alpha_float, float(m.surface.radius), settings).value
+        arch = overflow_to_C(m.alpha_an, float(m.surface.radius), settings).value
     elif target == "P1":
-        arch = overflow_to_P1(alpha_float, float(m.surface.radius), settings).value
+        arch = overflow_to_P1(m.alpha_an, float(m.surface.radius), settings).value
     else:
         raise DomainError(f"unknown target {target!r}")
     return m.ramification + (finite + arch) / deg
@@ -336,7 +309,7 @@ def holonomy_degree_bound(m: MorphismToLine,
     if not (deg > 0):
         raise NotPseudoconcave(f"normal degree {deg} is not positive")
     d_value = D_invariant(m, settings)
-    alpha = DiskMap(tuple(float(c) for c in m.alpha_an.num))
+    alpha = m.alpha_an
     r = float(m.surface.radius)
 
     def logplus(ts: np.ndarray) -> np.ndarray:

@@ -31,16 +31,6 @@ class AllZero(DomainError):
     """Series is zero (to its order) where a nonzero coefficient is required."""
 
 
-# -- potential ---------------------------------------------------------------
-
-class CoincidentDivisors(DomainError):
-    """Star product needs the two singular points to differ."""
-
-
-class InvalidPoint(DomainError):
-    """Homogeneous pair (0, 0) does not define a projective point."""
-
-
 # -- quadrature --------------------------------------------------------------
 
 class NoConvergence(NumericalError):

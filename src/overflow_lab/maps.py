@@ -7,6 +7,7 @@ data and jets stay exact; numeric work converts to complex arrays on demand.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
@@ -406,16 +407,22 @@ def _rf_pow(a, k, parser):
 def parse_map(text: str) -> DiskMap:
     """DiskMap from an expression in z, e.g. "z^3+z" or "(z-2)/(z+2)".
 
-    Every coefficient of the reduced map must be a finite float64 value:
-    numeric work evaluates them as floats, and an exact integer beyond that
-    range cannot even be combined with a float literal.
+    Every coefficient of the reduced map must be zero or a normal float64
+    value: numeric work evaluates them as floats, an exact integer beyond
+    that range cannot even be combined with a float literal, and a nonzero
+    coefficient that underflows would turn into another map.
     """
     parser = _Parser(text)
     try:
         alpha = DiskMap(*parser.parse())
-        finite = all(math.isfinite(float(c)) for c in alpha.num + alpha.den)
+        in_range = all(_in_float_range(c) for c in alpha.num + alpha.den)
     except OverflowError:
-        finite = False
-    if not finite:
+        in_range = False
+    if not in_range:
         parser.error("coefficient outside the float64 range")
     return alpha
+
+
+def _in_float_range(c) -> bool:
+    size = abs(float(c))
+    return math.isfinite(size) and (size >= sys.float_info.min or c == 0)

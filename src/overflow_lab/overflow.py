@@ -7,25 +7,27 @@ cross - (2 log|q(0)| + log|jet| + e log r), where cross is the boundary double
 integral of log|p(t) q(s) - q(t) p(s)|.  For target P1 this is 2T(r) - kernel
 - log(jet norm) with Jensen's 2T(r) = mean log(|p|^2 + |q|^2) - log(|p(0)|^2 +
 |q(0)|^2), valid with poles inside the disk too: the circle means cancel.
-Where T(r) and the kernel are reported, quadrature.nevanlinna_T takes that one
-circle mean and the kernel is 2T(r) + log(|p(0)|^2 + |q(0)|^2) - cross.
+The bound check reports this P1 excess against its bound from T(r)
+(quadrature.nevanlinna_T, one circle mean); the slack between them is the
+kernel.
 
 Definitional route (polynomials only): the excess as an integral of the
 equilibrium potential (potential.DiskPotential, the one definition of
 log+(r/|zeta|)) against the fiber divisors, evaluated by locating the
 fibers with one batched root solver: Aberth-Ehrlich iteration, with
 companion-matrix eigenvalues only for the rows it cannot certify, then Newton
-polish under a residual contract.  The same solver locates the fibers of the
-direct self-intersection oracle in arithmetic.py.  Both oracles integrate one
-boundary integrand, _BoundaryFibers, which warm-starts each ladder level from
-the roots of the level before (node k of 2n nodes from node k // 2 of n).
-For a map with real coefficients the fiber over a conjugate boundary value is
-the conjugate fiber, so the integrand is even in t and each level evaluates
-half of the midpoint lattice.
+polish under a residual contract.  Its term1, the fiber sum over alpha(0),
+is by Jensen's formula the constant kappa of the direct self-intersection
+oracle in arithmetic.py less log|jet| + e log r, so that oracle reports
+through this one.  The boundary integrand, _BoundaryFibers, warm-starts each
+ladder level from the roots of the level before (node k of 2n nodes from
+node k // 2 of n).  For a map with real coefficients the fiber over a
+conjugate boundary value is the conjugate fiber, so the integrand is even in
+t and each level evaluates half of the midpoint lattice.
 
 Both routes reject, before any integral runs, a map and radius whose boundary
-values cannot be squared in float64; both fiber oracles also reject one whose
-fiber roots, by Cauchy's bound, could overflow the root solver's residual scale.
+values cannot be squared in float64; the oracle also rejects one whose fiber
+roots, by Cauchy's bound, could overflow the root solver's residual scale.
 
 The radius-sweep fit takes the excess values the sweep already reported, for
 either target.
@@ -160,8 +162,8 @@ def _require_float_range(alpha: DiskMap, r: float) -> None:
 
 # -- explicit route -----------------------------------------------------------
 
-def _boundary_cross(alpha: DiskMap, r: float, settings: QuadratureSettings,
-                    label: str) -> Tuple[float, Certificate]:
+def _boundary_cross(alpha: DiskMap, r: float,
+                    settings: QuadratureSettings) -> Tuple[float, Certificate]:
     """Double integral of log|p(t) q(s) - q(t) p(s)| over the circle of radius r,
     (p, q) = (num, den), so interior poles never enter; a polynomial uses the
     plain kernel log|p(t) - p(s)|."""
@@ -171,7 +173,7 @@ def _boundary_cross(alpha: DiskMap, r: float, settings: QuadratureSettings,
         p, q = alpha.num_den_at(z)
         return (p, None) if alpha.is_polynomial else (p, q)
 
-    return torus_pair_log_integral(boundary, settings, label=label)
+    return torus_pair_log_integral(boundary, settings, label="excess kernel")
 
 
 def _explicit_excess(alpha: DiskMap, r: float, settings: QuadratureSettings,
@@ -180,7 +182,7 @@ def _explicit_excess(alpha: DiskMap, r: float, settings: QuadratureSettings,
     so a polynomial's excess is the same float for both targets."""
     _require_nonconstant(alpha)
     _require_float_range(alpha, r)
-    cross, cert = _boundary_cross(alpha, r, settings, "excess kernel")
+    cross, cert = _boundary_cross(alpha, r, settings)
     e = alpha.ramification_index()
     jet = abs(complex(alpha.jet()))
     q0 = abs(complex(alpha.den[0]))
@@ -200,18 +202,6 @@ def overflow_to_P1(alpha: DiskMap, r: float,
                    settings: QuadratureSettings = DEFAULT_SETTINGS) -> OverflowReport:
     """Excess of a rational map from the disk of radius r to the projective line."""
     return _explicit_excess(alpha, r, settings, "P1")
-
-
-def _characteristic_and_kernel(alpha: DiskMap, r: float,
-                               settings: QuadratureSettings) -> Tuple[float, float]:
-    """(T(r), kernel): the Ahlfors-Shimizu characteristic (nevanlinna_T, one
-    circle mean) and the boundary double integral of the projective-line
-    diagonal kernel, 2T(r) + log(|p(0)|^2 + |q(0)|^2) - cross."""
-    _require_float_range(alpha, r)
-    t_char = nevanlinna_T(alpha, r, "boundary", settings)
-    cross, _ = _boundary_cross(alpha, r, settings, "P1 kernel")
-    p0, q0 = complex(alpha.num[0]), complex(alpha.den[0])
-    return t_char, 2.0 * t_char + math.log(abs(p0) ** 2 + abs(q0) ** 2) - cross
 
 
 # -- definitional oracle ------------------------------------------------------
@@ -403,7 +393,7 @@ def _require_fiber_range(alpha: DiskMap, r: float) -> None:
 
 
 class _BoundaryFibers:
-    """Boundary-term integrand of both fiber oracles.
+    """Boundary-term integrand of the definitional oracle.
 
     For each node t: the disk potential log+(r/|zeta|) summed over the fiber of
     alpha through the boundary point, trivial branch removed.
@@ -505,16 +495,17 @@ class BoundCheck:
 
 def nevanlinna_bound_check(alpha: DiskMap, r: float,
                            settings: QuadratureSettings = DEFAULT_SETTINGS) -> BoundCheck:
-    """Excess against its characteristic-function bound; the slack is the
-    boundary double integral of the projective diagonal kernel, hence >= 0."""
-    _require_nonconstant(alpha)
-    t_char, kernel = _characteristic_and_kernel(alpha, r, settings)
+    """The P1 excess against its characteristic-function bound
+    2T(r) - e log r - log(|jet| / (1 + |alpha(0)|^2)); the slack, bound minus
+    excess, is the boundary double integral of the projective diagonal
+    kernel, hence >= 0."""
+    excess = overflow_to_P1(alpha, r, settings).value
+    t_char = nevanlinna_T(alpha, r, "boundary", settings)
     e = alpha.ramification_index()
     jet = abs(complex(alpha.jet()))
     a0 = abs(complex(alpha.value_at_zero()))
     bound = 2.0 * t_char - e * math.log(r) - math.log(jet / (1.0 + a0 * a0))
-    excess = bound - kernel
-    return BoundCheck(excess=excess, bound=bound, slack=kernel)
+    return BoundCheck(excess=excess, bound=bound, slack=bound - excess)
 
 
 @dataclass

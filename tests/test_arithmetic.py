@@ -18,8 +18,10 @@ from overflow_lab.arithmetic import (
     self_intersection_direct_oracle,
     self_intersection_P1,
 )
+from overflow_lab import arithmetic, overflow, quadrature
 from overflow_lab.errors import DomainError, NotIntegral, NotPseudoconcave
 from overflow_lab.maps import DiskMap, parse_map
+from overflow_lab.overflow import overflow_definitional_oracle
 from overflow_lab.quadrature import QuadratureSettings
 from overflow_lab.series import TruncatedSeries, compose
 
@@ -162,6 +164,40 @@ class TestDirectOracle:
             self_intersection_direct_oracle(m, FAST)
 
 
+def kappa_reference(alpha, r, angles=8, s=1e-2):
+    """The constant kappa of the direct image of log+(r/|zeta|) at alpha(0),
+    as the shrinking-radius limit of its angular mean plus log s (np.roots
+    fibers at s and s/2, combined by Richardson)."""
+    coeffs = np.array([complex(c) for c in reversed(alpha.num)])
+    q0 = complex(alpha.value_at_zero())
+
+    def at(radius):
+        total = 0.0
+        for w in q0 + radius * np.exp(2j * np.pi * np.arange(angles) / angles):
+            roots = np.roots(np.concatenate([coeffs[:-1], [coeffs[-1] - w]]))
+            total += np.sum(np.maximum(math.log(r) - np.log(np.abs(roots)), 0.0))
+        return total / angles + math.log(radius)
+
+    weight = 2.0 ** angles
+    return (weight * at(s / 2) - at(s)) / (weight - 1.0)
+
+
+class TestKappaJensen:
+    @pytest.mark.parametrize("expr,r", [
+        ("2*z", 1.0), ("9*z^2", 1.0), ("z^3+z^4", 0.9), ("-2*z+12*z^2", 1.0),
+        ("1+z^2-2*z^3", 1.5), ("z^2*(z-1/2)", 1.0),
+    ])
+    def test_closed_form_matches_limit(self, expr, r, monkeypatch):
+        # with the boundary mean zeroed the oracle reports its term1 alone:
+        # the sum of log(r/|eta|) over the nontrivial fiber roots over alpha(0)
+        alpha = parse_map(expr)
+        monkeypatch.setattr(overflow, "circle_mean", lambda *args, **kwargs: (0.0, None))
+        term1 = overflow_definitional_oracle(alpha, r, FAST).value
+        jet = abs(complex(alpha.jet()))
+        closed = math.log(jet) + alpha.ramification_index() * math.log(r) + term1
+        assert closed == pytest.approx(kappa_reference(alpha, r), abs=1e-12)
+
+
 class TestSelfIntersectionP1:
     def test_identity_surface(self):
         desc = SurfaceDescriptor(1.0, TruncatedSeries([F(0), F(1)] + [F(0)] * 9))
@@ -172,6 +208,22 @@ class TestSelfIntersectionP1:
         assert got.kernel_part == pytest.approx(math.log(2), abs=1e-6)
         assert got.value == pytest.approx(0.0, abs=1e-6)
         assert got.value <= got.upper_bound + 1e-12
+
+    def test_one_circle_mean_and_one_torus_integral(self, monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (quadrature, overflow, arithmetic):
+            monkeypatch.setattr(module, "circle_mean", spy("circle", module.circle_mean))
+        monkeypatch.setattr(overflow, "torus_pair_log_integral",
+                            spy("torus", overflow.torus_pair_log_integral))
+        self_intersection_P1(build_morphism(surface(3), parse_map("6*z+9*z^2"), 10), FAST)
+        assert sorted(calls) == ["circle", "torus"]
 
     def test_height_values(self):
         assert projective_height(F(3, 4)) == pytest.approx(math.log(5))

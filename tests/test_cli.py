@@ -278,6 +278,27 @@ class TestMorphismCommands:
         assert result["degree_bound"] == 1
         assert result["cdt_bound"] > 0
 
+    def test_underflowing_coefficient_rejected(self):
+        # 1e-400 * z^2 became 0.0, and the float copy of the map read as constant
+        big, huge = "1" + "0" * 200, "1" + "0" * 400
+        code, out = run_cli([
+            "selfint", "--psi", f'["0","{big}"]', "--map", f"z/{big}+z^2/{huge}",
+            "--radius", "1e250", "--order", "4",
+        ])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "ParseError" and "float64 range" in err["message"]
+
+    def test_dinv_on_tiny_exact_coefficient(self, fast_config):
+        # the routes read the exact map, so 1e-200 * z is not taken for a constant
+        big = "1" + "0" * 200
+        code, out = run_cli([
+            "dinv", "--psi", f'["0","{big}"]', "--map", f"z/{big}",
+            "--radius", "1e250", "--order", "4", "--config", fast_config,
+        ])
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == pytest.approx(1.0, abs=1e-12)
+
     def test_pseudoconvex_exit(self, fast_config):
         code, out = run_cli([
             "dinv", "--psi", '["0","2"]', "--map", "2*z", "--config", fast_config,

@@ -1,0 +1,23 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import overflow_lab
+
+SOURCES = sorted(Path(overflow_lab.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_names_imported_from_sibling_modules(path):
+    # a name a module keeps private stays inside it; siblings use its public API
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        f"line {node.lineno}: {alias.name} from {'.' * node.level}{node.module or ''}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("overflow_lab"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"{path.name} imports private names: {private}"

@@ -52,6 +52,8 @@ class TestParser:
     @pytest.mark.parametrize("text", [
         "1e400*z", "1e308*z*10", "9" * 400 + "*z", "9" * 400 + "*z+1.5",
         "(2e221*z^4+5e-175*z)/(9.83e-301*z)",
+        # nonzero coefficients below the smallest normal float: exact, and subnormal
+        "z/1{0}+z^2/1{1}".format("0" * 200, "0" * 400), "5e-324*z+z^2",
     ])
     def test_coefficient_outside_float_range(self, text):
         with pytest.raises(ParseError, match="float64 range"):

@@ -350,10 +350,25 @@ class TestP1:
         ("(3*z-1)/(z+4)", 2.0), ("(z^2+3)/(z^2/9+1)", 1.0),
     ])
     def test_matches_characteristic_route(self, expr, r):
-        # the bound check still computes 2T(r) - kernel - log(jet norm)
+        # 2T(r) - kernel - log(jet norm), built here from its parts: the kernel
+        # is the double integral of the projective diagonal Green function
+        # -log|p(t) q(s) - q(t) p(s)| + (1/2) log|(p, q)(t)|^2 + (1/2) log|(p, q)(s)|^2
         alpha = parse_map(expr)
-        got = overflow_to_P1(alpha, r, TIGHT).value
-        assert got == pytest.approx(nevanlinna_bound_check(alpha, r, TIGHT).excess, abs=1e-7)
+
+        def boundary(ts):
+            return alpha.num_den_at(r * np.exp(2j * np.pi * ts))
+
+        def log_norm(ts):
+            p, q = boundary(ts)
+            return np.log(np.abs(p) ** 2 + np.abs(q) ** 2)
+
+        cross, _ = quadrature.torus_pair_log_integral(boundary, TIGHT)
+        kernel = quadrature.circle_mean(log_norm, TIGHT)[0] - cross
+        t_char = quadrature.nevanlinna_T(alpha, r, "boundary", TIGHT)
+        a0 = abs(complex(alpha.value_at_zero()))
+        jet_norm = abs(complex(alpha.jet())) * r ** alpha.ramification_index() / (1 + a0 * a0)
+        want = 2.0 * t_char - kernel - math.log(jet_norm)
+        assert overflow_to_P1(alpha, r, TIGHT).value == pytest.approx(want, abs=1e-7)
 
 
 class TestNevanlinnaBound:
@@ -393,8 +408,14 @@ class TestNevanlinnaBound:
         monkeypatch.setattr(overflow, "circle_mean", spy("circle", overflow.circle_mean))
         monkeypatch.setattr(overflow, "torus_pair_log_integral",
                             spy("torus", overflow.torus_pair_log_integral))
-        overflow._characteristic_and_kernel(parse_map("(z+1/2)/(z^2/8+1)"), 1.0, FAST)
+        nevanlinna_bound_check(parse_map("(z+1/2)/(z^2/8+1)"), 1.0, FAST)
         assert sorted(calls) == ["circle", "torus"]
+
+    def test_excess_is_the_p1_report(self):
+        alpha = parse_map("(z+1/2)/(z^2/8+1)")
+        bc = nevanlinna_bound_check(alpha, 1.0, FAST)
+        assert bc.excess == overflow_to_P1(alpha, 1.0, FAST).value
+        assert bc.slack == bc.bound - bc.excess
 
 
 def sweep_fit(alpha, radii):
