@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -101,8 +101,6 @@ def build_morphism(desc: SurfaceDescriptor, alpha_an: DiskMap,
     Raises NotIntegral with the first offending index when the composed
     series has a non-integer coefficient at or below the working order.
     """
-    if desc.psi.backend != "rational":
-        raise DomainError("psi must have rational coefficients")
     if not alpha_an.is_polynomial:
         raise DomainError("analytic side must be a polynomial map")
     if not all(isinstance(c, (int, Fraction)) for c in alpha_an.num):
@@ -129,18 +127,10 @@ def build_morphism(desc: SurfaceDescriptor, alpha_an: DiskMap,
 
 # -- finite-place excess ------------------------------------------------------
 
-def arithmetic_excess(alpha_hat: TruncatedSeries,
-                      norm: Optional[Callable[[Fraction], Fraction]] = None) -> float:
-    """log of the norm of the leading non-constant coefficient.
-
-    The default norm is the absolute value (rational base field); other
-    number fields may plug in their own norm-to-the-rationals here.
-    """
-    if alpha_hat.backend != "rational":
-        raise DomainError("finite-place excess needs exact coefficients")
+def arithmetic_excess(alpha_hat: TruncatedSeries) -> float:
+    """log |a_e| of the leading non-constant coefficient (rational base field)."""
     _, a_e = valuation_and_leading(alpha_hat, drop_constant=True)
-    size = abs(a_e) if norm is None else abs(norm(a_e))
-    return math.log(float(size))
+    return math.log(abs(a_e))
 
 
 # -- self-intersections -------------------------------------------------------
@@ -399,8 +389,6 @@ def grelem_construct(psi: TruncatedSeries, e: int, order: int) -> GrelemResult:
     exactly for every computed order; a violation would be a bug, not an
     input error.
     """
-    if psi.backend != "rational":
-        raise DomainError("psi must have rational coefficients")
     if e < 1:
         raise DomainError("the leading exponent e must be >= 1")
     if order <= e:

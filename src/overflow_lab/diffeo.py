@@ -4,10 +4,12 @@ A level-n element is X + a_2 X^2 + ... + a_{n+1} X^{n+1} modulo X^{n+2},
 under composition.  The Haar measure in these coefficients is Lebesgue, the
 integer elements form a cocompact lattice, and the unit cube of coefficient
 vectors is a fundamental domain.  The group acts on series with fixed leading
-term a X^e by phi -> phi o g^{-1}; the module verifies the measure-theoretic
-facts behind that action numerically: the constant Jacobian (e a)^n of the
-orbit coordinate map, and the lattice-point counting bound for how often an
-orbit meets a coefficient box.
+term a X^e by phi -> phi o g^{-1}.  Group elements and orbit elements hold
+exact Fractions, so composition, inversion, the action and the reduction to
+the fundamental domain are exact (a float coefficient converts exactly).
+The measure-theoretic facts behind the action are checked in float numpy
+batches: the constant Jacobian (e a)^n of the orbit coordinate map, and the
+lattice-point counting bound for how often an orbit meets a coefficient box.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -33,28 +35,27 @@ ENUMERATION_CAP = 10_000
 
 @dataclass(frozen=True)
 class TruncatedDiffeo:
-    """X plus higher terms, truncated at level n (coefficients a_2..a_{n+1})."""
+    """X plus higher terms, truncated at level n (coefficients a_2..a_{n+1}).
+
+    Coefficients are stored as exact Fractions; a float converts exactly, so
+    float(c) gives it back unchanged.
+    """
 
     coeffs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     @property
     def level(self) -> int:
         return len(self.coeffs)
 
     def as_series(self, order: int) -> TruncatedSeries:
-        zero = 0.0 if self._is_float() else Fraction(0)
-        one = 1.0 if self._is_float() else Fraction(1)
-        cs = [zero, one] + list(self.coeffs)
-        cs += [zero] * (order + 1 - len(cs))
-        return TruncatedSeries(cs[: order + 1])
-
-    def _is_float(self) -> bool:
-        return any(isinstance(c, float) for c in self.coeffs)
+        return TruncatedSeries([0, 1, *self.coeffs]).truncate(order)
 
 
-def identity_diffeo(level: int, backend: str = "rational") -> TruncatedDiffeo:
-    zero = 0.0 if backend == "float" else Fraction(0)
-    return TruncatedDiffeo((zero,) * level)
+def identity_diffeo(level: int) -> TruncatedDiffeo:
+    return TruncatedDiffeo((0,) * level)
 
 
 def _from_series(s: TruncatedSeries, level: int) -> TruncatedDiffeo:
@@ -79,25 +80,21 @@ class OrbitElement:
 
     e: int
     a: int
-    coeffs: tuple  # coefficients of X^{e+1} .. X^{e+n}
+    coeffs: tuple  # coefficients of X^{e+1} .. X^{e+n}, stored as Fractions
 
     def __post_init__(self):
         if self.e < 1:
             raise DomainError("leading exponent must be >= 1")
         if self.a == 0:
             raise DomainError("leading coefficient must be nonzero")
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     @property
     def level(self) -> int:
         return len(self.coeffs)
 
     def as_series(self) -> TruncatedSeries:
-        lead = self.a
-        is_float = any(isinstance(c, float) for c in self.coeffs)
-        zero = 0.0 if is_float else Fraction(0)
-        cs = [zero] * self.e + [float(lead) if is_float else Fraction(lead)]
-        cs += list(self.coeffs)
-        return TruncatedSeries(cs)
+        return TruncatedSeries([0] * self.e + [self.a, *self.coeffs])
 
 
 def act(g: TruncatedDiffeo, phi: OrbitElement) -> OrbitElement:
@@ -122,13 +119,13 @@ def reduce_mod_integer(g: TruncatedDiffeo) -> Tuple[TruncatedDiffeo, TruncatedDi
     """Right-translate by an integer element into the unit coefficient cube."""
     level = g.level
     current = g
-    gamma = identity_diffeo(level, "rational")
+    gamma = identity_diffeo(level)
     for k in range(2, level + 2):
         c = current.coeffs[k - 2]
         shift = -math.floor(c)
         if shift != 0:
-            gen_coeffs = [Fraction(0)] * level
-            gen_coeffs[k - 2] = Fraction(shift)
+            gen_coeffs = [0] * level
+            gen_coeffs[k - 2] = shift
             gen = TruncatedDiffeo(tuple(gen_coeffs))
             current = group_compose(current, gen)
             gamma = group_compose(gamma, gen)
@@ -143,25 +140,20 @@ def reduce_to_fundamental(phi: OrbitElement) -> Tuple[TruncatedDiffeo, OrbitElem
     [0, e |a|) in turn; everything stays in exact integers and the returned
     pair reconstructs the input via the group action.
     """
-    if any(
-        not (isinstance(c, (int, Fraction)) and Fraction(c).denominator == 1)
-        for c in phi.coeffs
-    ):
+    if any(c.denominator != 1 for c in phi.coeffs):
         raise DomainError("reduction needs integer coefficients")
     n = phi.level
     span = phi.e * abs(phi.a)
-    current = OrbitElement(
-        phi.e, phi.a, tuple(Fraction(c) for c in phi.coeffs)
-    )
-    total = identity_diffeo(n, "rational")
+    current = phi
+    total = identity_diffeo(n)
     ae = phi.e * phi.a
     for k in range(2, n + 2):
         c = int(current.coeffs[k - 2])
         remainder = c % span
         b = (c - remainder) // ae
         if b != 0:
-            gen_coeffs = [Fraction(0)] * n
-            gen_coeffs[k - 2] = Fraction(b)
+            gen_coeffs = [0] * n
+            gen_coeffs[k - 2] = b
             gen = TruncatedDiffeo(tuple(gen_coeffs))
             current = act(gen, current)
             total = group_compose(gen, total)
@@ -172,13 +164,24 @@ def reduce_to_fundamental(phi: OrbitElement) -> Tuple[TruncatedDiffeo, OrbitElem
 
 # -- Jacobian of the orbit coordinate map --------------------------------------
 
-def _orbit_coordinates(phi: OrbitElement, g_coeffs: Sequence[float]) -> np.ndarray:
-    """Coefficients e+1 .. e+n of phi o g for g = X + sum g_i X^i."""
-    n = len(g_coeffs)
+def _orbit_coordinates(phi: OrbitElement, points: np.ndarray) -> np.ndarray:
+    """Coefficients e+1 .. e+n of phi o g, one row per row g_2..g_{n+1} of points.
+
+    Float Horner in g, phi o g = (..(f_N g + f_{N-1}) g + ..) + f_0 modulo
+    X^{N+1}, with N = e + n, over the whole batch at once.
+    """
+    batch, n = points.shape
     order = phi.e + n
-    g = TruncatedSeries([0.0, 1.0] + [float(c) for c in g_coeffs]).truncate(order)
-    moved = compose(phi.as_series().to_float().truncate(order), g)
-    return np.array([float(c) for c in moved.coeffs[phi.e + 1 :]], dtype=float)
+    g = np.zeros((batch, order + 1))
+    g[:, 1] = 1.0
+    g[:, 2 : n + 2] = points
+    f = [float(c) for c in phi.as_series().coeffs]
+    acc = np.zeros((batch, order + 1))
+    acc[:, 0] = f[order]
+    for k in range(order - 1, -1, -1):
+        acc = _batched_truncated_product(acc, g, order)
+        acc[:, 0] += f[k]
+    return acc[:, phi.e + 1 :]
 
 
 @dataclass(frozen=True)
@@ -212,20 +215,14 @@ def jacobian_check(e: int, a: int, n: int, phi: OrbitElement,
     expected = float((e * a) ** n)
     if n == 0:
         return JacobianCheck(1.0, 1.0, 0.0)
-    base = [float(c) for c in g.coeffs]
+    base = np.array([float(c) for c in g.coeffs])
 
     def determinant(step: float) -> float:
-        cols = []
-        for i in range(n):
-            plus = list(base)
-            minus = list(base)
-            plus[i] += step
-            minus[i] -= step
-            cols.append(
-                (_orbit_coordinates(phi, plus) - _orbit_coordinates(phi, minus))
-                / (2 * step)
-            )
-        return float(np.linalg.det(np.stack(cols, axis=1)))
+        # rows i and n + i move coordinate i by +step and -step
+        shift = step * np.eye(n)
+        coords = _orbit_coordinates(phi, np.concatenate([base + shift, base - shift]))
+        cols = (coords[:n] - coords[n:]) / (2 * step)
+        return float(np.linalg.det(cols.T))
 
     det_h = determinant(h)
     det_h2 = determinant(h / 2)

@@ -1,9 +1,11 @@
 """Exact rational intersection lattices and their equilibrium divisors.
 
 All arithmetic is exact: matrices are cleared to integers and eliminated
-fraction-free (Bareiss), so negative definiteness (alternating leading
-principal minors), equilibrium solutions, and the comparison identities all
-hold as equalities of rationals, never up to rounding.
+fraction-free (Bareiss) in one pass that yields both the leading principal
+minors and, with the right-hand side appended, the solution.  Negative
+definiteness (alternating leading principal minors), equilibrium solutions
+and the comparison identities all hold as equalities of rationals, never up
+to rounding.
 """
 
 from __future__ import annotations
@@ -52,61 +54,45 @@ class IntersectionLattice:
         return len(self.labels)
 
 
-def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    """All leading principal minors, by fraction-free (Bareiss) elimination.
+def _bareiss(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction] = ()):
+    """Fraction-free elimination of [M | rhs] without pivoting (Bareiss).
 
-    Denominators are cleared first, so the elimination runs over integers;
-    the pivot after step k is the size-(k+1) minor of the scaled matrix.  A
-    zero pivot (possible for matrices that are not definite) falls back to
-    exact fraction determinants.
+    Denominators are cleared first (scale s), so the elimination runs over
+    integers and divides exactly; the pivot of step k is the size-(k+1)
+    leading principal minor of s*M.  Stops at the first zero pivot, since no
+    later step is defined without pivoting.  Returns the eliminated rows, the
+    pivots and s (Bareiss, Math. Comp. 22, 1968).
     """
-    m = len(matrix)
-    if m == 0:
-        return []
-    scale = 1
-    for row in matrix:
-        for x in row:
-            d = Fraction(x).denominator
-            scale = scale * d // math.gcd(scale, d)
-    a = [[int(Fraction(x) * scale) for x in row] for row in matrix]
-    minors: List[Fraction] = []
+    rows = [list(row) + ([rhs[i]] if rhs else []) for i, row in enumerate(matrix)]
+    scale = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    a = [[int(Fraction(x) * scale) for x in row] for row in rows]
+    width = len(a[0]) if a else 0
+    pivots: List[int] = []
     prev = 1
-    for k in range(m):
+    for k in range(len(a)):
         pivot = a[k][k]
+        pivots.append(pivot)
         if pivot == 0:
-            return [
-                _det_fraction([row[: j + 1] for row in matrix[: j + 1]])
-                for j in range(m)
-            ]
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        minors.append(Fraction(pivot, scale ** (k + 1)))
+            break
+        top = a[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+            row[k] = 0
         prev = pivot
-    return minors
+    return a, pivots, scale
 
 
-def _det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    m = len(rows)
-    a = [list(row) for row in rows]
-    det = Fraction(1)
-    for k in range(m):
-        pivot_row = next((i for i in range(k, m) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = Fraction(1) / a[k][k]
-        for i in range(k + 1, m):
-            factor = a[i][k] * inv
-            if factor == 0:
-                continue
-            for j in range(k, m):
-                a[i][j] -= factor * a[k][j]
-    return det
+def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> List[Fraction]:
+    """Leading principal minors up to and including the first zero one.
+
+    They are the Bareiss pivots divided by the scale that cleared the
+    denominators; a zero minor ends the list, which already decides
+    definiteness.
+    """
+    _, pivots, scale = _bareiss(matrix)
+    return [Fraction(p, scale ** (k + 1)) for k, p in enumerate(pivots)]
 
 
 def is_negative_definite(lattice: IntersectionLattice) -> bool:
@@ -120,25 +106,23 @@ def is_negative_definite(lattice: IntersectionLattice) -> bool:
 
 def solve_exact(matrix: Sequence[Sequence[Fraction]],
                 rhs: Sequence[Fraction]) -> List[Fraction]:
-    """Exact solve of a nonsingular rational system by Gaussian elimination."""
+    """Exact solve of a rational system whose leading principal minors are nonzero.
+
+    One Bareiss pass on [M | rhs], then back substitution in integers: with
+    d the last pivot, det(s*M), Cramer's rule makes d*x integral, so every
+    division is exact.  Raises DomainError when a leading minor vanishes.
+    """
     m = len(rhs)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for k in range(m):
-        pivot_row = next((i for i in range(k, m) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise DomainError("singular system")
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-        inv = Fraction(1) / a[k][k]
-        for i in range(m):
-            if i == k:
-                continue
-            factor = a[i][k] * inv
-            if factor == 0:
-                continue
-            for j in range(k, m + 1):
-                a[i][j] -= factor * a[k][j]
-    return [a[i][m] / a[i][i] for i in range(m)]
+    a, pivots, _ = _bareiss(matrix, rhs)
+    if 0 in pivots:
+        raise DomainError("a leading principal minor vanishes")
+    det = pivots[-1] if pivots else 1
+    y = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = a[i]
+        acc = det * row[m] - sum(row[j] * y[j] for j in range(i + 1, m))
+        y[i] = acc // row[i]
+    return [Fraction(v, det) for v in y]
 
 
 # -- equilibrium divisors ------------------------------------------------------

@@ -15,9 +15,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ConstantMap, DomainError, ParseError, PoleAtOrigin
-from .series import DEFAULT_ZERO_TOL
 
-Number = (int, float, complex, Fraction)
+#: Zero threshold for float and complex coefficients; exact ones test exactly.
+_FLOAT_ZERO_TOL = 1e-12
 
 
 def _trim(coeffs: Sequence) -> tuple:
@@ -168,32 +168,32 @@ class DiskMap:
     def real_coefficients(self) -> bool:
         return all(_is_real(c) for c in self.num + self.den)
 
-    def is_constant(self, zero_tol: float = DEFAULT_ZERO_TOL) -> bool:
+    def is_constant(self) -> bool:
         # num/den constant iff num*den' - num'*den = 0
         w = _poly_add(
             _poly_mul(_poly_deriv(self.num), self.den),
             _poly_mul(self.num, _poly_deriv(self.den)),
             sign=-1,
         )
-        return all(_near_zero(c, zero_tol) for c in w)
+        return all(_near_zero(c) for c in w)
 
     def value_at_zero(self):
         return self.num[0] / self.den[0]
 
     # -- ramification data at 0 -------------------------------------------
 
-    def ramification_index(self, zero_tol: float = DEFAULT_ZERO_TOL) -> int:
+    def ramification_index(self) -> int:
         """Order of vanishing of (alpha - alpha(0)) at 0."""
-        e, _ = self._jet_data(zero_tol)
+        e, _ = self._jet_data()
         return e
 
-    def jet(self, zero_tol: float = DEFAULT_ZERO_TOL):
+    def jet(self):
         """The leading Taylor coefficient alpha^{(e)}(0)/e! as a number."""
-        _, a = self._jet_data(zero_tol)
+        _, a = self._jet_data()
         return a
 
-    def _jet_data(self, zero_tol: float) -> Tuple[int, complex]:
-        if self.is_constant(zero_tol):
+    def _jet_data(self) -> Tuple[int, complex]:
+        if self.is_constant():
             raise ConstantMap("map is constant")
         # numerator of alpha - alpha(0): p - (p0/q0) q, scaled by q0 to stay exact
         p, q = self.num, self.den
@@ -201,7 +201,7 @@ class DiskMap:
             tuple(c * q[0] for c in p), tuple(c * p[0] for c in q), sign=-1
         )
         for e in range(1, len(scaled)):
-            if not _near_zero(scaled[e], zero_tol):
+            if not _near_zero(scaled[e]):
                 # [z^e](n/q) with n = scaled/q0:
                 a = scaled[e] / q[0] ** 2
                 return e, a
@@ -246,10 +246,10 @@ def _poly_deriv(p):
     return tuple(k * c for k, c in enumerate(p) if k >= 1)
 
 
-def _near_zero(c, tol: float) -> bool:
+def _near_zero(c) -> bool:
     if isinstance(c, (Fraction, int)):
         return c == 0
-    return abs(c) <= tol
+    return abs(c) <= _FLOAT_ZERO_TOL
 
 
 # -- tiny expression parser ----------------------------------------------

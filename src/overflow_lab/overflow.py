@@ -435,8 +435,7 @@ class _BoundaryFibers:
 
 
 def overflow_definitional_oracle(alpha: DiskMap, r: float,
-                                 settings: QuadratureSettings = DEFAULT_SETTINGS,
-                                 degree_bound: int = ORACLE_DEGREE_BOUND) -> OverflowReport:
+                                 settings: QuadratureSettings = DEFAULT_SETTINGS) -> OverflowReport:
     """Excess from its definition: equilibrium potential against fiber divisors.
 
     term1 sums log(r/|z|) over the nonzero roots of alpha - alpha(0) inside
@@ -449,9 +448,9 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
     _require_nonconstant(alpha)
     if not alpha.is_polynomial:
         raise DomainError("definitional oracle requires a polynomial map")
-    if alpha.degree > degree_bound:
+    if alpha.degree > ORACLE_DEGREE_BOUND:
         raise UnsupportedDegree(
-            f"degree {alpha.degree} exceeds the oracle bound {degree_bound}"
+            f"degree {alpha.degree} exceeds the oracle bound {ORACLE_DEGREE_BOUND}"
         )
     _require_float_range(alpha, r)
     _require_fiber_range(alpha, r)

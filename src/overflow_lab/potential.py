@@ -1,8 +1,9 @@
 """Potential theory on closed disks.
 
 Scope is deliberately narrow: equilibrium potentials of pointed closed disks
-(log+ of r/|z - a|, harmonic measure uniform on the bounding circle), the
-capacitary degree of a disk and the capacitary norm on the projective line.
+(log+ of r/|z - a|, harmonic measure uniform on the bounding circle) and the
+capacitary norm on the projective line.  The capacitary degree of a disk is
+SurfaceDescriptor.normal_degree in arithmetic.py.
 Curvature forms of arbitrary Green functions and Dirichlet-space pairings
 are out of scope and have no representation here.
 
@@ -51,16 +52,6 @@ class DiskPotential:
         with np.errstate(divide="ignore"):
             out = np.log(self.radius) - np.log(d)
         return np.maximum(out, 0.0)
-
-
-def capacitary_degree(r: float, psi_prime0) -> float:
-    """log(r / |psi'(0)|): the degree of the capacitary normal bundle."""
-    if not (r > 0):
-        raise DomainError("radius must be positive")
-    a = abs(psi_prime0)
-    if a == 0:
-        raise DomainError("psi'(0) must be nonzero")
-    return math.log(r) - math.log(a)
 
 
 def capacitary_norm_P1(w: complex) -> float:

@@ -1,48 +1,36 @@
-"""Truncated formal power series over exact rationals or floats.
+"""Truncated formal power series over the rationals.
 
-A series is a finite coefficient vector c_0..c_N, understood modulo X^{N+1}.
-Arithmetic in the rational backend is exact; the float backend exists for
-numeric experiments and uses a configurable zero threshold.  Values are
-immutable and safe to share between threads.
+A series is a finite vector of Fraction coefficients c_0..c_N, understood
+modulo X^{N+1}.  Arithmetic is exact, so every zero test is an equality.
+Values are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from .errors import AllZero, DomainError, NonzeroConstantTerm, NotInvertible
-
-Coefficient = Union[Fraction, float]
-
-#: Float-backend zero threshold.  The rational backend tests exactly.
-DEFAULT_ZERO_TOL = 1e-12
+from .errors import AllZero, DomainError, NonzeroConstantTerm, NotInvertible, ParseError
 
 
 def _normalize(coeffs: Iterable) -> tuple:
     out = []
-    has_float = False
     for c in coeffs:
-        if isinstance(c, Fraction):
-            out.append(c)
-        elif isinstance(c, int):
-            out.append(Fraction(c))
-        elif isinstance(c, float):
-            out.append(c)
-            has_float = True
-        else:
+        if isinstance(c, int):
+            c = Fraction(c)
+        elif not isinstance(c, Fraction):
             raise DomainError(f"unsupported coefficient type {type(c).__name__}")
-    if has_float:
-        out = [float(c) for c in out]
+        out.append(c)
     return tuple(out)
 
 
 class TruncatedSeries:
     """Formal power series truncated at a fixed order.
 
-    Equality is coefficientwise up to the common order, matching how the
-    truncated ring is used: two series that agree as far as both are known
-    count as equal.
+    Coefficients are Fractions; ints are converted and any other type is a
+    DomainError.  Equality is coefficientwise up to the common order,
+    matching how the truncated ring is used: two series that agree as far as
+    both are known count as equal.
     """
 
     __slots__ = ("coeffs",)
@@ -62,33 +50,17 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def backend(self) -> str:
-        return "float" if self.coeffs and isinstance(self.coeffs[0], float) else "rational"
-
-    def __getitem__(self, k: int) -> Coefficient:
+    def __getitem__(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         raise IndexError(k)
 
-    def coefficient(self, k: int) -> Coefficient:
-        """Coefficient of X^k, zero beyond the truncation order."""
-        if k < 0:
-            raise IndexError(k)
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0.0 if self.backend == "float" else Fraction(0)
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order < 0:
             raise DomainError("order must be nonnegative")
-        zero = 0.0 if self.backend == "float" else Fraction(0)
         coeffs = list(self.coeffs[: order + 1])
-        coeffs += [zero] * (order + 1 - len(coeffs))
+        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         return TruncatedSeries(coeffs)
-
-    def to_float(self) -> "TruncatedSeries":
-        return TruncatedSeries([float(c) for c in self.coeffs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -103,76 +75,60 @@ class TruncatedSeries:
 
     # -- ring operations -------------------------------------------------
 
-    def _common(self, other: "TruncatedSeries"):
-        n = min(self.order, other.order)
-        a, b = self, other
-        if a.backend != b.backend:
-            a, b = a.to_float(), b.to_float()
-        return a, b, n
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        a, b, n = self._common(other)
-        return TruncatedSeries([a.coeffs[k] + b.coeffs[k] for k in range(n + 1)])
+        n = min(self.order, other.order)
+        return TruncatedSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        a, b, n = self._common(other)
-        return TruncatedSeries([a.coeffs[k] - b.coeffs[k] for k in range(n + 1)])
+        n = min(self.order, other.order)
+        return TruncatedSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries([-c for c in self.coeffs])
 
     def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction, float)):
-            scalar = Fraction(other) if isinstance(other, int) else other
-            return TruncatedSeries([c * scalar for c in self.coeffs])
-        a, b, n = self._common(other)
-        zero = 0.0 if a.backend == "float" else Fraction(0)
-        out = [zero] * (n + 1)
-        for i, ci in enumerate(a.coeffs[: n + 1]):
+        if isinstance(other, (int, Fraction)):
+            return TruncatedSeries([c * other for c in self.coeffs])
+        n = min(self.order, other.order)
+        out = [Fraction(0)] * (n + 1)
+        for i, ci in enumerate(self.coeffs[: n + 1]):
             if ci == 0:
                 continue
             for j in range(0, n + 1 - i):
-                out[i + j] += ci * b.coeffs[j]
+                out[i + j] += ci * other.coeffs[j]
         return TruncatedSeries(out)
 
     __rmul__ = __mul__
 
     def evaluate(self, z):
-        """Horner evaluation of the truncated polynomial at a number z."""
+        """Horner evaluation of the truncated polynomial at a number z.
+
+        Exact for a rational z; for a float or complex z each coefficient is
+        converted to z's type as it enters, so the arithmetic is z's.
+        """
         coeffs = self.coeffs
-        if isinstance(z, complex) or isinstance(z, float):
-            coeffs = [float(c) for c in coeffs]
         acc = coeffs[-1]
         for c in reversed(coeffs[:-1]):
             acc = acc * z + c
         return acc
 
 
-def x_series(order: int, backend: str = "rational") -> TruncatedSeries:
+def x_series(order: int) -> TruncatedSeries:
     """The identity series X to the given order."""
     if order < 1:
         raise DomainError("identity series needs order >= 1")
-    if backend == "float":
-        return TruncatedSeries([0.0, 1.0] + [0.0] * (order - 1))
-    return TruncatedSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1))
+    return TruncatedSeries([0, 1] + [0] * (order - 1))
 
 
-def _is_zero(c: Coefficient, zero_tol: float) -> bool:
-    if isinstance(c, float):
-        return abs(c) <= zero_tol
-    return c == 0
-
-
-def compose(f: TruncatedSeries, g: TruncatedSeries,
-            zero_tol: float = DEFAULT_ZERO_TOL) -> TruncatedSeries:
+def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficients of f(g(X)) modulo X^{N+1}, N the common order.
 
     Requires g(0) = 0, otherwise the truncated composition is not defined.
     """
-    a, b, n = f._common(g)
-    if not _is_zero(b.coeffs[0], zero_tol):
-        raise NonzeroConstantTerm(f"inner series has constant term {b.coeffs[0]}")
-    a, b = a.truncate(n), b.truncate(n)
+    if g.coeffs[0] != 0:
+        raise NonzeroConstantTerm(f"inner series has constant term {g.coeffs[0]}")
+    n = min(f.order, g.order)
+    a, b = f.truncate(n), g.truncate(n)
     # Horner in g: result = (..(f_N * g + f_{N-1}) * g + ...) + f_0
     acc = TruncatedSeries([a.coeffs[n]]).truncate(n)
     for k in range(n - 1, -1, -1):
@@ -183,47 +139,42 @@ def compose(f: TruncatedSeries, g: TruncatedSeries,
     return acc
 
 
-def compositional_inverse(g: TruncatedSeries,
-                          zero_tol: float = DEFAULT_ZERO_TOL) -> TruncatedSeries:
+def compositional_inverse(g: TruncatedSeries) -> TruncatedSeries:
     """The series h with h(g(X)) = X mod X^{N+1}.
 
     Solved term by term: the coefficient of X^k in h(g) is triangular in the
-    unknowns with diagonal entry g_1^k, so the rational backend stays exact.
+    unknowns with diagonal entry g_1^k, so the solve stays exact.
     """
-    if not _is_zero(g.coeffs[0], zero_tol):
+    if g.coeffs[0] != 0:
         raise NonzeroConstantTerm(f"series has constant term {g.coeffs[0]}")
-    if g.order < 1 or _is_zero(g.coeffs[1], zero_tol):
+    if g.order < 1 or g.coeffs[1] == 0:
         raise NotInvertible("linear coefficient vanishes")
     n = g.order
-    one = 1.0 if g.backend == "float" else Fraction(1)
-    zero = 0.0 if g.backend == "float" else Fraction(0)
     # g_pows[j] = g^j truncated at order n
-    g_pows = [TruncatedSeries([one]).truncate(n)]
+    g_pows = [TruncatedSeries([1]).truncate(n)]
     for _ in range(n):
         g_pows.append(g_pows[-1] * g)
-    h = [zero] * (n + 1)
+    h = [Fraction(0)] * (n + 1)
     for k in range(1, n + 1):
-        target = one if k == 1 else zero
-        acc = target
+        acc = Fraction(1 if k == 1 else 0)
         for j in range(1, k):
             acc -= h[j] * g_pows[j].coeffs[k]
         h[k] = acc / g_pows[k].coeffs[k]
     return TruncatedSeries(h)
 
 
-def valuation_and_leading(s: TruncatedSeries, drop_constant: bool = False,
-                          zero_tol: float = DEFAULT_ZERO_TOL):
+def valuation_and_leading(s: TruncatedSeries, drop_constant: bool = False):
     """Smallest index e >= 1 with nonzero coefficient, and that coefficient.
 
     Without ``drop_constant`` the constant term must vanish; with it, a_0 is
     ignored.  Raises AllZero when the series is constant to its order.
     """
-    if not drop_constant and not _is_zero(s.coeffs[0], zero_tol):
+    if not drop_constant and s.coeffs[0] != 0:
         raise DomainError(
             "series has a constant term; pass drop_constant to ignore it"
         )
     for e in range(1, s.order + 1):
-        if not _is_zero(s.coeffs[e], zero_tol):
+        if s.coeffs[e] != 0:
             return e, s.coeffs[e]
     raise AllZero(f"no nonzero coefficient up to order {s.order}")
 
@@ -231,27 +182,22 @@ def valuation_and_leading(s: TruncatedSeries, drop_constant: bool = False,
 def parse_series_literal(items: Sequence) -> TruncatedSeries:
     """Series from a list of literals; order inferred from the length.
 
-    Strings containing '.', 'e', or 'E' parse as floats, everything else as
-    exact rationals ("3/7", "-2").
+    Items are ints or exact rational strings ("3/7", "-2").  A float literal,
+    a JSON number with a fraction or exponent or a string containing '.',
+    'e' or 'E', is a ParseError at its position: coefficients are exact.
     """
-    from .errors import ParseError
-
     coeffs = []
     for pos, item in enumerate(items):
         if isinstance(item, (int, Fraction)):
             coeffs.append(Fraction(item))
             continue
-        if isinstance(item, float):
-            coeffs.append(item)
-            continue
         if not isinstance(item, str):
-            raise ParseError(f"unsupported literal {item!r}", pos)
+            raise ParseError(f"literal {item!r} is not an exact rational", pos)
         text = item.strip()
+        if any(ch in text for ch in ".eE"):
+            raise ParseError(f"literal {text!r} is not an exact rational", pos)
         try:
-            if any(ch in text for ch in ".eE"):
-                coeffs.append(float(text))
-            else:
-                coeffs.append(Fraction(text))
+            coeffs.append(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coefficient literal {text!r}: {exc}", pos) from None
     if not coeffs:

@@ -91,12 +91,6 @@ class TestArithmeticExcess:
         t = TruncatedSeries([F(0), F(7), F(-2)])
         assert arithmetic_excess(s) == arithmetic_excess(t)
 
-    def test_norm_hook(self):
-        s = TruncatedSeries([F(0), F(3)])
-        assert arithmetic_excess(s, norm=lambda a: a * a) == pytest.approx(
-            math.log(9)
-        )
-
 
 class TestSelfIntersectionA1:
     @pytest.mark.parametrize("r,k", [(2, 1), (3, 1), (2, 3), (5, 2)])

@@ -237,6 +237,27 @@ def test_report_matches_golden(path, tmp_path):
     _assert_close(json.loads(out), golden)
 
 
+EXACT_DIR = GOLDEN_DIR / "exact"
+
+
+@pytest.mark.parametrize(
+    "case",
+    json.loads((EXACT_DIR / "commands.json").read_text()),
+    ids=lambda case: "-".join(case["argv"][:1] + case["argv"][2::2]),
+)
+def test_exact_layers_match_golden_bytes(case):
+    """Reports of the exact layers (series, lattice, diffeo), recorded before
+    series lost its float backend; they must match byte for byte."""
+    argv = [a.replace("{dir}", str(EXACT_DIR)) for a in case["argv"]]
+    code, out = run_cli(argv)
+    assert code == case["exit"]
+    if case["argv"][0] == "equilibrium":
+        # inputs echo the lattice path, which depends on the checkout
+        assert json.loads(out)["result"] == json.loads(case["stdout"])["result"]
+    else:
+        assert out == case["stdout"]
+
+
 class TestMorphismCommands:
     def test_selfint_borel(self, fast_config):
         code, out = run_cli([
@@ -434,6 +455,15 @@ def test_module_entry_point_prints_report():
     proc = _run_module("dimbound", "--variant", "C", "--n", "2", "--d", "1")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["value"] == 6
+
+
+def test_float_psi_literal_is_a_parse_error():
+    proc = _run_module("selfint", "--psi", '["0","0.5"]', "--map", "z")
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "ParseError"
+    assert "(at position 1)" in error["message"]
 
 
 # -- the argv contract of the overflow command --------------------------------

@@ -42,6 +42,12 @@ class TestGroupLaw:
         x = TruncatedDiffeo((F(1), F(0), F(0)))
         assert group_invert(x) == TruncatedDiffeo((F(-1), F(2), F(-5)))
 
+    def test_float_coefficients_stored_exactly(self):
+        assert TruncatedDiffeo((0.3,)).coeffs == (F(0.3),)
+        assert OrbitElement(1, 2, (0.3,)).coeffs == (F(0.3),)
+        drawn = np.random.default_rng(4).uniform(size=3)
+        assert [float(c) for c in haar_sample(3, 4).coeffs] == list(drawn)
+
     def test_level_mismatch(self):
         with pytest.raises(LevelMismatch):
             group_compose(identity_diffeo(2), identity_diffeo(3))
@@ -144,6 +150,14 @@ class TestReduction:
         gamma, delta = reduce_to_fundamental(phi)
         assert all(0 <= int(c) < 2 for c in delta.coeffs)
         assert act(gamma, delta) == phi
+
+    def test_integer_valued_floats_accepted(self):
+        phi = OrbitElement(2, 1, (3.0, 0.0, 0.0))
+        assert reduce_to_fundamental(phi) == reduce_to_fundamental(
+            OrbitElement(2, 1, (F(3), F(0), F(0)))
+        )
+        with pytest.raises(DomainError):
+            reduce_to_fundamental(OrbitElement(2, 1, (3.5, 0.0, 0.0)))
 
     def test_random_roundtrip(self):
         rng = np.random.default_rng(13)

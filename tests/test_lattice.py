@@ -54,6 +54,15 @@ class TestStructure:
         )
         assert not is_negative_definite(indefinite)
 
+    def test_minors_stop_at_first_zero(self):
+        # the hyperbolic plane: nonsingular, but its first leading minor is 0
+        swap = ((F(0), F(1)), (F(1), F(0)))
+        assert leading_principal_minors(swap) == [0]
+        lat = IntersectionLattice(("a", "b"), swap, (F(1), F(0)), F(0))
+        assert not is_negative_definite(lat)
+        with pytest.raises(DomainError):
+            solve_exact(swap, (F(1), F(0)))
+
     def test_minors_match_numpy(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -184,6 +193,9 @@ class TestComparison:
 def test_solve_exact_simple():
     sol = solve_exact(((F(2), F(1)), (F(1), F(3))), (F(5), F(10)))
     assert sol == [F(1), F(3)]
+    # denominators in the matrix and the right-hand side
+    sol = solve_exact(((F(1, 2), F(1, 3)), (F(1, 3), F(-1, 4))), (F(1, 5), F(2, 7)))
+    assert sol == [F(366, 595), F(-192, 595)]
 
 
 def test_divisor_self_intersection_quadratic():

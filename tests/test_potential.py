@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from overflow_lab.potential import INF, DiskPotential, capacitary_degree, capacitary_norm_P1
+from overflow_lab.potential import INF, DiskPotential, capacitary_norm_P1
 from overflow_lab.quadrature import QuadratureSettings, torus_pair_log_integral
 
 
@@ -27,17 +27,6 @@ class TestDiskGreen:
         assert np.all(vals >= 0.0)
         outside = np.abs(z - (1 + 1j)) >= 0.75
         assert np.all(vals[outside] == 0.0)
-
-
-class TestCapacitaryDegree:
-    def test_unit(self):
-        assert capacitary_degree(1.0, 1.0) == 0.0
-
-    def test_log_radius(self):
-        assert capacitary_degree(math.e, 1.0) == pytest.approx(1.0)
-
-    def test_small_derivative(self):
-        assert capacitary_degree(1.0, 0.5) == pytest.approx(math.log(2))
 
 
 class TestDiagonalGreen:

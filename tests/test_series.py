@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overflow_lab.errors import AllZero, DomainError, NonzeroConstantTerm, NotInvertible
+from overflow_lab.errors import (
+    AllZero,
+    DomainError,
+    NonzeroConstantTerm,
+    NotInvertible,
+    ParseError,
+)
 from overflow_lab.series import (
     TruncatedSeries,
     compose,
@@ -117,10 +123,6 @@ class TestValuation:
         with pytest.raises(AllZero):
             valuation_and_leading(S(0, 0, 0))
 
-    def test_float_threshold(self):
-        s = TruncatedSeries([0.0, 1e-15, 3.5])
-        assert valuation_and_leading(s) == (2, 3.5)
-
     @given(
         s=series_strategy(6),
         u=st.sampled_from([F(-1), F(1), F(3), F(-7, 2)]),
@@ -147,16 +149,21 @@ class TestBackendAndLiterals:
 
     def test_literal_rational(self):
         s = parse_series_literal(["0", "1", "3/7"])
-        assert s.backend == "rational"
         assert s.coeffs[2] == F(3, 7)
 
-    def test_literal_float(self):
-        s = parse_series_literal(["0", "0.5"])
-        assert s.backend == "float"
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(DomainError):
+            TruncatedSeries([0.5])
+
+    @pytest.mark.parametrize("items, pos", [
+        (["0", "0.5"], 1), (["1e3"], 0), (["0", "1", " 2E-1"], 2), (["0", 0.25], 1),
+    ])
+    def test_literal_float_is_parse_error(self, items, pos):
+        with pytest.raises(ParseError) as err:
+            parse_series_literal(items)
+        assert err.value.position == pos
 
     def test_literal_error_position(self):
-        from overflow_lab.errors import ParseError
-
         with pytest.raises(ParseError) as err:
             parse_series_literal(["0", "x?y"])
         assert err.value.position == 1
