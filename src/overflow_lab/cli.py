@@ -4,6 +4,10 @@ Reports are byte-stable: keys are emitted sorted, floats with 17 significant
 digits (enough to round-trip exactly), rationals as "p/q" strings.  Exit
 codes: 0 success, 2 domain errors (bad inputs, violated preconditions),
 3 numerical non-convergence.
+
+Each handler imports the layers it uses, so a command loads only its own
+modules: ``equilibrium`` and ``blowup-chain`` never load numpy, and
+``overflow`` never loads ``arithmetic``, ``lattice`` or ``diffeo``.
 """
 
 from __future__ import annotations
@@ -16,12 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from . import arithmetic, diffeo, lattice, overflow
 from .errors import ConfigError, DomainError, NumericalError, OverflowLabError
-from .maps import parse_map
-from .quadrature import QuadratureSettings
 from .series import TruncatedSeries, parse_series_literal
 
 
@@ -76,7 +75,9 @@ def report_csv(rows, columns=("x", "value", "method")) -> str:
 _CONFIG_KEYS = {"grid", "tol", "depth"}
 
 
-def load_settings(path: Optional[str]) -> QuadratureSettings:
+def load_settings(path: Optional[str]) -> "QuadratureSettings":
+    from .quadrature import QuadratureSettings
+
     if path is None:
         return QuadratureSettings()
     try:
@@ -100,7 +101,7 @@ def load_settings(path: Optional[str]) -> QuadratureSettings:
         raise ConfigError(f"bad config value: {exc}") from None
 
 
-def _settings_dict(settings: QuadratureSettings) -> dict:
+def _settings_dict(settings: "QuadratureSettings") -> dict:
     return {
         "grid": settings.base_grid,
         "tol": settings.tol,
@@ -132,6 +133,9 @@ def _parse_radii(text: str):
 # -- subcommand handlers ----------------------------------------------------------
 
 def _cmd_overflow(args) -> str:
+    from . import overflow
+    from .maps import parse_map
+
     settings = load_settings(args.config)
     alpha = parse_map(args.map)
     radii = _parse_radii(args.radius)
@@ -182,6 +186,9 @@ def _cmd_overflow(args) -> str:
 
 
 def _build_morphism(args) -> "arithmetic.MorphismToLine":
+    from . import arithmetic
+    from .maps import parse_map
+
     psi = _parse_psi(args.psi)
     desc = arithmetic.SurfaceDescriptor(float(args.radius), psi)
     alpha = parse_map(args.map)
@@ -189,6 +196,8 @@ def _build_morphism(args) -> "arithmetic.MorphismToLine":
 
 
 def _cmd_selfint(args) -> str:
+    from . import arithmetic
+
     settings = load_settings(args.config)
     m = _build_morphism(args)
     if args.target == "A1":
@@ -213,6 +222,8 @@ def _cmd_selfint(args) -> str:
 
 
 def _cmd_dinv(args) -> str:
+    from . import arithmetic
+
     settings = load_settings(args.config)
     m = _build_morphism(args)
     value = arithmetic.D_invariant(m, settings, target=args.target)
@@ -237,6 +248,8 @@ def _cmd_dinv(args) -> str:
 
 
 def _cmd_holonomy(args) -> str:
+    from . import arithmetic
+
     settings = load_settings(args.config)
     m = _build_morphism(args)
     got = arithmetic.holonomy_degree_bound(m, settings)
@@ -256,6 +269,8 @@ def _cmd_holonomy(args) -> str:
 
 
 def _cmd_dimbound(args) -> str:
+    from . import arithmetic
+
     if args.variant == "C":
         if args.d is None:
             raise ConfigError("variant C needs --d")
@@ -272,6 +287,8 @@ def _cmd_dimbound(args) -> str:
 
 
 def _cmd_grelem(args) -> str:
+    from . import arithmetic
+
     psi = _parse_psi(args.psi)
     got = arithmetic.grelem_construct(psi, args.e, args.order)
     return canonical_json(
@@ -284,6 +301,8 @@ def _cmd_grelem(args) -> str:
 
 
 def _load_lattice(path: str) -> "lattice.IntersectionLattice":
+    from . import lattice
+
     try:
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -305,6 +324,8 @@ def _load_lattice(path: str) -> "lattice.IntersectionLattice":
 
 
 def _cmd_equilibrium(args) -> str:
+    from . import lattice
+
     lat = _load_lattice(args.lattice)
     eq = lattice.equilibrium_divisor(lat)
     cnb = lattice.is_CNB(lat, eq.coefficients)
@@ -318,6 +339,8 @@ def _cmd_equilibrium(args) -> str:
 
 
 def _cmd_blowup_chain(args) -> str:
+    from . import lattice
+
     lat = lattice.blowup_chain_fixture(args.n, Fraction(args.cc))
     eq = lattice.equilibrium_divisor(lat)
     cnb = lattice.is_CNB(lat, eq.coefficients)
@@ -335,6 +358,8 @@ def _cmd_blowup_chain(args) -> str:
 
 
 def _cmd_sample_diffeo(args) -> str:
+    from . import diffeo
+
     sample = diffeo.haar_sample(args.level, args.seed)
     return canonical_json(
         {
@@ -346,6 +371,10 @@ def _cmd_sample_diffeo(args) -> str:
 
 
 def _cmd_jacobian_check(args) -> str:
+    import numpy as np
+
+    from . import diffeo
+
     rng = np.random.default_rng(args.seed)
     phi = diffeo.OrbitElement(
         args.e, args.a, tuple(float(x) for x in rng.normal(size=args.level))
@@ -368,6 +397,8 @@ def _cmd_jacobian_check(args) -> str:
 
 
 def _cmd_measure_mc(args) -> str:
+    from . import diffeo
+
     got = diffeo.measure_bound_mc(
         args.e, args.a, args.rho, args.box_radius, args.level,
         samples=args.samples, seed=args.seed, shards=args.shards,

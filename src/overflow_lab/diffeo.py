@@ -14,7 +14,6 @@ lattice-point counting bound for how often an orbit meets a coefficient box.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,16 +171,16 @@ def _orbit_coordinates(phi: OrbitElement, points: np.ndarray) -> np.ndarray:
     """
     batch, n = points.shape
     order = phi.e + n
-    g = np.zeros((batch, order + 1))
-    g[:, 1] = 1.0
-    g[:, 2 : n + 2] = points
+    g = np.zeros((order + 1, batch))
+    g[1] = 1.0
+    g[2 : n + 2] = points.T
     f = [float(c) for c in phi.as_series().coeffs]
-    acc = np.zeros((batch, order + 1))
-    acc[:, 0] = f[order]
+    acc = np.zeros((order + 1, batch))
+    acc[0] = f[order]
     for k in range(order - 1, -1, -1):
         acc = _batched_truncated_product(acc, g, order)
-        acc[:, 0] += f[k]
-    return acc[:, phi.e + 1 :]
+        acc[0] += f[k]
+    return acc[phi.e + 1 :].T
 
 
 @dataclass(frozen=True)
@@ -239,31 +238,67 @@ def jacobian_check(e: int, a: int, n: int, phi: OrbitElement,
 
 
 # -- Monte-Carlo lattice-box bound ----------------------------------------------
+#
+# A batch of series is a 2-d array with one row per coefficient and one column
+# per series, so that each coefficient of the batch is a contiguous row.
 
 def _batched_truncated_product(u: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros((u.shape[0], order + 1))
-    for i in range(min(u.shape[1], order + 1)):
-        top = min(v.shape[1], order + 1 - i)
+    out = np.zeros((order + 1, u.shape[1]))
+    for i in range(min(u.shape[0], order + 1)):
+        top = min(v.shape[0], order + 1 - i)
         for j in range(top):
-            out[:, i + j] += u[:, i] * v[:, j]
+            out[i + j] += u[i] * v[j]
     return out
 
 
 def _batched_inverse(g: np.ndarray, order: int) -> np.ndarray:
     """Compositional inverses of a batch of X + sum a_j X^j, to the order."""
-    batch = g.shape[0]
-    inv = np.zeros((batch, order + 1))
-    inv[:, 1] = 1.0
+    inv = np.zeros((order + 1, g.shape[1]))
+    inv[1] = 1.0
     for _ in range(order):
         powers = inv
         correction = np.zeros_like(inv)
-        for j in range(2, g.shape[1]):
+        for j in range(2, g.shape[0]):
             powers = _batched_truncated_product(powers, inv, order)
-            correction += g[:, j][:, None] * powers
+            correction += g[j] * powers
         new = -correction
-        new[:, 1] += 1.0
+        new[1] += 1.0
         inv = new
     return inv
+
+
+def _box_hits(a: int, e: int, span: int, powers: list, box: np.ndarray) -> np.ndarray:
+    """Samples for which some tail t_1..t_n in [0, span)^n puts phi o g^{-1} in the box.
+
+    ``powers[i]`` holds inv^{e+i} for each sample's inverse inv = g^{-1}, so
+    phi o g^{-1} = a powers[0] + sum_i t_i powers[i].  inv^{e+i} is exactly 0
+    below X^{e+i} and exactly 1 at it, so coefficient e+k is the partial sum
+    over i < k plus t_k and ignores t_{k+1}..t_n: a depth-first search over
+    the tail fixes t_k at depth k and drops a branch's samples as soon as
+    their coefficient e+k leaves its box.  Each partial sum adds the terms in
+    the order i = 1..n, skipping t_i = 0, from a powers[0].
+    """
+    n = len(powers) - 1
+    in_event = np.zeros(powers[0].shape[1], dtype=bool)
+    # (k, samples still inside, their coefficients e+k .. e+n of
+    # a powers[0] + sum_{i<k} t_i powers[i])
+    stack = [(1, np.arange(in_event.size), a * powers[0][e + 1 :])]
+    while stack:
+        k, cols, moved = stack.pop()
+        for t in range(span):
+            coeff = moved[0] + t if t else moved[0]
+            inside = np.abs(coeff) <= box[k - 1]
+            if not inside.any():
+                continue
+            if k == n:
+                in_event[cols[inside]] = True
+                continue
+            sub = cols[inside]
+            rest = moved[1:, inside]
+            if t:
+                rest = rest + t * powers[k][e + k + 1 :, sub]
+            stack.append((k + 1, sub, rest))
+    return in_event
 
 
 @dataclass(frozen=True)
@@ -295,13 +330,14 @@ def measure_bound_mc(e: int, a: int, rho: float, box_radius: float, n: int,
                      shards: int = 4) -> MeasureBoundReport:
     """Frequency with which a translated orbit lattice meets a coefficient box.
 
-    Samples the fundamental cube, enumerates the finite set of domain
-    representatives, and counts samples g for which some representative phi
-    has all trailing coefficients of phi o g^{-1} within |coeff_i| <=
-    box_radius * rho^{-i}.  The counting bound compares two closed forms: the
-    published exponent (n+2e+2)(n-1)/2 and the sharper product-form exponent
-    sum of i = e+1 .. e+n; the former is the weaker (larger) bound and is
-    reported as ``paper_bound``.
+    Samples the fundamental cube and counts samples g for which some domain
+    representative phi = a X^e + t_1 X^{e+1} + .. + t_n X^{e+n}, 0 <= t_k <
+    e |a|, has all trailing coefficients of phi o g^{-1} within |coeff_i| <=
+    box_radius * rho^{-i}; ``_box_hits`` searches the representatives.  The
+    counting bound compares two closed forms: the published exponent
+    (n+2e+2)(n-1)/2 and the sharper product-form exponent sum of i = e+1 ..
+    e+n; the former is the weaker (larger) bound and is reported as
+    ``paper_bound``.
     """
     if n < 1 or n > 4:
         raise DomainError("level must be between 1 and 4")
@@ -311,13 +347,6 @@ def measure_bound_mc(e: int, a: int, rho: float, box_radius: float, n: int,
     if span**n > ENUMERATION_CAP:
         raise EnumerationTooLarge(f"{span}^{n} domain representatives")
     order = e + n
-    reps = []
-    for tail in itertools.product(range(span), repeat=n):
-        coeffs = np.zeros(order + 1)
-        coeffs[e] = a
-        coeffs[e + 1 :] = tail
-        reps.append(coeffs)
-    reps = np.stack(reps)
     box = box_radius * np.array([rho ** -(e + 1 + i) for i in range(n)])
 
     per_shard = [samples // shards] * shards
@@ -328,9 +357,9 @@ def measure_bound_mc(e: int, a: int, rho: float, box_radius: float, n: int,
         if count == 0:
             continue
         rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
-        g = np.zeros((count, n + 2))
-        g[:, 1] = 1.0
-        g[:, 2:] = rng.uniform(size=(count, n))
+        g = np.zeros((n + 2, count))
+        g[1] = 1.0
+        g[2:] = rng.uniform(size=(count, n)).T
         inv = _batched_inverse(g, order)
         # powers of the inverse: inv^e .. inv^{e+n}
         power = inv
@@ -339,15 +368,7 @@ def measure_bound_mc(e: int, a: int, rho: float, box_radius: float, n: int,
         powers = [power]
         for _ in range(n):
             powers.append(_batched_truncated_product(powers[-1], inv, order))
-        in_event = np.zeros(count, dtype=bool)
-        for rep in reps:
-            moved = rep[e] * powers[0]
-            for i in range(1, n + 1):
-                if rep[e + i] != 0.0:
-                    moved = moved + rep[e + i] * powers[i]
-            trailing = np.abs(moved[:, e + 1 :])
-            in_event |= np.all(trailing <= box[None, :], axis=1)
-        hits += int(np.sum(in_event))
+        hits += int(np.sum(_box_hits(a, e, span, powers, box)))
 
     estimate = hits / samples
     stderr = math.sqrt(max(estimate * (1 - estimate), 1e-300) / samples)

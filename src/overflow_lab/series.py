@@ -184,11 +184,12 @@ def parse_series_literal(items: Sequence) -> TruncatedSeries:
 
     Items are ints or exact rational strings ("3/7", "-2").  A float literal,
     a JSON number with a fraction or exponent or a string containing '.',
-    'e' or 'E', is a ParseError at its position: coefficients are exact.
+    'e' or 'E', is a ParseError at its position: coefficients are exact.  So
+    is a boolean, although Python counts it as an int.
     """
     coeffs = []
     for pos, item in enumerate(items):
-        if isinstance(item, (int, Fraction)):
+        if isinstance(item, (int, Fraction)) and not isinstance(item, bool):
             coeffs.append(Fraction(item))
             continue
         if not isinstance(item, str):

@@ -466,6 +466,15 @@ def test_float_psi_literal_is_a_parse_error():
     assert "(at position 1)" in error["message"]
 
 
+def test_boolean_psi_literal_is_a_parse_error():
+    proc = _run_module("grelem", "--psi", "[0,true,false]", "--order", "4")
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "ParseError"
+    assert "(at position 1)" in error["message"]
+
+
 # -- the argv contract of the overflow command --------------------------------
 
 _COEFFICIENT = st.one_of(

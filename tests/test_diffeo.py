@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -239,17 +240,92 @@ class TestMeasureBound:
         with pytest.raises(EnumerationTooLarge):
             measure_bound_mc(3, 9, 2.0, 1.0, 4, samples=100, seed=1)
 
+    @pytest.mark.parametrize("e, a, rho, box_radius, n", [
+        (2, 2, 1.0, 3.0, 2),      # rho <= 1: every sample, most tails hit
+        (1, -3, 1.5, 0.5, 3),
+        (2, 3, 1.5, 1.0, 3),
+        (2, -3, 3.0, 1.0, 3),
+        (1, 2, 2.0, 100.0, 3),    # wide box
+        (1, 1, 2.0, 0.0, 3),      # empty box
+        (2, -1, 1.2, 2.0, 4),
+        (3, 1, 2.0, 1.0, 1),
+    ])
+    def test_pruned_search_matches_all_representatives(self, e, a, rho, box_radius, n):
+        samples, seed, shards = 1500, 17, 3
+        got = measure_bound_mc(e, a, rho, box_radius, n, samples=samples, seed=seed,
+                               shards=shards)
+        hits = 0
+        for shard, count in enumerate([500] * shards):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
+            g = np.zeros((n + 2, count))
+            g[1] = 1.0
+            g[2:] = rng.uniform(size=(count, n)).T
+            powers, box = _powers_and_box(g, e, rho, box_radius)
+            hits += int(np.sum(_all_representatives(a, e, abs(e * a), powers, box)))
+        assert got.estimate == hits / samples
+
+    @pytest.mark.parametrize("e, a, rho, box_radius, n", [
+        (1, 2, 1.0, 0.5, 2), (2, -1, 2.0, 4.0, 2), (1, 3, 1.0, 0.5, 3), (2, 1, 2.0, 8.0, 3),
+    ])
+    def test_pruned_search_ties_on_the_box_boundary(self, e, a, rho, box_radius, n):
+        # quarter-integer samples keep every coefficient exact, so many land
+        # exactly on the box boundary |c| == box
+        from overflow_lab.diffeo import _box_hits
+
+        grid = np.array(list(itertools.product([0.0, 0.25, 0.5, 0.75], repeat=n)))
+        g = np.zeros((n + 2, len(grid)))
+        g[1] = 1.0
+        g[2:] = grid.T
+        powers, box = _powers_and_box(g, e, rho, box_radius)
+        ties = np.abs(np.add.outer(a * powers[0][e + 1], np.arange(abs(e * a)))) == box[0]
+        assert ties.any()
+        want = _all_representatives(a, e, abs(e * a), powers, box)
+        np.testing.assert_array_equal(_box_hits(a, e, abs(e * a), powers, box), want)
+        assert 0 < want.sum() < len(want)
+
     def test_batched_inverse_consistency(self):
         # spot check the vectorized inverse against the exact one
         from overflow_lab.diffeo import _batched_inverse
 
         rng = np.random.default_rng(23)
-        g = np.zeros((50, 5))
-        g[:, 1] = 1.0
-        g[:, 2:] = rng.uniform(size=(50, 3))
+        g = np.zeros((5, 50))
+        g[1] = 1.0
+        g[2:] = rng.uniform(size=(3, 50))
         inv = _batched_inverse(g, 6)
-        for row in range(50):
-            exact = group_invert(TruncatedDiffeo(tuple(g[row, 2:])))
-            approx = inv[row, 2:5]
+        for col in range(50):
+            exact = group_invert(TruncatedDiffeo(tuple(g[2:, col])))
+            approx = inv[2:5, col]
             expected = [float(c) for c in exact.coeffs]
             assert np.allclose(approx, expected, atol=1e-12)
+
+
+def _powers_and_box(g, e, rho, box_radius):
+    """inv^e .. inv^{e+n} of each column's inverse, and the box half-widths."""
+    from overflow_lab.diffeo import _batched_inverse, _batched_truncated_product
+
+    n = g.shape[0] - 2
+    order = e + n
+    inv = _batched_inverse(g, order)
+    power = inv
+    for _ in range(e - 1):
+        power = _batched_truncated_product(power, inv, order)
+    powers = [power]
+    for _ in range(n):
+        powers.append(_batched_truncated_product(powers[-1], inv, order))
+    box = box_radius * np.array([rho ** -(e + 1 + i) for i in range(n)])
+    return powers, box
+
+
+def _all_representatives(a, e, span, powers, box):
+    """Every domain representative tested against every sample."""
+    n = len(powers) - 1
+    in_event = np.zeros(powers[0].shape[1], dtype=bool)
+    for tail in itertools.product(range(span), repeat=n):
+        rep = np.array([0.0] * e + [a, *tail])
+        moved = rep[e] * powers[0]
+        for i in range(1, n + 1):
+            if rep[e + i] != 0.0:
+                moved = moved + rep[e + i] * powers[i]
+        trailing = np.abs(moved[e + 1 :])
+        in_event |= np.all(trailing <= box[:, None], axis=0)
+    return in_event

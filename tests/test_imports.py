@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,70 @@ def test_exact_layers_stay_exact_and_numpy_free(name):
         for label in _numpy_or_float(node)
     ]
     assert not found, f"{name} uses numpy or float: {found}"
+
+
+# -- what each command loads ---------------------------------------------------
+
+REPO = Path(overflow_lab.__file__).resolve().parents[2]
+NUMERIC_LAYERS = {f"overflow_lab.{name}" for name in (
+    "maps", "quadrature", "potential", "overflow", "arithmetic", "lattice", "diffeo")}
+
+
+def _modules_after(code):
+    """Names in sys.modules after running code in a fresh interpreter."""
+    src = str(Path(overflow_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import contextlib, io, json, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + "".join(f"    {line}\n" for line in code.splitlines())
+        + "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=REPO, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_no_numeric_layer():
+    loaded = _modules_after("import overflow_lab.cli")
+    assert "numpy" not in loaded
+    assert not loaded & NUMERIC_LAYERS
+    assert {"overflow_lab.errors", "overflow_lab.series"} <= loaded
+
+
+def test_lattice_commands_never_load_numpy():
+    lattice = REPO / "tests" / "golden" / "exact" / "lattice25.json"
+    loaded = _modules_after(
+        "from overflow_lab.cli import main\n"
+        f"assert main(['equilibrium', '--lattice', {str(lattice)!r}]) == 0\n"
+        "assert main(['blowup-chain', '--n', '5', '--cc', '1/2']) == 0"
+    )
+    assert "overflow_lab.lattice" in loaded
+    assert "numpy" not in loaded
+
+
+def test_overflow_command_loads_no_exact_layer(tmp_path):
+    config = tmp_path / "cheap.json"
+    config.write_text('{"grid": 16, "tol": 1e-4, "depth": 6}')
+    loaded = _modules_after(
+        "from overflow_lab.cli import main\n"
+        f"assert main(['overflow', '--map', 'z^2+z', '--radius', '1', '--method', 'both',"
+        f" '--config', {str(config)!r}]) == 0"
+    )
+    assert "overflow_lab.overflow" in loaded
+    assert not loaded & {"overflow_lab.arithmetic", "overflow_lab.lattice",
+                         "overflow_lab.diffeo"}
+
+
+def test_every_traced_hook_is_defined_by_its_layer():
+    # the benchmark tracer imports every layer and hooks each public function
+    # by its __module__; no hook may go missing when imports move
+    loaded = _modules_after(
+        "sys.path.insert(0, 'perfbench')\n"
+        "import tracer\n"
+        "assert tracer.install(tracer.Recorder()) == []\n"
+        "assert len(tracer.LAYERS) == 9"
+    )
+    assert NUMERIC_LAYERS <= loaded

@@ -163,6 +163,12 @@ class TestBackendAndLiterals:
             parse_series_literal(items)
         assert err.value.position == pos
 
+    @pytest.mark.parametrize("items, pos", [([0, True], 1), ([False], 0), (["1", 2, True], 2)])
+    def test_literal_boolean_is_parse_error(self, items, pos):
+        with pytest.raises(ParseError) as err:
+            parse_series_literal(items)
+        assert err.value.position == pos
+
     def test_literal_error_position(self):
         with pytest.raises(ParseError) as err:
             parse_series_literal(["0", "x?y"])
