@@ -84,21 +84,27 @@ def load_settings(path: Optional[str]) -> "QuadratureSettings":
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    grid = data.get("grid", QuadratureSettings.base_grid)
+    tol = data.get("tol", QuadratureSettings.tol)
+    depth = data.get("depth", QuadratureSettings.max_depth)
+    # exact types: JSON true and false load as bool, a subclass of int
+    for key, value in (("grid", grid), ("depth", depth)):
+        if type(value) is not int:
+            raise ConfigError(f"bad config value: {key} must be an integer, got {value!r}")
     try:
-        return QuadratureSettings(
-            base_grid=int(data.get("grid", QuadratureSettings.base_grid)),
-            tol=float(data.get("tol", QuadratureSettings.tol)),
-            max_depth=int(data.get("depth", QuadratureSettings.max_depth)),
-        )
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+        finite = type(tol) in (int, float) and math.isfinite(tol)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"bad config value: tol must be a finite number, got {tol!r}")
+    return QuadratureSettings(base_grid=grid, tol=float(tol), max_depth=depth)
 
 
 def _settings_dict(settings: "QuadratureSettings") -> dict:

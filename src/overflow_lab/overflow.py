@@ -166,14 +166,16 @@ def _boundary_cross(alpha: DiskMap, r: float,
                     settings: QuadratureSettings) -> Tuple[float, Certificate]:
     """Double integral of log|p(t) q(s) - q(t) p(s)| over the circle of radius r,
     (p, q) = (num, den), so interior poles never enter; a polynomial uses the
-    plain kernel log|p(t) - p(s)|."""
+    plain kernel log|p(t) - p(s)|.  Real coefficients conjugate the boundary
+    values under t -> 1 - t, which the kernel folds."""
 
     def boundary(ts: np.ndarray):
         z = r * np.exp(2j * np.pi * ts)
         p, q = alpha.num_den_at(z)
         return (p, None) if alpha.is_polynomial else (p, q)
 
-    return torus_pair_log_integral(boundary, settings, label="excess kernel")
+    return torus_pair_log_integral(boundary, settings, label="excess kernel",
+                                   even=alpha.real_coefficients)
 
 
 def _explicit_excess(alpha: DiskMap, r: float, settings: QuadratureSettings,

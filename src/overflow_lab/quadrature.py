@@ -9,7 +9,14 @@ translation invariant part of the kernel this cancellation is exact at every N).
 
 The torus kernel walks the outer lattice in row blocks of about 2**16 pairs.
 Each block's differences are formed in real arithmetic into a few reused
-buffers, so the working set stays in cache at every lattice size.
+buffers, so the working set stays in cache at every lattice size.  The kernel
+takes one log per product of squared moduli.  A map with real coefficients has
+boundary values conjugate under t -> 1 - t, so only half of the outer rows are
+walked, each multiplied by its mirror row built from shared parts (the
+conjugate fold); every block then multiplies its two halves together (the half
+fold).  A real map thus takes one log per four squared moduli and any other map
+one per two.  A block whose product overflows or underflows is summed again
+unfolded, one log per squared modulus.
 
 The Ahlfors-Shimizu characteristic T(r) has one boundary formula for every
 map, Jensen's formula for the lift (p, q): one circle mean of
@@ -129,15 +136,18 @@ def circle_mean(values: Callable[[np.ndarray], np.ndarray],
 #: linear cost; kept even so the lattices never collide.
 _INNER_REFINE = 8
 
-#: Pairs per row block of the torus kernel.  Each reused float64 buffer is then
-#: 512 KiB, so the two or three of them stay in a per-core L2 cache; the outer
-#: lattice is walked in blocks of max(1, _BLOCK_ELEMENTS // m) rows.
+#: Pairs per row block of the torus kernel.  Each reused float64 buffer then
+#: holds 512 KiB, or 256 KiB under the conjugate fold, where an element stands
+#: for two pairs, so the two to five of them stay in a per-core L2 cache; the
+#: outer lattice is walked in blocks of max(1, _BLOCK_ELEMENTS // m) rows, half
+#: as many under the conjugate fold.
 _BLOCK_ELEMENTS = 1 << 16
 
 
 def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
                             settings: QuadratureSettings = DEFAULT_SETTINGS,
-                            label: str = "torus log integral") -> Tuple[float, Certificate]:
+                            label: str = "torus log integral",
+                            even: bool = False) -> Tuple[float, Certificate]:
     """Double integral of log|p(t) q(s) - q(t) p(s)| over the unit torus.
 
     ``boundary`` evaluates the homogeneous pair (p, q) along the circle
@@ -147,72 +157,130 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
     inner node meets an outer one; each level's diagonal-band error is
     exactly proportional to one over the lattice size, which the Richardson
     pair removes.
+
+    ``even`` declares boundary values conjugate under t -> 1 - t, as those of
+    a map with real coefficients are.  The outer lattice of n nodes is
+    symmetric too (node k mirrors node n - 1 - k), and the kernel's modulus at
+    a mirrored node equals its modulus at node k against the conjugated inner
+    values, so each level walks the first n/2 outer rows only and folds the
+    mirrored rows in; ``boundary`` still sees the full lattices, and ladder
+    and certificate are unchanged.
     """
 
     def estimate(n: int) -> float:
         m = n * _INNER_REFINE
         p1, q1 = boundary(_midpoints(n))
         p2, q2 = boundary(_midpoints(m, 0.25))
-        return 0.5 * _log_cross_sum(p1, q1, p2, q2, label) / (n * m)
+        if even:
+            p1 = p1[: n // 2]
+            q1 = None if q1 is None else q1[: n // 2]
+        return 0.5 * _log_cross_sum(p1, q1, p2, q2, label, even) / (n * m)
 
     return _richardson_ladder(estimate, settings, label)
 
 
-def _log_cross_sum(p1, q1, p2, q2, label: str) -> float:
-    """Sum of log|p1 q2 - q1 p2|^2 over the product lattice (q = None means 1).
+def _log_cross_sum(p1, q1, p2, q2, label: str, even: bool = False) -> float:
+    """Sum of log|K|^2, K = p1 q2 - q1 p2, over the product lattice (q = None
+    means 1); with ``even`` the outer lattice also holds the conjugate of each
+    row given, and the sum covers those mirrored rows too.
 
-    The outer lattice is walked in row blocks; each block's squared modulus is
-    built from real and imaginary parts in reused buffers, its log taken in
-    place, and the block sums combined with numpy's pairwise summation.  An
-    exactly zero squared modulus (a shared boundary value, or a square that
-    underflows) makes a block's sum non-finite; only then is the block rebuilt
-    and searched for the zero.
+    The outer lattice is walked in row blocks, each built in real arithmetic
+    into reused buffers.  With ``even`` a block forms |K(t, s)|^2 and
+    |K(t, conj s)|^2, which is the mirrored row's term, from shared parts and
+    multiplies them; every block then multiplies its two halves together
+    before the log, so a real map takes one log per four squared moduli and
+    any other one per two.  The block sums are combined with numpy's pairwise
+    summation.  A block whose folded sum is not finite, or whose arithmetic
+    overflowed or underflowed (a product of finite squares can leave the
+    float range, or keep only a few digits among the subnormals), is rebuilt
+    unfolded: an exactly zero squared modulus (a shared boundary value, or a
+    square that underflows) raises, and otherwise the block's sum is the sum
+    of the logs of its squared moduli.
     """
     n, m = len(p1), len(p2)
-    rows = max(1, _BLOCK_ELEMENTS // m)
+    rows = max(1, _BLOCK_ELEMENTS // (2 * m if even else m))
     p1r, p1i = np.ascontiguousarray(p1.real), np.ascontiguousarray(p1.imag)
     p2r, p2i = np.ascontiguousarray(p2.real), np.ascontiguousarray(p2.imag)
     plain = q1 is None
     if not plain:
         q1r, q1i = np.ascontiguousarray(q1.real), np.ascontiguousarray(q1.imag)
         q2r, q2i = np.ascontiguousarray(q2.real), np.ascontiguousarray(q2.imag)
-        tmp_buf = np.empty((rows, m))
-    re_buf = np.empty((rows, m))
-    im_buf = np.empty((rows, m))
+    bufs = [np.empty((rows, m)) for _ in range(3 if plain else 5)]
 
-    def squared_modulus(lo: int, hi: int) -> np.ndarray:
-        re, im = re_buf[: hi - lo], im_buf[: hi - lo]
+    def squared_moduli(lo: int, hi: int) -> Tuple[np.ndarray, ...]:
+        """|K(t, s)|^2 for the outer rows lo:hi and, with ``even``, |K(t, conj s)|^2."""
         a_r, a_i = p1r[lo:hi, None], p1i[lo:hi, None]
         if plain:
-            np.subtract(a_r, p2r, out=re)
-            np.subtract(a_i, p2i, out=im)
+            # K = (a_r - p2r) + i (a_i - p2i); against the conjugated inner
+            # values the imaginary part is a_i + p2i and the real part is shared
+            d2, sq, sq_conj = (buf[: hi - lo] for buf in bufs)
+            np.subtract(a_r, p2r, out=d2)
+            d2 *= d2
+            np.subtract(a_i, p2i, out=sq)
+            sq *= sq
+            sq += d2
+            if not even:
+                return (sq,)
+            np.add(a_i, p2i, out=sq_conj)
+            sq_conj *= sq_conj
+            sq_conj += d2
+            return sq, sq_conj
+        # With q1 = b_r + i b_i, K = (X + Y) + i (U + V) for X = a_r q2r - b_r p2r,
+        # Y = b_i p2i - a_i q2i, U = a_i q2r - b_i p2r and V = a_r q2i - b_r p2i;
+        # against the conjugated inner values it is (X - Y) + i (U - V)
+        x, y, u, v, tmp = (buf[: hi - lo] for buf in bufs)
+        b_r, b_i = q1r[lo:hi, None], q1i[lo:hi, None]
+        np.multiply(a_r, q2r, out=x)
+        x -= np.multiply(b_r, p2r, out=tmp)
+        np.multiply(a_i, q2r, out=u)
+        u -= np.multiply(b_i, p2r, out=tmp)
+        if even:
+            np.multiply(b_i, p2i, out=y)
+            y -= np.multiply(a_i, q2i, out=tmp)
+            np.multiply(a_r, q2i, out=v)
+            v -= np.multiply(b_r, p2i, out=tmp)
+            np.subtract(x, y, out=tmp)
+            x += y
+            np.subtract(u, v, out=y)
+            u += v
         else:
-            # p1 q2 - q1 p2, with p1 = a_r + i a_i and q1 = b_r + i b_i
-            b_r, b_i = q1r[lo:hi, None], q1i[lo:hi, None]
-            tmp = tmp_buf[: hi - lo]
-            np.multiply(a_r, q2r, out=re)
-            re -= np.multiply(a_i, q2i, out=tmp)
-            re -= np.multiply(b_r, p2r, out=tmp)
-            re += np.multiply(b_i, p2i, out=tmp)
-            np.multiply(a_r, q2i, out=im)
-            im += np.multiply(a_i, q2r, out=tmp)
-            im -= np.multiply(b_r, p2i, out=tmp)
-            im -= np.multiply(b_i, p2r, out=tmp)
-        np.multiply(re, re, out=re)
-        np.multiply(im, im, out=im)
-        return np.add(re, im, out=re)
+            x += np.multiply(b_i, p2i, out=tmp)
+            x -= np.multiply(a_i, q2i, out=tmp)
+            u += np.multiply(a_r, q2i, out=tmp)
+            u -= np.multiply(b_r, p2i, out=tmp)
+        x *= x
+        u *= u
+        x += u
+        if not even:
+            return (x,)
+        tmp *= tmp
+        y *= y
+        tmp += y
+        return x, tmp
 
     starts = range(0, n, rows)
     sums = np.empty(len(starts))
     for b, lo in enumerate(starts):
         hi = min(lo + rows, n)
-        sq = squared_modulus(lo, hi)
-        with np.errstate(divide="ignore"):
-            sums[b] = np.sum(np.log(sq, out=sq))
-        if not math.isfinite(sums[b]) and np.any(squared_modulus(lo, hi) == 0.0):
-            raise NumericalError(
-                f"{label}: lattice hit an exact coincidence of boundary values"
-            )
+        try:
+            with np.errstate(over="raise", under="raise", divide="ignore"):
+                factors = squared_moduli(lo, hi)
+                prod = factors[0].reshape(-1)
+                for f in factors[1:]:
+                    prod *= f.reshape(-1)
+                if len(prod) % 2 == 0:
+                    half = len(prod) // 2
+                    prod = np.multiply(prod[:half], prod[half:], out=prod[:half])
+                sums[b] = np.sum(np.log(prod, out=prod))
+        except FloatingPointError:
+            sums[b] = math.nan
+        if not math.isfinite(sums[b]):
+            factors = squared_moduli(lo, hi)
+            if any(np.any(f == 0.0) for f in factors):
+                raise NumericalError(
+                    f"{label}: lattice hit an exact coincidence of boundary values"
+                )
+            sums[b] = sum(np.sum(np.log(f)) for f in factors)
     return float(np.sum(sums))
 
 

@@ -92,7 +92,14 @@ class TestOverflowCommand:
         assert json.loads(out)["error"]["type"] == "ConfigError"
 
 
-    @pytest.mark.parametrize("body", ['{"grid": "x"}', '{"tol": null}', '{"depth": [1]}'])
+    @pytest.mark.parametrize("body", [
+        '{"grid": "x"}', '{"tol": null}', '{"depth": [1]}',
+        # bools, fractional integers and an infinite tol are refused, not coerced
+        '{"tol": true}', '{"depth": false}', '{"depth": 2.5}', '{"grid": 256.9}',
+        '{"tol": 1e999}',
+        pytest.param('{"tol": 1%s}' % ("0" * 400), id="tol-beyond-float"),
+        pytest.param('{"tol": 1%s}' % ("0" * 5000), id="tol-beyond-digit-limit"),
+    ])
     def test_bad_config_value_rejected(self, body, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(body)

@@ -175,6 +175,84 @@ class TestLogCrossSumKernel:
             assert _log_cross_sum(p1, None, p2, None, "kernel") == math.inf
 
 
+def _mirrored(half):
+    """Outer lattice whose node n - 1 - k carries the conjugate of node k."""
+    return None if half is None else np.concatenate([half, np.conj(half[::-1])])
+
+
+class TestConjugateFoldKernel:
+    """``even`` folds each given outer row with its conjugate mirror row."""
+
+    # (walked rows, m): a ragged last block; one-row blocks; and an odd m
+    # whose single block of 5 rows has an odd size, so no half fold runs
+    SHAPES = [(100, 1000), (3, _BLOCK_ELEMENTS // 2 + 3), (5, 1001)]
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_matches_naive_complex_reference(self, n, m, cross):
+        rows = max(1, _BLOCK_ELEMENTS // (2 * m))
+        assert n % rows != 0 or rows == 1
+        rng = np.random.default_rng(n + m)
+        p1, p2 = _points(rng, n), _points(rng, m)
+        q1, q2 = (_points(rng, n, 1.0), _points(rng, m, 1.0)) if cross else (None, None)
+        got = _log_cross_sum(p1, q1, p2, q2, "kernel", even=True)
+        want = _naive_log_cross_sum(_mirrored(p1), _mirrored(q1), p2, q2)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert _log_cross_sum(p1, q1, p2, q2, "kernel", even=True) == got
+
+    @pytest.mark.parametrize("p,q", [
+        (lambda z: z**3 - 0.7 * z + 0.2, None),
+        (lambda z: z**2 + 0.5, lambda z: 1.0 - 0.4 * z),
+    ], ids=["polynomial", "rational"])
+    def test_torus_rule_matches_the_unfolded_rule(self, p, q):
+        lengths = {True: [], False: []}
+
+        def rule(even):
+            inner = _on_circle(1.3, p, q)
+
+            def boundary(ts):
+                lengths[even].append(len(ts))
+                return inner(ts)
+
+            return torus_pair_log_integral(boundary, even=even)
+
+        folded, folded_cert = rule(True)
+        full, full_cert = rule(False)
+        assert abs(folded - full) <= 1e-13
+        assert folded_cert.grid == full_cert.grid
+        assert lengths[True] == lengths[False]
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_coincidence_with_a_mirrored_row_raises(self, cross):
+        rng = np.random.default_rng(11)
+        m = 1000
+        p1, p2 = _points(rng, 70), _points(rng, m)
+        p2[17] = np.conj(p1[66])  # met only by row 66's mirror, in the last block
+        q1 = q2 = None
+        if cross:
+            q1, q2 = np.ones(70, dtype=complex), np.ones(m, dtype=complex)
+        _log_cross_sum(p1, q1, p2, q2, "kernel")
+        with pytest.raises(NumericalError, match="exact coincidence"):
+            _log_cross_sum(p1, q1, p2, q2, "kernel", even=True)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-40, 1e-100],
+                             ids=["overflow", "subnormal", "underflow"])
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_out_of_range_fold_takes_the_unfolded_sum(self, scale, cross):
+        # every squared modulus is near scale**2, which float64 holds, while a
+        # product of four of them overflows, lands among the subnormals (where
+        # it keeps only a few digits), or underflows to zero
+        rng = np.random.default_rng(3)
+        p1, p2 = scale * _points(rng, 4, 1.0), scale * _points(rng, 6, 1.0)
+        q1 = q2 = None
+        if cross:
+            q1, q2 = 1.0 + 0.1 * _points(rng, 4, 1.0), 1.0 + 0.1 * _points(rng, 6, 1.0)
+        want = _naive_log_cross_sum(_mirrored(p1), _mirrored(q1), p2, q2)
+        assert math.isfinite(want)
+        got = _log_cross_sum(p1, q1, p2, q2, "kernel", even=True)
+        assert got == pytest.approx(want, rel=1e-14)
+
+
 class TestGaussLogRule:
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 10])
     def test_monomial_moments(self, k):
