@@ -20,6 +20,10 @@ direct route takes the definitional oracle's fiber sums (Jensen's formula
 turns its root sum into the constant kappa), and the projective-line
 self-intersection takes the P1 excess plus T(r) from quadrature.nevanlinna_T,
 the same cross integral as `overflow --target P1`.
+
+The float layers (numpy, maps, overflow, quadrature) are imported inside the
+functions that integrate, so the exact constructions (the section-count
+bounds and the integer series) load none of them.
 """
 
 from __future__ import annotations
@@ -27,9 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import (
     CertificateViolation,
@@ -38,15 +40,23 @@ from .errors import (
     NotInvertible,
     NotPseudoconcave,
 )
-from .maps import DiskMap
-from .overflow import overflow_definitional_oracle, overflow_to_C, overflow_to_P1
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, circle_mean, nevanlinna_T
 from .series import (
     TruncatedSeries,
     compose,
     compositional_inverse,
     valuation_and_leading,
 )
+
+if TYPE_CHECKING:
+    from .maps import DiskMap
+    from .quadrature import QuadratureSettings
+
+
+def _or_default(settings: Optional[QuadratureSettings]) -> QuadratureSettings:
+    """The quadrature settings to use; None means the package defaults."""
+    from .quadrature import DEFAULT_SETTINGS
+
+    return DEFAULT_SETTINGS if settings is None else settings
 
 
 # -- surfaces and morphisms ---------------------------------------------------
@@ -163,14 +173,16 @@ def _jet_term(alpha: DiskMap, r: float) -> float:
 
 
 def self_intersection_A1(m: MorphismToLine,
-                         settings: QuadratureSettings = DEFAULT_SETTINGS,
+                         settings: Optional[QuadratureSettings] = None,
                          ) -> SelfIntersectionA1:
     """Three-part decomposition of the self-intersection over the affine line."""
+    from .overflow import overflow_to_C
+
     e = m.ramification
     normal_part = e * m.surface.normal_degree
     finite = arithmetic_excess(m.alpha_hat)
     r = float(m.surface.radius)
-    arch = overflow_to_C(m.alpha_an, r, settings)
+    arch = overflow_to_C(m.alpha_an, r, _or_default(settings))
     # the disputed variant doubles the boundary double integral: excess plus jet term
     doubled = 2.0 * (arch.value + _jet_term(m.alpha_an, r))
     return SelfIntersectionA1(
@@ -183,7 +195,7 @@ def self_intersection_A1(m: MorphismToLine,
 
 
 def self_intersection_direct_oracle(m: MorphismToLine,
-                                    settings: QuadratureSettings = DEFAULT_SETTINGS,
+                                    settings: Optional[QuadratureSettings] = None,
                                     ) -> float:
     """Self-intersection evaluated directly on the pushed-forward divisor.
 
@@ -196,8 +208,10 @@ def self_intersection_direct_oracle(m: MorphismToLine,
     shares its fiber roots and stays independent of the torus integral and
     of psi.
     """
+    from .overflow import overflow_definitional_oracle
+
     r = float(m.surface.radius)
-    oracle = overflow_definitional_oracle(m.alpha_an, r, settings)
+    oracle = overflow_definitional_oracle(m.alpha_an, r, _or_default(settings))
     return oracle.value + _jet_term(m.alpha_an, r)
 
 
@@ -229,9 +243,13 @@ def projective_height(x: Fraction) -> float:
 
 
 def self_intersection_P1(m: MorphismToLine,
-                         settings: QuadratureSettings = DEFAULT_SETTINGS,
+                         settings: Optional[QuadratureSettings] = None,
                          ) -> SelfIntersectionP1:
     """Self-intersection over the projective line: heights plus characteristic."""
+    from .overflow import overflow_to_P1
+    from .quadrature import nevanlinna_T
+
+    settings = _or_default(settings)
     alpha = m.alpha_an
     r = float(m.surface.radius)
     ht = projective_height(m.constant_term)
@@ -252,13 +270,16 @@ def self_intersection_P1(m: MorphismToLine,
 # -- the capacity-normalized invariant and degree bounds -----------------------
 
 def D_invariant(m: MorphismToLine,
-                settings: QuadratureSettings = DEFAULT_SETTINGS,
+                settings: Optional[QuadratureSettings] = None,
                 target: str = "A1") -> float:
     """Self-intersection divided by the capacitary normal degree.
 
     Defined for pseudoconcave surfaces only; always at least the
     ramification index since both excess parts are nonnegative.
     """
+    from .overflow import overflow_to_C, overflow_to_P1
+
+    settings = _or_default(settings)
     deg = m.surface.normal_degree
     if not (deg > 0):
         raise NotPseudoconcave(f"normal degree {deg} is not positive")
@@ -287,7 +308,7 @@ class HolonomyBound:
 
 
 def holonomy_degree_bound(m: MorphismToLine,
-                          settings: QuadratureSettings = DEFAULT_SETTINGS,
+                          settings: Optional[QuadratureSettings] = None,
                           ) -> HolonomyBound:
     """Cap on the degree of the function field over the subfield the map generates.
 
@@ -295,6 +316,11 @@ def holonomy_degree_bound(m: MorphismToLine,
     comparison value is the boundary log-plus integral scaled by Euler's
     constant e (the classical holonomy-counting form).
     """
+    import numpy as np
+
+    from .quadrature import circle_mean
+
+    settings = _or_default(settings)
     deg = m.surface.normal_degree
     if not (deg > 0):
         raise NotPseudoconcave(f"normal degree {deg} is not positive")

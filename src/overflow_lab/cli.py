@@ -104,7 +104,10 @@ def load_settings(path: Optional[str]) -> "QuadratureSettings":
         finite = False
     if not finite:
         raise ConfigError(f"bad config value: tol must be a finite number, got {tol!r}")
-    return QuadratureSettings(base_grid=grid, tol=float(tol), max_depth=depth)
+    try:
+        return QuadratureSettings(base_grid=grid, tol=float(tol), max_depth=depth)
+    except DomainError as exc:
+        raise ConfigError(f"bad config value: {exc}") from None
 
 
 def _settings_dict(settings: "QuadratureSettings") -> dict:
@@ -118,7 +121,7 @@ def _settings_dict(settings: "QuadratureSettings") -> dict:
 def _parse_psi(text: str) -> TruncatedSeries:
     try:
         items = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise ConfigError(f"series literal is not a JSON array: {exc}") from None
     if not isinstance(items, list):
         raise ConfigError("series literal must be a JSON array")
@@ -313,7 +316,7 @@ def _load_lattice(path: str) -> "lattice.IntersectionLattice":
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"lattice file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise ConfigError(f"lattice file is not valid JSON: {exc}") from None
     required = {"labels", "matrix", "c", "cc"}
     if not isinstance(data, dict) or set(data) != required:

@@ -21,9 +21,11 @@ is by Jensen's formula the constant kappa of the direct self-intersection
 oracle in arithmetic.py less log|jet| + e log r, so that oracle reports
 through this one.  The boundary integrand, _BoundaryFibers, warm-starts each
 ladder level from the roots of the level before (node k of 2n nodes from
-node k // 2 of n).  For a map with real coefficients the fiber over a
-conjugate boundary value is the conjugate fiber, so the integrand is even in
-t and each level evaluates half of the midpoint lattice.
+node k // 2 of n), each root moved to first order along its fiber, and solves
+a level in chunks of a fixed number of roots, so its memory beyond the
+level's own roots stays cache-sized.  For a map with real coefficients the
+fiber over a conjugate boundary value is the conjugate fiber, so the
+integrand is even in t and each level evaluates half of the midpoint lattice.
 
 Both routes reject, before any integral runs, a map and radius whose boundary
 values cannot be squared in float64; the oracle also rejects one whose fiber
@@ -222,7 +224,8 @@ _ABERTH_PHASE = 0.4
 
 
 def _batched_roots(poly_coeffs_desc: np.ndarray,
-                   start: Optional[np.ndarray] = None) -> np.ndarray:
+                   start: Optional[np.ndarray] = None,
+                   work: Optional[Tuple[np.ndarray, ...]] = None) -> np.ndarray:
     """Roots of a batch of monic-normalizable polynomials (deg x (n+1) desc order).
 
     Batched Aberth-Ehrlich iteration first, from ``start`` (batch x deg
@@ -232,7 +235,9 @@ def _batched_roots(poly_coeffs_desc: np.ndarray,
     uncertified rows (multiple or clustered roots, a zero constant term,
     widely spread moduli, coinciding starting points) fall back to
     companion-matrix eigenvalues.  Every row is then polished by Newton steps;
-    raises if the residual contract cannot be met.
+    raises if the residual contract cannot be met.  ``work`` holds
+    Aberth-Ehrlich work buffers from _aberth_work for at least this batch,
+    which a caller solving several batches in turn can pass to each.
     """
     batch, ncoef = poly_coeffs_desc.shape
     d = ncoef - 1
@@ -243,7 +248,7 @@ def _batched_roots(poly_coeffs_desc: np.ndarray,
         monic = poly_coeffs_desc / lead
     if not np.all(np.isfinite(monic)):
         raise NumericalError("root batch not finite after monic normalization")
-    roots, certified = _aberth_roots(monic, start)
+    roots, certified = _aberth_roots(monic, start, work)
     if not np.all(certified):
         roots[~certified] = _companion_roots(monic[~certified])
 
@@ -262,17 +267,26 @@ def _batched_roots(poly_coeffs_desc: np.ndarray,
     return roots
 
 
-def _aberth_roots(monic: np.ndarray,
-                  start: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+def _aberth_work(batch: int, d: int) -> Tuple[np.ndarray, ...]:
+    """Work buffers of _aberth_roots for up to ``batch`` rows of degree d."""
+    return (np.empty((4, d * batch), dtype=complex), np.empty((2, d * batch)),
+            np.empty(d * batch, dtype=bool))
+
+
+def _aberth_roots(monic: np.ndarray, start: Optional[np.ndarray] = None,
+                  work: Optional[Tuple[np.ndarray, ...]] = None,
+                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Aberth-Ehrlich iteration on a batch of monic rows: (roots, certified).
 
     Starts from ``start`` (batch x deg) when given, else from the circle of
     radius |a_0|^(1/d).  Works on the transposed (degree, batch) layout so
     that every ufunc runs along the batch axis, and keeps iterating only the
-    rows still moving.
+    rows still moving.  ``work`` (from _aberth_work, for this batch or a
+    larger one) is used in place of fresh buffers.
     """
     batch, ncoef = monic.shape
     d = ncoef - 1
+    buffers, sizes, moved = _aberth_work(batch, d) if work is None else work
     a0 = np.abs(monic[:, -1])
     if start is None:
         rho = np.where(a0 > 0.0, a0 ** (1.0 / d), 1.0)
@@ -284,9 +298,6 @@ def _aberth_roots(monic: np.ndarray,
     roots = np.empty((d, batch), dtype=complex)
     converged = np.zeros(batch, dtype=bool)
     rows = np.arange(batch)
-    buffers = np.empty((4, d * batch), dtype=complex)
-    sizes = np.empty((2, d * batch))
-    moved = np.empty(d * batch, dtype=bool)
 
     with np.errstate(all="ignore"):
         for _ in range(_ABERTH_STEPS):
@@ -394,16 +405,44 @@ def _require_fiber_range(alpha: DiskMap, r: float) -> None:
         raise DomainError(f"fiber roots may overflow float64 at radius {r!r}")
 
 
+#: Fiber roots per chunk of the oracle's root solves: a chunk holds
+#: max(1, _FIBER_CHUNK_ROOTS // degree) nodes.  Each of Aberth-Ehrlich's four
+#: complex work buffers then holds 128 KiB and its whole work set about
+#: 1.2 MiB, within a per-core L2 cache; a ladder level is solved chunk by
+#: chunk, so only its roots and node sums span the whole level.
+_FIBER_CHUNK_ROOTS = 1 << 13
+
+
+def _predicted_start(deriv: np.ndarray, roots: np.ndarray, z_old: np.ndarray,
+                     z_new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Starting points for the fibers over the boundary points z_new, row k
+    from the fiber ``roots[old[k]]`` over ``z_old[old[k]]``.
+
+    Along a fiber alpha(w) = alpha(z), dw = alpha'(z) / alpha'(w) dz, so each
+    root w moves to w + alpha'(z') / alpha'(w) (z - z'); where that step is
+    not finite (alpha'(w) = 0) the start stays at w.  ``deriv`` holds the
+    coefficients of alpha' in descending order.
+    """
+    with np.errstate(all="ignore"):
+        deriv = deriv[None, :]
+        slope = _polyval_batch(deriv, z_old[:, None]) / _polyval_batch(deriv, roots)
+        w = roots[old]
+        step = slope[old] * (z_new - z_old[old])[:, None]
+        return np.where(np.isfinite(step), w + step, w)
+
+
 class _BoundaryFibers:
     """Boundary-term integrand of the definitional oracle.
 
     For each node t: the disk potential log+(r/|zeta|) summed over the fiber of
     alpha through the boundary point, trivial branch removed.
     ``tangent`` is set once a fiber root lies within the tangency tolerance of
-    the circle.  Each call keeps its roots: on a level of twice the previous
-    node count (the next ladder level, halved or not), node k starts the root
-    solver from the roots of old node k // 2, which sits 1/(4n) away on the
-    circle; any other call starts cold.
+    the circle.  A call walks its nodes in chunks of _FIBER_CHUNK_ROOTS fiber
+    roots, each one root batch with its own checks, and keeps the level's
+    roots: on a level of twice the previous node count (the next ladder level,
+    halved or not), node k starts the root solver from the roots of old node
+    k // 2, which sits 1/(4n) away on the circle, each moved to first order
+    along its fiber; any other call starts cold.
     """
 
     def __init__(self, alpha: DiskMap, r: float):
@@ -411,29 +450,43 @@ class _BoundaryFibers:
         self.r = r
         self.potential = DiskPotential(0j, r)
         self.coeffs = _poly_coeffs_desc(alpha)
+        self.deriv = self.coeffs[:-1] * np.arange(alpha.degree, 0, -1)
         self.tangent = False
-        self._roots = None
+        self._nodes = self._roots = None
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
-        r = self.r
-        z0 = r * np.exp(2j * np.pi * ts)
-        w = self.alpha(z0)
-        batch = np.tile(self.coeffs, (len(ts), 1))
-        batch[:, -1] -= w
-        start = None
-        if self._roots is not None and len(ts) == 2 * len(self._roots):
-            start = self._roots[np.arange(len(ts)) // 2]
-        roots = self._roots = _batched_roots(batch, start)
-        # drop the known root at the boundary node itself
-        idx = np.argmin(np.abs(roots - z0[:, None]), axis=1)
-        mask = np.ones(roots.shape, dtype=bool)
-        mask[np.arange(len(ts)), idx] = False
-        if np.any(mask & (np.abs(np.abs(roots) - r) < BOUNDARY_TANGENCY_TOL)):
-            self.tangent = True
-        contrib = np.where(mask, self.potential.values(roots), 0.0)
-        if not np.all(np.isfinite(contrib)):
-            raise RootConditioning("fiber root at the singular point")
-        return np.sum(contrib, axis=1)
+        r, n, d = self.r, len(ts), self.alpha.degree
+        warm = self._roots is not None and n == 2 * len(self._roots)
+        chunk = min(n, max(1, _FIBER_CHUNK_ROOTS // d))
+        work = _aberth_work(chunk, d)
+        rows = np.empty((chunk, d + 1), dtype=complex)
+        roots = np.empty((n, d), dtype=complex)
+        sums = np.empty(n)
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            z0 = r * np.exp(2j * np.pi * ts[lo:hi])
+            batch = rows[: hi - lo]
+            batch[:] = self.coeffs
+            batch[:, -1] -= self.alpha(z0)
+            start = None
+            if warm:
+                j0, j1 = lo // 2, (hi - 1) // 2 + 1
+                z_old = r * np.exp(2j * np.pi * self._nodes[j0:j1])
+                start = _predicted_start(self.deriv, self._roots[j0:j1], z_old, z0,
+                                         np.arange(lo, hi) // 2 - j0)
+            found = roots[lo:hi] = _batched_roots(batch, start, work)
+            # drop the known root at the boundary node itself
+            idx = np.argmin(np.abs(found - z0[:, None]), axis=1)
+            mask = np.ones(found.shape, dtype=bool)
+            mask[np.arange(hi - lo), idx] = False
+            if np.any(mask & (np.abs(np.abs(found) - r) < BOUNDARY_TANGENCY_TOL)):
+                self.tangent = True
+            contrib = np.where(mask, self.potential.values(found), 0.0)
+            if not np.all(np.isfinite(contrib)):
+                raise RootConditioning("fiber root at the singular point")
+            sums[lo:hi] = np.sum(contrib, axis=1)
+        self._nodes, self._roots = ts, roots
+        return sums
 
 
 def overflow_definitional_oracle(alpha: DiskMap, r: float,

@@ -45,13 +45,20 @@ from .errors import DomainError, NoConvergence, NumericalError
 from .maps import DiskMap
 
 
+#: Finest lattice a ladder may reach, base_grid * 2**max_depth.  The settings
+#: in use top out at 2**17 nodes and the tightest reference runs at 2**22;
+#: settings beyond it are refused before any lattice is allocated.
+MAX_LATTICE = 1 << 24
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Grid controls shared by the circle and torus rules.
 
     ``base_grid`` is the coarsest lattice size (a power of two), doubling up
     to ``max_depth`` times until two successive accepted estimates differ by
-    less than ``tol``.
+    less than ``tol``; the finest lattice, base_grid * 2**max_depth, may not
+    exceed MAX_LATTICE.
     """
 
     base_grid: int = 256
@@ -65,6 +72,12 @@ class QuadratureSettings:
             raise DomainError("tol must be positive")
         if self.max_depth < 0:
             raise DomainError("max_depth must be nonnegative")
+        # in exponents, so a huge depth never builds a huge integer
+        if self.base_grid.bit_length() - 1 + self.max_depth > MAX_LATTICE.bit_length() - 1:
+            raise DomainError(
+                f"base_grid {self.base_grid} doubled {self.max_depth} times exceeds "
+                f"the finest lattice {MAX_LATTICE}"
+            )
 
 
 DEFAULT_SETTINGS = QuadratureSettings()

@@ -99,6 +99,11 @@ class TestOverflowCommand:
         '{"tol": 1e999}',
         pytest.param('{"tol": 1%s}' % ("0" * 400), id="tol-beyond-float"),
         pytest.param('{"tol": 1%s}' % ("0" * 5000), id="tol-beyond-digit-limit"),
+        # lattices past the 2^24-node ceiling are refused before any is allocated
+        pytest.param('{"grid": %d}' % 2**100, id="grid-2^100"),
+        pytest.param('{"grid": %d}' % 2**30, id="grid-2^30"),
+        pytest.param('{"grid": 64, "depth": 19}', id="grid-64-depth-19"),
+        pytest.param('{"grid": 2, "depth": 1000000000}', id="depth-10^9"),
     ])
     def test_bad_config_value_rejected(self, body, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -480,6 +485,25 @@ def test_boolean_psi_literal_is_a_parse_error():
     error = json.loads(proc.stdout)["error"]
     assert error["type"] == "ParseError"
     assert "(at position 1)" in error["message"]
+
+
+_LONG_INTEGER = "1" * 5000  # past Python's 4300-digit limit for int(str)
+
+
+def test_over_long_psi_integer_exits_2():
+    proc = _run_module("selfint", "--psi", f"[0,{_LONG_INTEGER}]", "--map", "z")
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["type"] == "ConfigError"
+
+
+def test_over_long_lattice_integer_exits_2(tmp_path):
+    path = tmp_path / "lattice.json"
+    path.write_text('{"labels": ["E"], "matrix": [[-%s]], "c": [1], "cc": 0}' % _LONG_INTEGER)
+    proc = _run_module("equilibrium", "--lattice", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["type"] == "ConfigError"
 
 
 # -- the argv contract of the overflow command --------------------------------

@@ -92,6 +92,20 @@ def test_lattice_commands_never_load_numpy():
     assert "numpy" not in loaded
 
 
+def test_grelem_and_dimbound_never_load_numpy():
+    loaded = _modules_after(
+        "from overflow_lab.cli import main\n"
+        "assert main(['grelem', '--psi', '[0, 2, 1]', '--order', '6']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert main(['dimbound', '--variant', 'CNB', '--n', '7', '--cd', '3/2',"
+        " '--mu', '2']) == 0\n"
+        "assert main(['dimbound', '--n', '7', '--d', '2']) == 0"
+    )
+    assert "overflow_lab.arithmetic" in loaded
+    assert "numpy" not in loaded
+    assert not loaded & (NUMERIC_LAYERS - {"overflow_lab.arithmetic"})
+
+
 def test_overflow_command_loads_no_exact_layer(tmp_path):
     config = tmp_path / "cheap.json"
     config.write_text('{"grid": 16, "tol": 1e-4, "depth": 6}')

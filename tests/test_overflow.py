@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,7 +121,8 @@ def full_lattice_cold_start():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(overflow, "circle_mean",
                   lambda values, settings, label, even=False: circle_mean(values, settings, label))
-        m.setattr(overflow, "_batched_roots", lambda coeffs, start=None: batched(coeffs))
+        m.setattr(overflow, "_batched_roots",
+                  lambda coeffs, start=None, work=None: batched(coeffs))
         yield
 
 
@@ -174,9 +176,9 @@ class TestHalvedWarmOracle:
         starts, found = [], []
         batched = overflow._batched_roots
 
-        def spy(coeffs, start=None):
+        def spy(coeffs, start=None, work=None):
             starts.append(start)
-            found.append(batched(coeffs, start))
+            found.append(batched(coeffs, start, work))
             return found[-1]
 
         monkeypatch.setattr(overflow, "_batched_roots", spy)
@@ -184,8 +186,121 @@ class TestHalvedWarmOracle:
         for n in (8, 16, 24):
             fibers((np.arange(n) + 0.5) / (2 * n))
         assert starts[0] is None
-        np.testing.assert_array_equal(starts[1], found[0][np.arange(16) // 2])
+        # node k of 16 starts from the roots w of old node k // 2, each moved
+        # by alpha'(z') / alpha'(w) (z - z') along its fiber
+        z = 1.5 * np.exp(2j * np.pi * (np.arange(16) + 0.5) / 32)
+        z_old = 1.5 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 16)[np.arange(16) // 2]
+        w = found[0][np.arange(16) // 2]
+        predicted = w + (3 * z_old**2 + 1)[:, None] / (3 * w**2 + 1) * (z - z_old)[:, None]
+        np.testing.assert_allclose(starts[1], predicted, rtol=1e-14)
+        # which lands closer to each root it converges to than w itself
+        assert np.all(np.abs(starts[1] - found[1]) < np.abs(w - found[1]))
         assert starts[2] is None
+
+
+def oracle_test_map(degree, kind):
+    """A degree-d polynomial with small integer coefficients, real or complex,
+    and a radius: uniform in [0.5, 2.5] for a real map, 1.3 for a complex one."""
+    rng = np.random.default_rng(500 + degree)
+    coeffs = rng.integers(-3, 4, size=degree + 1).astype(float)
+    coeffs[degree] = rng.choice([-2.0, -1.0, 1.0, 3.0])
+    coeffs[1] = coeffs[1] or 1.0
+    if kind == "complex":
+        return DiskMap(tuple(coeffs + 1j * rng.integers(-2, 3, size=degree + 1))), 1.3
+    return DiskMap(tuple(coeffs)), float(rng.uniform(0.5, 2.5))
+
+
+def warm_ladder(alpha, r, levels=(32, 64, 128)):
+    """Integrand values on successive midpoint levels of one _BoundaryFibers,
+    first halves only for a real map, and its tangency flag."""
+    fibers = overflow._BoundaryFibers(alpha, r)
+    even = alpha.real_coefficients
+    values = [fibers((np.arange(n // 2 if even else n) + 0.5) / n) for n in levels]
+    return values, fibers.tangent
+
+
+ONE_CHUNK = 1 << 40
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("degree", range(1, 9))
+class TestChunkedFibers:
+    @pytest.mark.parametrize("nodes_per_chunk", [1, 5])
+    def test_integrand_matches_one_chunk(self, degree, kind, nodes_per_chunk, monkeypatch):
+        # 5 nodes per chunk leaves a ragged last chunk on every level, and
+        # chunks whose previous-level rows straddle two old chunks
+        alpha, r = oracle_test_map(degree, kind)
+        assert alpha.real_coefficients == (kind == "real")
+        monkeypatch.setattr(overflow, "_FIBER_CHUNK_ROOTS", ONE_CHUNK)
+        want, want_tangent = warm_ladder(alpha, r)
+        monkeypatch.setattr(overflow, "_FIBER_CHUNK_ROOTS", nodes_per_chunk * degree)
+        got, got_tangent = warm_ladder(alpha, r)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-14
+        assert got_tangent == want_tangent
+
+    def test_oracle_matches_one_chunk(self, degree, kind, monkeypatch):
+        alpha, r = oracle_test_map(degree, kind)
+        monkeypatch.setattr(overflow, "_FIBER_CHUNK_ROOTS", ONE_CHUNK)
+        want = overflow_definitional_oracle(alpha, r, FAST)
+        monkeypatch.setattr(overflow, "_FIBER_CHUNK_ROOTS", 100 * degree)
+        got = overflow_definitional_oracle(alpha, r, FAST)
+        assert abs(got.value - want.value) <= 1e-14
+        assert got.certificate.grid == want.certificate.grid
+        assert got.boundary_tangency == want.boundary_tangency
+
+
+class TestFiberChunkChecks:
+    @pytest.mark.parametrize("nodes_per_chunk", [1, 5, ONE_CHUNK])
+    def test_tangency_in_an_early_chunk_sets_the_flag(self, nodes_per_chunk, monkeypatch):
+        # alpha = z^2 + c z has the nontrivial fiber root -z - c, on the unit
+        # circle exactly where 2 cos(theta) = -c: node 3 of 32, first chunk
+        c = -2.0 * math.cos(2.0 * math.pi * 3.5 / 32)
+        monkeypatch.setattr(overflow, "_FIBER_CHUNK_ROOTS", nodes_per_chunk * 2)
+        _, tangent = warm_ladder(DiskMap((0.0, c, 1.0)), 1.0)
+        assert tangent
+
+    def test_coinciding_start_in_a_later_chunk_is_rescued(self, rescued, monkeypatch):
+        alpha, r = parse_map("z^3+z"), 1.5
+        monkeypatch.setattr(overflow, "_FIBER_CHUNK_ROOTS", 4 * 3)  # 4 nodes per chunk
+        nodes = (np.arange(16) + 0.5) / 16
+        want = overflow._BoundaryFibers(alpha, r)(nodes)
+        fibers = overflow._BoundaryFibers(alpha, r)
+        fibers((np.arange(8) + 0.5) / 8)
+        # old node 5 starts new nodes 10 and 11, in the third chunk of four
+        fibers._roots[5, 1] = fibers._roots[5, 0]
+        rescued.clear()
+        got = fibers(nodes)
+        rows = np.tile(overflow._poly_coeffs_desc(alpha), (2, 1))
+        rows[:, -1] -= alpha(r * np.exp(2j * np.pi * nodes[10:12]))
+        assert len(rescued) == 2
+        np.testing.assert_array_equal(np.array(rescued), rows)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_predictor_keeps_the_root_where_the_derivative_vanishes(self):
+        # alpha = z^3 - 3z; over z' = -2 the fiber is 1 (double, alpha'(1) = 0) and -2
+        deriv = np.array([3.0, 0.0, -3.0], dtype=complex)
+        roots = np.array([[1.0, 1.0, -2.0]], dtype=complex)
+        z_new = np.array([-2.0 + 0.01j, -2.0 - 0.01j])
+        start = overflow._predicted_start(deriv, roots, np.array([-2.0 + 0j]), z_new,
+                                          np.array([0, 0]))
+        assert np.all(np.isfinite(start))
+        np.testing.assert_array_equal(start[:, :2], np.ones((2, 2)))
+        # the simple root moves by alpha'(-2) / alpha'(-2) (z - z') = z - z'
+        np.testing.assert_allclose(start[:, 2], z_new, rtol=1e-15)
+
+    def test_oracle_memory_is_bounded_by_the_top_level(self):
+        # the level's roots, the previous level's and the node sums span the
+        # level; everything else is chunk-sized
+        alpha = parse_map("2-2*z+2*z^4-z^6-z^8")
+        tracemalloc.start()
+        try:
+            report = overflow_definitional_oracle(alpha, 1.871, ORACLE_TIGHT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        top_roots = (report.certificate.grid // 2) * 8 * 16  # half lattice, complex128
+        assert peak <= 4 * top_roots + 2 * 2**20
 
 
 def assert_same_multiset(got, want, rel):
@@ -286,7 +401,7 @@ class TestBatchedRoots:
         assert calls == [6]
 
     def test_residual_contract_rejects_bad_rescue_roots(self, monkeypatch):
-        def nothing_certified(monic, start=None):
+        def nothing_certified(monic, start=None, work=None):
             return np.zeros((len(monic), monic.shape[1] - 1), dtype=complex), np.zeros(len(monic), bool)
 
         monkeypatch.setattr(overflow, "_aberth_roots", nothing_certified)

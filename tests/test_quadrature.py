@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from overflow_lab.errors import NoConvergence, NumericalError
+from overflow_lab.errors import DomainError, NoConvergence, NumericalError
 from overflow_lab.maps import DiskMap, parse_map
 from overflow_lab.quadrature import (
     _BLOCK_ELEMENTS,
+    MAX_LATTICE,
     QuadratureSettings,
     _log_cross_sum,
     circle_log_mean,
@@ -18,6 +19,18 @@ from overflow_lab.quadrature import (
 
 IDENTITY = DiskMap((0, 1))
 TIGHT = QuadratureSettings(tol=1e-9)
+
+
+@pytest.mark.parametrize("grid,depth", [(64, 18), (2**24, 0), (2, 23)])
+def test_settings_up_to_the_lattice_ceiling_are_admitted(grid, depth):
+    settings = QuadratureSettings(base_grid=grid, max_depth=depth)
+    assert settings.base_grid * 2**settings.max_depth == MAX_LATTICE
+
+
+@pytest.mark.parametrize("grid,depth", [(64, 19), (2**25, 0), (2**100, 0), (2, 10**9)])
+def test_settings_past_the_lattice_ceiling_are_refused(grid, depth):
+    with pytest.raises(DomainError, match="finest lattice"):
+        QuadratureSettings(base_grid=grid, max_depth=depth)
 
 
 class TestCircleLogMean:
