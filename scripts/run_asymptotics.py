@@ -41,7 +41,7 @@ def main() -> int:
         stem = expr.replace("*", "").replace("/", "_").replace("^", "")
         (out_dir / f"excess_{stem}.csv").write_text(report_csv(rows))
         fit = polynomial_asymptotics(radii, values)
-        summary.append({"map": expr, "fit": fit.as_dict()})
+        summary.append({"map": expr, "fit": fit})
         print(f"{expr}: slope {fit.slope:.5f}, intercept {fit.intercept:+.5f}")
 
     (out_dir / "summary.json").write_text(canonical_json({"sweeps": summary}))

@@ -39,7 +39,7 @@ def main() -> int:
             shards=args.shards,
         )
         cells.append({"e": e, "a": a, "rho": rho, "box_radius": box, "n": n,
-                      "report": got.as_dict()})
+                      "report": got})
         status = "ok" if got.estimate <= got.paper_bound + 3 * got.stderr else "VIOLATED"
         flag = " (uninformative)" if got.uninformative else ""
         print(f"e={e} a={a} rho={rho} R={box} n={n}: estimate {got.estimate:.5f} "

@@ -153,18 +153,6 @@ class SelfIntersectionA1:
     archimedean_excess: float
     doubled_corollary_value: float  # disputed in-text variant
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "parts": {
-                "normal": self.normal_part,
-                "finite_excess": self.finite_excess,
-                "archimedean_excess": self.archimedean_excess,
-            },
-            "doubled_corollary_value": self.doubled_corollary_value,
-            "doubled_corollary_status": "disputed",
-        }
-
 
 def _jet_term(alpha: DiskMap, r: float) -> float:
     """log|jet| + e log r: the part of the boundary double integral that the
@@ -222,17 +210,6 @@ class SelfIntersectionP1:
     characteristic_part: float  # 2 T(r)
     kernel_part: float      # the subtracted double integral
     upper_bound: float      # height + characteristic parts
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "parts": {
-                "height": self.height_part,
-                "characteristic": self.characteristic_part,
-                "kernel": self.kernel_part,
-            },
-            "upper_bound": self.upper_bound,
-        }
 
 
 def projective_height(x: Fraction) -> float:
@@ -298,13 +275,6 @@ class HolonomyBound:
     degree_bound: int
     d_invariant: float
     cdt_bound: float
-
-    def as_dict(self) -> dict:
-        return {
-            "degree_bound": self.degree_bound,
-            "d_invariant": self.d_invariant,
-            "cdt_bound": self.cdt_bound,
-        }
 
 
 def holonomy_degree_bound(m: MorphismToLine,
@@ -385,16 +355,6 @@ class GrelemResult:
     certificate_checked: int        # orders verified exactly
     convergent: bool                # |lam| > 1: sup bound applies
     sup_bound: Optional[float]
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha_hat": [str(c) for c in self.alpha_hat.coeffs],
-            "composed": [str(c) for c in self.composed.coeffs],
-            "lambda": str(self.lam),
-            "certificate_checked": self.certificate_checked,
-            "convergent": self.convergent,
-            "sup_bound": self.sup_bound,
-        }
 
 
 def _round_half_toward_zero(x: Fraction) -> int:

@@ -1,9 +1,12 @@
 """Batch front end: parse inputs, dispatch to the modules, emit reports.
 
 Reports are byte-stable: keys are emitted sorted, floats with 17 significant
-digits (enough to round-trip exactly), rationals as "p/q" strings.  Exit
-codes: 0 success, 2 domain errors (bad inputs, violated preconditions),
-3 numerical non-convergence.
+digits (enough to round-trip exactly), rationals as "p/q" strings.  This
+module alone lays out reports: a result record (a dataclass) serializes as
+the object of its fields by name, a truncated series as its coefficient
+list, and the handlers build the few layouts that differ from a record's
+fields.  Exit codes: 0 success, 2 domain errors (bad inputs and option
+values, violated preconditions), 3 numerical non-convergence.
 
 Each handler imports the layers it uses, so a command loads only its own
 modules: ``equilibrium`` and ``blowup-chain`` never load numpy, and
@@ -53,7 +56,16 @@ def _canonical(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_canonical(v) for v in obj) + "]"
+    if isinstance(obj, TruncatedSeries):
+        return _canonical(obj.coeffs)
+    # a dataclass record, found without importing dataclasses (start-up cost)
+    if hasattr(type(obj), "__dataclass_fields__"):
+        return _canonical(_fields(obj))
     raise DomainError(f"cannot serialize {type(obj).__name__}")
+
+
+def _fields(record) -> dict:
+    return {name: getattr(record, name) for name in type(record).__dataclass_fields__}
 
 
 def canonical_json(obj) -> str:
@@ -139,6 +151,33 @@ def _parse_radii(text: str):
     return radii
 
 
+#: Python's limit on the digits of an integer converted to or from a string
+_MAX_DIGITS = 4300
+
+
+def _rational(text: str) -> Fraction:
+    """A rational literal (3/2, -1, 0.25, 1e3) whose terms a report can print."""
+    try:
+        # Fraction expands an exponent as 10**exponent, for minutes if it is long
+        if abs(int(text.lower().partition("e")[2] or "0")) <= _MAX_DIGITS:
+            value = Fraction(text)
+            if max(abs(value.numerator), value.denominator) < 10**_MAX_DIGITS:
+                return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(
+        f"not a rational number with terms of at most {_MAX_DIGITS} digits: {text!r}"
+    )
+
+
+def _seed(text: str) -> int:
+    """A nonnegative integer, the seeds numpy's generators accept."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 # -- subcommand handlers ----------------------------------------------------------
 
 def _cmd_overflow(args) -> str:
@@ -156,19 +195,15 @@ def _cmd_overflow(args) -> str:
         entry = {"radius": r}
         if args.method in ("explicit", "both"):
             if args.target == "C":
-                entry["explicit"] = overflow.overflow_to_C(alpha, r, settings).as_dict()
+                entry["explicit"] = overflow.overflow_to_C(alpha, r, settings)
             else:
-                entry["explicit"] = overflow.overflow_to_P1(alpha, r, settings).as_dict()
+                entry["explicit"] = overflow.overflow_to_P1(alpha, r, settings)
         if args.method in ("oracle", "both"):
             if args.target != "C":
                 raise DomainError("the definitional oracle handles target C only")
-            entry["oracle"] = overflow.overflow_definitional_oracle(
-                alpha, r, settings
-            ).as_dict()
+            entry["oracle"] = overflow.overflow_definitional_oracle(alpha, r, settings)
         if args.method == "both" and args.target == "C":
-            entry["residual"] = abs(
-                entry["explicit"]["value"] - entry["oracle"]["value"]
-            )
+            entry["residual"] = abs(entry["explicit"].value - entry["oracle"].value)
         per_radius.append(entry)
 
     if args.format == "csv":
@@ -176,14 +211,13 @@ def _cmd_overflow(args) -> str:
         for entry in per_radius:
             for method in ("explicit", "oracle"):
                 if method in entry:
-                    rows.append((entry["radius"], entry[method]["value"], method))
+                    rows.append((entry["radius"], entry[method].value, method))
         return report_csv(rows)
 
     result = {"reports": per_radius}
     if len(radii) >= 3 and args.method in ("explicit", "both"):
-        values = [entry["explicit"]["value"] for entry in per_radius]
-        fit = overflow.polynomial_asymptotics(radii, values)
-        result["asymptotic_fit"] = fit.as_dict()
+        values = [entry["explicit"].value for entry in per_radius]
+        result["asymptotic_fit"] = overflow.polynomial_asymptotics(radii, values)
     return canonical_json(
         {
             "command": "overflow",
@@ -199,9 +233,13 @@ def _build_morphism(args) -> "arithmetic.MorphismToLine":
     from .maps import parse_map
 
     psi = _parse_psi(args.psi)
-    desc = arithmetic.SurfaceDescriptor(float(args.radius), psi)
+    desc = arithmetic.SurfaceDescriptor(args.radius, psi)
     alpha = parse_map(args.map)
     return arithmetic.build_morphism(desc, alpha, args.order)
+
+
+def _morphism_inputs(args) -> dict:
+    return {"psi": args.psi, "map": args.map, "radius": args.radius, "order": args.order}
 
 
 def _cmd_selfint(args) -> str:
@@ -210,20 +248,33 @@ def _cmd_selfint(args) -> str:
     settings = load_settings(args.config)
     m = _build_morphism(args)
     if args.target == "A1":
-        result = arithmetic.self_intersection_A1(m, settings).as_dict()
-        result["direct_oracle"] = arithmetic.self_intersection_direct_oracle(m, settings)
+        a1 = arithmetic.self_intersection_A1(m, settings)
+        result = {
+            "value": a1.value,
+            "parts": {
+                "normal": a1.normal_part,
+                "finite_excess": a1.finite_excess,
+                "archimedean_excess": a1.archimedean_excess,
+            },
+            "doubled_corollary_value": a1.doubled_corollary_value,
+            "doubled_corollary_status": "disputed",
+            "direct_oracle": arithmetic.self_intersection_direct_oracle(m, settings),
+        }
     else:
-        result = arithmetic.self_intersection_P1(m, settings).as_dict()
+        p1 = arithmetic.self_intersection_P1(m, settings)
+        result = {
+            "value": p1.value,
+            "parts": {
+                "height": p1.height_part,
+                "characteristic": p1.characteristic_part,
+                "kernel": p1.kernel_part,
+            },
+            "upper_bound": p1.upper_bound,
+        }
     return canonical_json(
         {
             "command": "selfint",
-            "inputs": {
-                "psi": args.psi,
-                "map": args.map,
-                "radius": float(args.radius),
-                "order": args.order,
-                "target": args.target,
-            },
+            "inputs": dict(_morphism_inputs(args), target=args.target),
             "settings": _settings_dict(settings),
             "result": result,
         }
@@ -239,13 +290,7 @@ def _cmd_dinv(args) -> str:
     return canonical_json(
         {
             "command": "dinv",
-            "inputs": {
-                "psi": args.psi,
-                "map": args.map,
-                "radius": float(args.radius),
-                "order": args.order,
-                "target": args.target,
-            },
+            "inputs": dict(_morphism_inputs(args), target=args.target),
             "settings": _settings_dict(settings),
             "result": {
                 "value": value,
@@ -265,14 +310,9 @@ def _cmd_holonomy(args) -> str:
     return canonical_json(
         {
             "command": "holonomy-bound",
-            "inputs": {
-                "psi": args.psi,
-                "map": args.map,
-                "radius": float(args.radius),
-                "order": args.order,
-            },
+            "inputs": _morphism_inputs(args),
             "settings": _settings_dict(settings),
-            "result": got.as_dict(),
+            "result": got,
         }
     )
 
@@ -288,7 +328,7 @@ def _cmd_dimbound(args) -> str:
     else:
         if args.cd is None or args.mu is None:
             raise ConfigError("variant CNB needs --cd and --mu")
-        value = arithmetic.dim_bound_CNB(args.n, Fraction(args.cd), args.mu)
+        value = arithmetic.dim_bound_CNB(args.n, args.cd, args.mu)
         inputs = {"variant": "CNB", "n": args.n, "cd": args.cd, "mu": args.mu}
     return canonical_json(
         {"command": "dimbound", "inputs": inputs, "result": {"value": value}}
@@ -299,12 +339,13 @@ def _cmd_grelem(args) -> str:
     from . import arithmetic
 
     psi = _parse_psi(args.psi)
-    got = arithmetic.grelem_construct(psi, args.e, args.order)
+    result = _fields(arithmetic.grelem_construct(psi, args.e, args.order))
+    result["lambda"] = result.pop("lam")
     return canonical_json(
         {
             "command": "grelem",
             "inputs": {"psi": args.psi, "e": args.e, "order": args.order},
-            "result": got.as_dict(),
+            "result": result,
         }
     )
 
@@ -342,7 +383,7 @@ def _cmd_equilibrium(args) -> str:
         {
             "command": "equilibrium",
             "inputs": {"lattice": args.lattice, "labels": list(lat.labels)},
-            "result": {"equilibrium": eq.as_dict(), "cnb": cnb.as_dict()},
+            "result": {"equilibrium": eq, "cnb": cnb},
         }
     )
 
@@ -350,7 +391,7 @@ def _cmd_equilibrium(args) -> str:
 def _cmd_blowup_chain(args) -> str:
     from . import lattice
 
-    lat = lattice.blowup_chain_fixture(args.n, Fraction(args.cc))
+    lat = lattice.blowup_chain_fixture(args.n, args.cc)
     eq = lattice.equilibrium_divisor(lat)
     cnb = lattice.is_CNB(lat, eq.coefficients)
     return canonical_json(
@@ -359,8 +400,8 @@ def _cmd_blowup_chain(args) -> str:
             "inputs": {"n": args.n, "cc": args.cc},
             "result": {
                 "labels": list(lat.labels),
-                "equilibrium": eq.as_dict(),
-                "cnb": cnb.as_dict(),
+                "equilibrium": eq,
+                "cnb": cnb,
             },
         }
     )
@@ -400,7 +441,7 @@ def _cmd_jacobian_check(args) -> str:
                 "seed": args.seed,
                 "step": args.step,
             },
-            "result": got.as_dict(),
+            "result": got,
         }
     )
 
@@ -422,7 +463,7 @@ def _cmd_measure_mc(args) -> str:
                 "box_radius": args.box_radius,
                 "level": args.level,
             },
-            "result": got.as_dict(),
+            "result": got,
         }
     )
 
@@ -457,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     def morphism_args(q):
         q.add_argument("--psi", required=True, help='series literal, e.g. \'["0","1/3"]\'')
         q.add_argument("--map", required=True)
-        q.add_argument("--radius", default="1", help="disk radius (default 1)")
+        q.add_argument("--radius", type=float, default=1.0, help="disk radius (default 1)")
         q.add_argument("--order", type=int, default=24)
         q.add_argument("--config")
 
@@ -479,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["C", "CNB"], default="C")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int)
-    p.add_argument("--cd", help="rational component degree, e.g. 3/2")
+    p.add_argument("--cd", type=_rational, help="rational component degree, e.g. 3/2")
     p.add_argument("--mu", type=int)
     p.set_defaults(handler=_cmd_dimbound)
 
@@ -495,19 +536,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowup-chain", help="chain fixture and its equilibrium")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cc", default="0", help="section self-intersection (rational)")
+    p.add_argument("--cc", type=_rational, default="0",
+                   help="section self-intersection (rational)")
     p.set_defaults(handler=_cmd_blowup_chain)
 
     p = sub.add_parser("sample-diffeo", help="seeded fundamental-domain sample")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(handler=_cmd_sample_diffeo)
 
     p = sub.add_parser("jacobian-check", help="finite-difference orbit Jacobian")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--step", type=float, default=1e-3)
     p.set_defaults(handler=_cmd_jacobian_check)
 
@@ -518,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box-radius", type=float, required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--shards", type=int, default=4)
     p.set_defaults(handler=_cmd_measure_mc)
 

@@ -189,13 +189,6 @@ class JacobianCheck:
     expected: float
     relative_error: float
 
-    def as_dict(self) -> dict:
-        return {
-            "determinant": self.determinant,
-            "expected": self.expected,
-            "relative_error": self.relative_error,
-        }
-
 
 def jacobian_check(e: int, a: int, n: int, phi: OrbitElement,
                    g: TruncatedDiffeo, h: float = 1e-3) -> JacobianCheck:
@@ -211,6 +204,8 @@ def jacobian_check(e: int, a: int, n: int, phi: OrbitElement,
         raise DomainError("orbit element does not match (e, a, n)")
     if g.level != n:
         raise LevelMismatch(f"sample point level {g.level}, expected {n}")
+    if not (math.isfinite(h) and h > 0):
+        raise DomainError(f"step must be positive and finite, got {h!r}")
     expected = float((e * a) ** n)
     if n == 0:
         return JacobianCheck(1.0, 1.0, 0.0)
@@ -312,18 +307,6 @@ class MeasureBoundReport:
     seed: int
     uninformative: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "paper_bound": self.paper_bound,
-            "product_bound": self.product_bound,
-            "samples": self.samples,
-            "shards": self.shards,
-            "seed": self.seed,
-            "uninformative": self.uninformative,
-        }
-
 
 def measure_bound_mc(e: int, a: int, rho: float, box_radius: float, n: int,
                      samples: int = 100_000, seed: int = 0,
@@ -343,11 +326,25 @@ def measure_bound_mc(e: int, a: int, rho: float, box_radius: float, n: int,
         raise DomainError("level must be between 1 and 4")
     if samples < 1 or shards < 1:
         raise DomainError("need positive samples and shards")
+    if not (math.isfinite(rho) and rho > 0):
+        raise DomainError(f"rho must be positive and finite, got {rho!r}")
+    # a zero box is the degenerate event of measure zero
+    if not (math.isfinite(box_radius) and box_radius >= 0):
+        raise DomainError(f"box radius must be nonnegative and finite, got {box_radius!r}")
     span = e * abs(a)
     if span**n > ENUMERATION_CAP:
         raise EnumerationTooLarge(f"{span}^{n} domain representatives")
     order = e + n
-    box = box_radius * np.array([rho ** -(e + 1 + i) for i in range(n)])
+    paper_exponent = (n + 2 * e + 2) * (n - 1) / 2
+    product_exponent = sum(range(e + 1, e + n + 1))
+    try:
+        box = box_radius * np.array([rho ** -(e + 1 + i) for i in range(n)])
+        paper_bound = (2 * box_radius) ** n * rho ** (-paper_exponent)
+        product_bound = (2 * box_radius) ** n * rho ** (-product_exponent)
+    except OverflowError:
+        raise DomainError(
+            f"the box or bounds overflow at rho {rho!r}, box radius {box_radius!r}"
+        ) from None
 
     per_shard = [samples // shards] * shards
     for i in range(samples % shards):
@@ -372,10 +369,6 @@ def measure_bound_mc(e: int, a: int, rho: float, box_radius: float, n: int,
 
     estimate = hits / samples
     stderr = math.sqrt(max(estimate * (1 - estimate), 1e-300) / samples)
-    paper_exponent = (n + 2 * e + 2) * (n - 1) / 2
-    product_exponent = sum(range(e + 1, e + n + 1))
-    paper_bound = (2 * box_radius) ** n * rho ** (-paper_exponent)
-    product_bound = (2 * box_radius) ** n * rho ** (-product_exponent)
     return MeasureBoundReport(
         estimate=estimate,
         stderr=stderr,

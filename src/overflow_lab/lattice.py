@@ -133,13 +133,6 @@ class EquilibriumDivisor:
     dd: Fraction
     effective: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "coefficients": [str(v) for v in self.coefficients],
-            "dd": str(self.dd),
-            "effective": self.effective,
-        }
-
 
 def equilibrium_divisor(lattice: IntersectionLattice) -> EquilibriumDivisor:
     """The unique vertical correction v with (C + V) . W = 0 for all W.
@@ -162,13 +155,6 @@ class CNBReport:
     holds: bool
     dd: Fraction
     component_degrees: Tuple[Fraction, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "dd": str(self.dd),
-            "component_degrees": [str(x) for x in self.component_degrees],
-        }
 
 
 def divisor_self_intersection(lattice: IntersectionLattice,
@@ -236,16 +222,6 @@ class ComparisonReport:
     dd_gap: Fraction                        # D.D - Dtilde.Dtilde
     quadratic_identity_holds: bool          # dd_gap == -(gap . M . gap)
     equality: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "coefficient_gap": [str(x) for x in self.coefficient_gap],
-            "coefficient_dominates": self.coefficient_dominates,
-            "section_gap": str(self.section_gap),
-            "dd_gap": str(self.dd_gap),
-            "quadratic_identity_holds": self.quadratic_identity_holds,
-            "equality": self.equality,
-        }
 
 
 def denough_compare(lattice: IntersectionLattice,

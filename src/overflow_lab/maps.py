@@ -168,14 +168,17 @@ class DiskMap:
     def real_coefficients(self) -> bool:
         return all(_is_real(c) for c in self.num + self.den)
 
-    def is_constant(self) -> bool:
-        # num/den constant iff num*den' - num'*den = 0
-        w = _poly_add(
+    def _wronskian(self) -> tuple:
+        """p'q - pq', the numerator of the derivative of p/q."""
+        return _poly_add(
             _poly_mul(_poly_deriv(self.num), self.den),
             _poly_mul(self.num, _poly_deriv(self.den)),
             sign=-1,
         )
-        return all(_near_zero(c) for c in w)
+
+    def is_constant(self) -> bool:
+        # num/den is constant iff its Wronskian vanishes
+        return all(_near_zero(c) for c in self._wronskian())
 
     def value_at_zero(self):
         return self.num[0] / self.den[0]
@@ -223,12 +226,7 @@ class DiskMap:
     def derivative_num_den_at(self, z: np.ndarray):
         """(p'q - pq', q^2)(z): homogeneous data of the derivative."""
         z = np.asarray(z, dtype=complex)
-        w = _poly_add(
-            _poly_mul(_poly_deriv(self.num), self.den),
-            _poly_mul(self.num, _poly_deriv(self.den)),
-            sign=-1,
-        )
-        wn = np.polyval([complex(c) for c in reversed(w)], z)
+        wn = np.polyval([complex(c) for c in reversed(self._wronskian())], z)
         q = np.polyval([complex(c) for c in reversed(self.den)], z)
         return wn, q * q
 

@@ -78,29 +78,12 @@ class OverflowReport:
     """A computed excess with its method tag and convergence evidence."""
 
     value: float
-    method: str  # explicit | definitional | decomposition
+    method: str  # explicit | definitional
     target: str  # C | P1
     radius: float
     ramification_index: int
-    certificate: Optional[Certificate] = None
+    certificate: Certificate
     boundary_tangency: bool = False
-
-    def as_dict(self) -> dict:
-        out = {
-            "value": self.value,
-            "method": self.method,
-            "target": self.target,
-            "radius": self.radius,
-            "ramification_index": self.ramification_index,
-            "boundary_tangency": self.boundary_tangency,
-        }
-        if self.certificate is not None:
-            out["certificate"] = {
-                "tol": self.certificate.tol,
-                "achieved": self.certificate.achieved,
-                "grid": self.certificate.grid,
-            }
-        return out
 
 
 def _require_nonconstant(alpha: DiskMap) -> None:
@@ -543,9 +526,6 @@ class BoundCheck:
     bound: float
     slack: float
 
-    def as_dict(self) -> dict:
-        return {"excess": self.excess, "bound": self.bound, "slack": self.slack}
-
 
 def nevanlinna_bound_check(alpha: DiskMap, r: float,
                            settings: QuadratureSettings = DEFAULT_SETTINGS) -> BoundCheck:
@@ -569,15 +549,6 @@ class AsymptoticFit:
     max_residual: float
     radii: Tuple[float, ...]
     values: Tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "max_residual": self.max_residual,
-            "radii": list(self.radii),
-            "values": list(self.values),
-        }
 
 
 def polynomial_asymptotics(radii: Sequence[float],

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 
 import overflow_lab
 from overflow_lab.cli import canonical_json, main
+from overflow_lab.quadrature import Certificate
+from overflow_lab.series import TruncatedSeries
 
 
 def run_cli(argv):
@@ -166,11 +170,42 @@ class TestOverflowCommand:
         ["overflow", "--map", "z", "--radius", "1", "--bogus"],
         ["dimbound", "--n", "x"],
         [],
+        # option values are converted once, by the parser
+        ["selfint", "--psi", "[0,1]", "--map", "z", "--radius", "abc"],
+        ["selfint", "--psi", "[0,1]", "--map", "z", "--radius", "1/2"],
+        ["dinv", "--psi", "[0,1]", "--map", "z", "--radius", "1/2"],
+        ["holonomy-bound", "--psi", "[0,1]", "--map", "z", "--radius", "abc"],
+        ["blowup-chain", "--n", "3", "--cc", "abc"],
+        ["blowup-chain", "--n", "3", "--cc", "1/0"],
+        ["dimbound", "--variant", "CNB", "--n", "3", "--cd", "x", "--mu", "1"],
+        ["dimbound", "--variant", "CNB", "--n", "3", "--cd", "1/0", "--mu", "1"],
+        # a term too long to echo, and an exponent Fraction would expand for minutes
+        ["dimbound", "--variant", "CNB", "--n", "3", "--cd", "1e5000", "--mu", "1"],
+        ["blowup-chain", "--n", "3", "--cc", "1e999999999"],
+        ["sample-diffeo", "--level", "2", "--seed", "-1"],
+        ["jacobian-check", "--e", "1", "--a", "1", "--level", "2", "--seed", "-1"],
+        ["measure-mc", "--e", "1", "--a", "1", "--rho", "2", "--box-radius", "1",
+         "--level", "2", "--seed", "-1"],
     ])
     def test_argument_errors_exit_2_with_json(self, argv):
         proc = _run_module(*argv)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["type"] == "ConfigError"
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["measure-mc", "--rho", "0", "--box-radius", "1"],
+        ["measure-mc", "--rho", "-2", "--box-radius", "1"],
+        ["measure-mc", "--rho", "2", "--box-radius", "-1"],
+        ["measure-mc", "--rho", "1e-300", "--box-radius", "1"],
+        ["measure-mc", "--rho", "2", "--box-radius", "1e200"],
+        ["jacobian-check", "--step", "0"],
+    ])
+    def test_out_of_domain_numbers_exit_2_quietly(self, argv):
+        # rejected before any sampling: no numpy warning, no traceback
+        proc = _run_module(*argv, "--e", "1", "--a", "1", "--level", "2")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
         assert proc.stderr == ""
 
     def test_help_exits_0(self):
@@ -433,6 +468,23 @@ class TestDeterminismAndRoundTrip:
         _, out1 = run_cli(argv)
         _, out2 = run_cli(argv)
         assert out1 == out2
+
+    def test_records_serialize_by_field_name(self):
+        @dataclasses.dataclass(frozen=True)
+        class Record:
+            certificate: Certificate
+            radii: tuple
+            ratio: Fraction
+            series: TruncatedSeries
+            bound: object
+
+        record = Record(Certificate(1e-6, 0.25, 512), (0.5, 2),
+                        Fraction(-3, 4), TruncatedSeries([0, 1, Fraction(1, 2)]), None)
+        assert canonical_json(record) == (
+            '{"bound":null,'
+            '"certificate":{"achieved":0.25,"grid":512,"tol":9.9999999999999995e-07},'
+            '"radii":[0.5,2],"ratio":"-3/4","series":["0","1","1/2"]}\n'
+        )
 
     def test_json_round_trip_stable(self, fast_config):
         _, out = run_cli([

@@ -77,6 +77,7 @@ def _modules_after(code):
 def test_importing_the_cli_loads_no_numeric_layer():
     loaded = _modules_after("import overflow_lab.cli")
     assert "numpy" not in loaded
+    assert "dataclasses" not in loaded  # reports find records by their fields
     assert not loaded & NUMERIC_LAYERS
     assert {"overflow_lab.errors", "overflow_lab.series"} <= loaded
 

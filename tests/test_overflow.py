@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import tracemalloc
 
@@ -454,8 +455,8 @@ class TestP1:
         for _ in range(4):
             alpha = random_polynomial(rng, max_degree=4)
             r = float(rng.uniform(0.5, 2.0))
-            p1 = overflow_to_P1(alpha, r, FAST).as_dict()
-            c = overflow_to_C(alpha, r, FAST).as_dict()
+            p1 = dataclasses.asdict(overflow_to_P1(alpha, r, FAST))
+            c = dataclasses.asdict(overflow_to_C(alpha, r, FAST))
             assert p1.pop("target") == "P1" and c.pop("target") == "C"
             assert p1 == c
 

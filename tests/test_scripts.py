@@ -1,0 +1,41 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import overflow_lab
+
+SCRIPTS = Path(overflow_lab.__file__).resolve().parents[2] / "scripts"
+
+
+def _run_script(name, *argv, cwd):
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)  # each script puts src/ on its own path
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *argv], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=120)
+
+
+def test_measure_grid_writes_one_report_per_cell(tmp_path):
+    out = tmp_path / "grid.json"
+    proc = _run_script("run_measure_grid.py", "--samples", "200", "--out", str(out),
+                       cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    grid = json.loads(out.read_text())["grid"]
+    assert len(grid) == 5
+    for cell in grid:
+        assert cell["report"]["samples"] == 200
+        assert set(cell["report"]) >= {"estimate", "stderr", "paper_bound", "product_bound"}
+
+
+def test_asymptotics_writes_csv_and_fit(tmp_path):
+    proc = _run_script("run_asymptotics.py", "--maps", "z^3+z", "--radii", "10,31.6,100",
+                       "--out-dir", str(tmp_path / "out"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    (sweep,) = json.loads((tmp_path / "out" / "summary.json").read_text())["sweeps"]
+    assert sweep["map"] == "z^3+z"
+    assert sweep["fit"]["radii"] == [10.0, 31.6, 100.0]
+    # z^3 + z has d - e = 2 and excess (d - e) log r - log|a_e / a_d| at large r
+    assert abs(sweep["fit"]["slope"] - 2.0) < 1e-2
+    rows = (tmp_path / "out" / "excess_z3+z.csv").read_text().splitlines()
+    assert rows[0] == "x,value,method" and len(rows) == 4
