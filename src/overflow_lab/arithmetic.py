@@ -18,8 +18,8 @@ Every boundary quantity is read from the public reports of overflow.py, on
 the exact analytic map: the decomposition and D take the explicit excess, the
 direct route takes the definitional oracle's fiber sums (Jensen's formula
 turns its root sum into the constant kappa), and the projective-line
-self-intersection takes the P1 excess plus T(r) from quadrature.nevanlinna_T,
-the same cross integral as `overflow --target P1`.
+self-intersection reads overflow.nevanlinna_bound_check, whose slack over the
+P1 excess (the same cross integral as `overflow --target P1`) is its kernel.
 
 The float layers (numpy, maps, overflow, quadrature) are imported inside the
 functions that integrate, so the exact constructions (the section-count
@@ -222,25 +222,19 @@ def projective_height(x: Fraction) -> float:
 def self_intersection_P1(m: MorphismToLine,
                          settings: Optional[QuadratureSettings] = None,
                          ) -> SelfIntersectionP1:
-    """Self-intersection over the projective line: heights plus characteristic."""
-    from .overflow import overflow_to_P1
-    from .quadrature import nevanlinna_T
+    """Self-intersection over the projective line: heights plus characteristic,
+    less the kernel, which is the slack of the characteristic bound on the P1 excess."""
+    from .overflow import nevanlinna_bound_check
 
-    settings = _or_default(settings)
-    alpha = m.alpha_an
-    r = float(m.surface.radius)
     ht = projective_height(m.constant_term)
-    excess = overflow_to_P1(alpha, r, settings).value
-    t_char = nevanlinna_T(alpha, r, "boundary", settings)
-    a0 = abs(complex(alpha.value_at_zero()))
-    value = 2.0 * ht + excess + _jet_term(alpha, r) - math.log(1.0 + a0 * a0)
-    kernel = 2.0 * ht + 2.0 * t_char - value
+    check = nevanlinna_bound_check(m.alpha_an, float(m.surface.radius), _or_default(settings))
+    upper = 2.0 * ht + check.characteristic
     return SelfIntersectionP1(
-        value=value,
+        value=upper - check.slack,
         height_part=2.0 * ht,
-        characteristic_part=2.0 * t_char,
-        kernel_part=kernel,
-        upper_bound=2.0 * ht + 2.0 * t_char,
+        characteristic_part=check.characteristic,
+        kernel_part=check.slack,
+        upper_bound=upper,
     )
 
 
@@ -315,21 +309,44 @@ def holonomy_degree_bound(m: MorphismToLine,
 # -- section-count bounds -----------------------------------------------------
 
 def dim_bound_C(n: int, d: int) -> int:
-    """Sum of the positive parts (n + 1 - i d); grows like n^2 / (2 d)."""
+    """Sum of the positive parts (n + 1 - i d); grows like n^2 / (2 d).
+
+    The k = floor(n/d) + 1 positive terms form an arithmetic progression.
+    """
     if d < 1:
         raise DomainError("degree parameter must be >= 1")
     if n < 0:
         return 0
+    k = n // d + 1
+    return k * (n + 1) - d * k * (k - 1) // 2
+
+
+def _floor_sum(count: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a j + b) / m) over j in range(count), for a, b >= 0 and
+    m >= 1, by the Euclid-like reduction in O(log) steps."""
     total = 0
-    i = 0
-    while n + 1 - i * d > 0:
-        total += n + 1 - i * d
-        i += 1
-    return total
+    while True:
+        if a >= m:
+            total += count * (count - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += count * (b // m)
+            b %= m
+        top = a * count + b
+        if top < m:
+            return total
+        count, b = divmod(top, m)
+        m, a = a, m
 
 
 def dim_bound_CNB(n: int, cd, mu: int) -> int:
-    """Filtration count with component degree cd (rational) and multiplicity mu."""
+    """Filtration count with component degree cd (rational) and multiplicity mu:
+    the sum over i = 0 .. floor(n/cd) of 1 + floor((n - i cd) / mu).
+
+    With cd = a/b, K = floor(n b / a) and c = n b - K a, the index j = K - i
+    turns each term into 1 + floor((a j + c) / (b mu)), at least 1, so the
+    sum is K + 1 plus a floor sum.
+    """
     cd = Fraction(cd)
     if cd <= 0:
         raise DomainError("cd must be positive")
@@ -337,12 +354,9 @@ def dim_bound_CNB(n: int, cd, mu: int) -> int:
         raise DomainError("mu must be >= 1")
     if n < 0:
         return 0
-    total = 0
-    for i in range(math.floor(Fraction(n) / cd) + 1):
-        term = 1 + math.floor(Fraction(n - i * cd) / mu)
-        if term > 0:
-            total += term
-    return total
+    a, b = cd.numerator, cd.denominator
+    k, c = divmod(n * b, a)
+    return k + 1 + _floor_sum(k + 1, b * mu, a, c)
 
 
 # -- integer series with decaying composed coefficients ------------------------

@@ -2,11 +2,16 @@
 
 Reports are byte-stable: keys are emitted sorted, floats with 17 significant
 digits (enough to round-trip exactly), rationals as "p/q" strings.  This
-module alone lays out reports: a result record (a dataclass) serializes as
-the object of its fields by name, a truncated series as its coefficient
-list, and the handlers build the few layouts that differ from a record's
-fields.  Exit codes: 0 success, 2 domain errors (bad inputs and option
-values, violated preconditions), 3 numerical non-convergence.
+module alone lays out reports.  Each handler returns its inputs and result
+(or the finished text of a CSV report), and ``main`` frames every report once
+as {command, inputs, settings, result}: for exactly the subcommands that
+declare --config it loads the quadrature settings into ``args.settings``
+before the handler runs, and echoes them.  A result record
+(a dataclass) serializes as the object of its fields by name, a truncated
+series as its coefficient list, and the handlers build the few layouts that
+differ from a record's fields.  Exit codes: 0 success, 2 domain errors (bad
+inputs and option values, violated preconditions, a number too long to
+print), 3 numerical non-convergence.
 
 Each handler imports the layers it uses, so a command loads only its own
 modules: ``equilibrium`` and ``blowup-chain`` never load numpy, and
@@ -29,6 +34,12 @@ from .series import TruncatedSeries, parse_series_literal
 
 # -- canonical serialization ---------------------------------------------------
 
+#: Python's limit on the digits of an integer converted to or from a string,
+#: and the least term past it (built once: a lattice file has many entries)
+_MAX_DIGITS = 4300
+_MAX_TERM = 10**_MAX_DIGITS
+
+
 def _format_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise DomainError("non-finite value in a report")
@@ -44,12 +55,16 @@ def _canonical(obj) -> str:
         return "false"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
+    if isinstance(obj, (int, Fraction)):
+        try:
+            text = str(obj)
+        except ValueError:  # a term past Python's digit limit
+            raise DomainError(
+                f"a value in the report has more than {_MAX_DIGITS} digits"
+            ) from None
+        return text if isinstance(obj, int) else json.dumps(text)
     if isinstance(obj, float):
         return _format_float(obj)
-    if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
     if isinstance(obj, dict):
         items = sorted(obj.items())
         inner = ",".join(f"{json.dumps(str(k))}:{_canonical(v)}" for k, v in items)
@@ -122,14 +137,6 @@ def load_settings(path: Optional[str]) -> "QuadratureSettings":
         raise ConfigError(f"bad config value: {exc}") from None
 
 
-def _settings_dict(settings: "QuadratureSettings") -> dict:
-    return {
-        "grid": settings.base_grid,
-        "tol": settings.tol,
-        "depth": settings.max_depth,
-    }
-
-
 def _parse_psi(text: str) -> TruncatedSeries:
     try:
         items = json.loads(text)
@@ -151,17 +158,13 @@ def _parse_radii(text: str):
     return radii
 
 
-#: Python's limit on the digits of an integer converted to or from a string
-_MAX_DIGITS = 4300
-
-
 def _rational(text: str) -> Fraction:
     """A rational literal (3/2, -1, 0.25, 1e3) whose terms a report can print."""
     try:
         # Fraction expands an exponent as 10**exponent, for minutes if it is long
         if abs(int(text.lower().partition("e")[2] or "0")) <= _MAX_DIGITS:
             value = Fraction(text)
-            if max(abs(value.numerator), value.denominator) < 10**_MAX_DIGITS:
+            if max(abs(value.numerator), value.denominator) < _MAX_TERM:
                 return value
     except (ValueError, ZeroDivisionError):
         pass
@@ -180,11 +183,11 @@ def _seed(text: str) -> int:
 
 # -- subcommand handlers ----------------------------------------------------------
 
-def _cmd_overflow(args) -> str:
+def _cmd_overflow(args):
     from . import overflow
     from .maps import parse_map
 
-    settings = load_settings(args.config)
+    settings = args.settings
     alpha = parse_map(args.map)
     radii = _parse_radii(args.radius)
     if not radii:
@@ -218,14 +221,7 @@ def _cmd_overflow(args) -> str:
     if len(radii) >= 3 and args.method in ("explicit", "both"):
         values = [entry["explicit"].value for entry in per_radius]
         result["asymptotic_fit"] = overflow.polynomial_asymptotics(radii, values)
-    return canonical_json(
-        {
-            "command": "overflow",
-            "inputs": {"map": args.map, "target": args.target, "method": args.method},
-            "settings": _settings_dict(settings),
-            "result": result,
-        }
-    )
+    return {"map": args.map, "target": args.target, "method": args.method}, result
 
 
 def _build_morphism(args) -> "arithmetic.MorphismToLine":
@@ -242,13 +238,12 @@ def _morphism_inputs(args) -> dict:
     return {"psi": args.psi, "map": args.map, "radius": args.radius, "order": args.order}
 
 
-def _cmd_selfint(args) -> str:
+def _cmd_selfint(args):
     from . import arithmetic
 
-    settings = load_settings(args.config)
     m = _build_morphism(args)
     if args.target == "A1":
-        a1 = arithmetic.self_intersection_A1(m, settings)
+        a1 = arithmetic.self_intersection_A1(m, args.settings)
         result = {
             "value": a1.value,
             "parts": {
@@ -258,10 +253,10 @@ def _cmd_selfint(args) -> str:
             },
             "doubled_corollary_value": a1.doubled_corollary_value,
             "doubled_corollary_status": "disputed",
-            "direct_oracle": arithmetic.self_intersection_direct_oracle(m, settings),
+            "direct_oracle": arithmetic.self_intersection_direct_oracle(m, args.settings),
         }
     else:
-        p1 = arithmetic.self_intersection_P1(m, settings)
+        p1 = arithmetic.self_intersection_P1(m, args.settings)
         result = {
             "value": p1.value,
             "parts": {
@@ -271,53 +266,29 @@ def _cmd_selfint(args) -> str:
             },
             "upper_bound": p1.upper_bound,
         }
-    return canonical_json(
-        {
-            "command": "selfint",
-            "inputs": dict(_morphism_inputs(args), target=args.target),
-            "settings": _settings_dict(settings),
-            "result": result,
-        }
-    )
+    return dict(_morphism_inputs(args), target=args.target), result
 
 
-def _cmd_dinv(args) -> str:
+def _cmd_dinv(args):
     from . import arithmetic
 
-    settings = load_settings(args.config)
     m = _build_morphism(args)
-    value = arithmetic.D_invariant(m, settings, target=args.target)
-    return canonical_json(
-        {
-            "command": "dinv",
-            "inputs": dict(_morphism_inputs(args), target=args.target),
-            "settings": _settings_dict(settings),
-            "result": {
-                "value": value,
-                "ramification_index": m.ramification,
-                "normal_degree": m.surface.normal_degree,
-            },
-        }
-    )
+    value = arithmetic.D_invariant(m, args.settings, target=args.target)
+    return dict(_morphism_inputs(args), target=args.target), {
+        "value": value,
+        "ramification_index": m.ramification,
+        "normal_degree": m.surface.normal_degree,
+    }
 
 
-def _cmd_holonomy(args) -> str:
+def _cmd_holonomy(args):
     from . import arithmetic
 
-    settings = load_settings(args.config)
     m = _build_morphism(args)
-    got = arithmetic.holonomy_degree_bound(m, settings)
-    return canonical_json(
-        {
-            "command": "holonomy-bound",
-            "inputs": _morphism_inputs(args),
-            "settings": _settings_dict(settings),
-            "result": got,
-        }
-    )
+    return _morphism_inputs(args), arithmetic.holonomy_degree_bound(m, args.settings)
 
 
-def _cmd_dimbound(args) -> str:
+def _cmd_dimbound(args):
     from . import arithmetic
 
     if args.variant == "C":
@@ -330,24 +301,16 @@ def _cmd_dimbound(args) -> str:
             raise ConfigError("variant CNB needs --cd and --mu")
         value = arithmetic.dim_bound_CNB(args.n, args.cd, args.mu)
         inputs = {"variant": "CNB", "n": args.n, "cd": args.cd, "mu": args.mu}
-    return canonical_json(
-        {"command": "dimbound", "inputs": inputs, "result": {"value": value}}
-    )
+    return inputs, {"value": value}
 
 
-def _cmd_grelem(args) -> str:
+def _cmd_grelem(args):
     from . import arithmetic
 
     psi = _parse_psi(args.psi)
     result = _fields(arithmetic.grelem_construct(psi, args.e, args.order))
     result["lambda"] = result.pop("lam")
-    return canonical_json(
-        {
-            "command": "grelem",
-            "inputs": {"psi": args.psi, "e": args.e, "order": args.order},
-            "result": result,
-        }
-    )
+    return {"psi": args.psi, "e": args.e, "order": args.order}, result
 
 
 def _load_lattice(path: str) -> "lattice.IntersectionLattice":
@@ -362,65 +325,55 @@ def _load_lattice(path: str) -> "lattice.IntersectionLattice":
     required = {"labels", "matrix", "c", "cc"}
     if not isinstance(data, dict) or set(data) != required:
         raise ConfigError(f"lattice JSON must have exactly the keys {sorted(required)}")
+
+    def entry(x) -> Fraction:
+        return _rational(x) if isinstance(x, str) else Fraction(x)
+
     try:
         return lattice.IntersectionLattice(
             tuple(data["labels"]),
-            tuple(tuple(Fraction(x) for x in row) for row in data["matrix"]),
-            tuple(Fraction(x) for x in data["c"]),
-            Fraction(data["cc"]),
+            tuple(tuple(entry(x) for x in row) for row in data["matrix"]),
+            tuple(entry(x) for x in data["c"]),
+            entry(data["cc"]),
         )
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError,
+            argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"bad lattice entry: {exc}") from None
 
 
-def _cmd_equilibrium(args) -> str:
+def _cmd_equilibrium(args):
     from . import lattice
 
     lat = _load_lattice(args.lattice)
     eq = lattice.equilibrium_divisor(lat)
     cnb = lattice.is_CNB(lat, eq.coefficients)
-    return canonical_json(
-        {
-            "command": "equilibrium",
-            "inputs": {"lattice": args.lattice, "labels": list(lat.labels)},
-            "result": {"equilibrium": eq, "cnb": cnb},
-        }
-    )
+    inputs = {"lattice": args.lattice, "labels": list(lat.labels)}
+    return inputs, {"equilibrium": eq, "cnb": cnb}
 
 
-def _cmd_blowup_chain(args) -> str:
+def _cmd_blowup_chain(args):
     from . import lattice
 
     lat = lattice.blowup_chain_fixture(args.n, args.cc)
     eq = lattice.equilibrium_divisor(lat)
     cnb = lattice.is_CNB(lat, eq.coefficients)
-    return canonical_json(
-        {
-            "command": "blowup-chain",
-            "inputs": {"n": args.n, "cc": args.cc},
-            "result": {
-                "labels": list(lat.labels),
-                "equilibrium": eq,
-                "cnb": cnb,
-            },
-        }
-    )
+    return {"n": args.n, "cc": args.cc}, {
+        "labels": list(lat.labels),
+        "equilibrium": eq,
+        "cnb": cnb,
+    }
 
 
-def _cmd_sample_diffeo(args) -> str:
+def _cmd_sample_diffeo(args):
     from . import diffeo
 
     sample = diffeo.haar_sample(args.level, args.seed)
-    return canonical_json(
-        {
-            "command": "sample-diffeo",
-            "inputs": {"level": args.level, "seed": args.seed},
-            "result": {"coefficients": [float(c) for c in sample.coeffs]},
-        }
-    )
+    return {"level": args.level, "seed": args.seed}, {
+        "coefficients": [float(c) for c in sample.coeffs]
+    }
 
 
-def _cmd_jacobian_check(args) -> str:
+def _cmd_jacobian_check(args):
     import numpy as np
 
     from . import diffeo
@@ -431,41 +384,21 @@ def _cmd_jacobian_check(args) -> str:
     )
     g = diffeo.TruncatedDiffeo(tuple(float(x) for x in rng.uniform(size=args.level)))
     got = diffeo.jacobian_check(args.e, args.a, args.level, phi, g, args.step)
-    return canonical_json(
-        {
-            "command": "jacobian-check",
-            "inputs": {
-                "e": args.e,
-                "a": args.a,
-                "level": args.level,
-                "seed": args.seed,
-                "step": args.step,
-            },
-            "result": got,
-        }
-    )
+    inputs = {"e": args.e, "a": args.a, "level": args.level, "seed": args.seed,
+              "step": args.step}
+    return inputs, got
 
 
-def _cmd_measure_mc(args) -> str:
+def _cmd_measure_mc(args):
     from . import diffeo
 
     got = diffeo.measure_bound_mc(
         args.e, args.a, args.rho, args.box_radius, args.level,
         samples=args.samples, seed=args.seed, shards=args.shards,
     )
-    return canonical_json(
-        {
-            "command": "measure-mc",
-            "inputs": {
-                "e": args.e,
-                "a": args.a,
-                "rho": args.rho,
-                "box_radius": args.box_radius,
-                "level": args.level,
-            },
-            "result": got,
-        }
-    )
+    inputs = {"e": args.e, "a": args.a, "rho": args.rho, "box_radius": args.box_radius,
+              "level": args.level}
+    return inputs, got
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -567,10 +500,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(args) -> str:
+    """Run the subcommand and frame its inputs and result as one report."""
+    report = {"command": args.command}
+    if "config" in args:
+        args.settings = settings = load_settings(args.config)
+        report["settings"] = {"grid": settings.base_grid, "tol": settings.tol,
+                              "depth": settings.max_depth}
+    out = args.handler(args)
+    if isinstance(out, str):
+        return out
+    report["inputs"], report["result"] = out
+    return canonical_json(report)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        text = args.handler(args)
+        text = _report(args)
     except NumericalError as exc:
         sys.stdout.write(canonical_json(
             {"error": {"type": type(exc).__name__, "message": str(exc)}}

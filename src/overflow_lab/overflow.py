@@ -525,6 +525,7 @@ class BoundCheck:
     excess: float
     bound: float
     slack: float
+    characteristic: float   # 2 T(r)
 
 
 def nevanlinna_bound_check(alpha: DiskMap, r: float,
@@ -539,7 +540,8 @@ def nevanlinna_bound_check(alpha: DiskMap, r: float,
     jet = abs(complex(alpha.jet()))
     a0 = abs(complex(alpha.value_at_zero()))
     bound = 2.0 * t_char - e * math.log(r) - math.log(jet / (1.0 + a0 * a0))
-    return BoundCheck(excess=excess, bound=bound, slack=bound - excess)
+    return BoundCheck(excess=excess, bound=bound, slack=bound - excess,
+                      characteristic=2.0 * t_char)
 
 
 @dataclass

@@ -24,8 +24,9 @@ log(|p|^2 + |q|^2), poles inside the disk included.  Its independent check is
 the area integral against the log(r/|z|) weight, which uses a Gauss rule
 generated for the weight u*log(1/u) on (0,1); its recurrence coefficients are
 computed once from the exact rational moments 1/(k+2)^2, so the radial rule
-converges spectrally for the smooth pullback densities that arise here, and
-the accepted level must agree with the rule of half as many radial nodes.
+converges spectrally for the smooth pullback densities that arise here.  Its
+angular lattice runs the same ladder on raw levels (no 1/N term to remove),
+and the accepted level must agree with the rule of half as many radial nodes.
 
 All grid reductions use numpy's pairwise summation; results are deterministic
 for fixed settings.
@@ -98,26 +99,33 @@ def _midpoints(n: int, offset: float = 0.0) -> np.ndarray:
 
 def _richardson_ladder(estimate: Callable[[int], float],
                        settings: QuadratureSettings,
-                       label: str) -> Tuple[float, Certificate]:
-    """Doubling ladder of the circle and torus rules over ``estimate(n)``, the
-    raw rule on n nodes: two successive Richardson pairs 2*I(2N) - I(N) within
-    ``tol`` accept the latter, and a non-finite level raises at once."""
-    raw_prev = richardson_prev = None
+                       label: str,
+                       richardson: bool = True) -> Tuple[float, Certificate]:
+    """Doubling ladder of every circle, torus and area rule over
+    ``estimate(n)``, the raw rule on n nodes.  Successive levels combine as
+    the Richardson pair 2*I(2N) - I(N), or as the raw levels themselves
+    without ``richardson``; two successive combined values within ``tol``
+    accept the latter, and a non-finite level raises at once."""
+    raw_prev = combined_prev = delta = None
     n = settings.base_grid
     for _ in range(settings.max_depth + 1):
         raw = estimate(n)
         if not math.isfinite(raw):
             raise NumericalError(f"{label}: estimate not finite at grid {n}")
-        if raw_prev is not None:
-            richardson = 2.0 * raw - raw_prev
-            if richardson_prev is not None and abs(richardson - richardson_prev) <= settings.tol:
-                return richardson, Certificate(
-                    settings.tol, abs(richardson - richardson_prev), n
-                )
-            richardson_prev = richardson
-        raw_prev = raw
+        combined = raw
+        if richardson:
+            combined = None if raw_prev is None else 2.0 * raw - raw_prev
+            raw_prev = raw
+        if combined is not None and combined_prev is not None:
+            delta = abs(combined - combined_prev)
+            if delta <= settings.tol:
+                return combined, Certificate(settings.tol, delta, n)
+        combined_prev = combined
         n *= 2
-    raise NoConvergence(f"{label}: no convergence at grid {n // 2}")
+    last = "no two combined levels" if delta is None else f"last delta {delta:.3g}"
+    raise NoConvergence(
+        f"{label}: no convergence at grid {n // 2} ({last}, tol {settings.tol:.3g})"
+    )
 
 
 def circle_mean(values: Callable[[np.ndarray], np.ndarray],
@@ -404,19 +412,15 @@ def nevanlinna_T(alpha: DiskMap, r: float, method: str = "boundary",
                 total += w * float(np.mean(dens))
             return 2.0 * math.pi * r * r * total
 
-        prev = None
-        n_theta = settings.base_grid
-        for _ in range(settings.max_depth + 1):
-            est = estimate(n_theta, _RADIAL_NODES)
-            if prev is not None and abs(est - prev) <= settings.tol:
-                coarse = estimate(n_theta, _RADIAL_NODES // 2)
-                if abs(est - coarse) > settings.tol:
-                    raise NoConvergence(
-                        f"nevanlinna area integral: radial rules of {_RADIAL_NODES} and "
-                        f"{_RADIAL_NODES // 2} nodes differ by {abs(est - coarse):.3g}"
-                    )
-                return est
-            prev = est
-            n_theta *= 2
-        raise NoConvergence("nevanlinna area integral did not stabilize")
+        value, cert = _richardson_ladder(
+            lambda n: estimate(n, _RADIAL_NODES), settings,
+            "nevanlinna area integral", richardson=False,
+        )
+        gap = abs(value - estimate(cert.grid, _RADIAL_NODES // 2))
+        if gap > settings.tol:
+            raise NoConvergence(
+                f"nevanlinna area integral: radial rules of {_RADIAL_NODES} and "
+                f"{_RADIAL_NODES // 2} nodes differ by {gap:.3g} at grid {cert.grid}"
+            )
+        return value
     raise DomainError(f"unknown method {method!r}")

@@ -220,6 +220,14 @@ class TestSelfIntersectionP1:
         self_intersection_P1(build_morphism(surface(3), parse_map("6*z+9*z^2"), 10), FAST)
         assert sorted(calls) == ["circle", "torus"]
 
+    def test_kernel_is_the_bound_slack(self):
+        m = build_morphism(surface(3), parse_map("6*z+9*z^2"), 10)
+        p1 = self_intersection_P1(m, FAST)
+        check = overflow.nevanlinna_bound_check(m.alpha_an, 1.0, FAST)
+        assert p1.kernel_part == check.slack
+        assert p1.characteristic_part == check.characteristic
+        assert p1.value == p1.upper_bound - check.slack
+
     def test_height_values(self):
         assert projective_height(F(3, 4)) == pytest.approx(math.log(5))
         assert projective_height(F(0)) == 0.0
@@ -321,6 +329,41 @@ class TestDimBounds:
         n = 10**4
         got = dim_bound_CNB(n, F(2), 3)
         assert got * 2 * 3 * 2 / n**2 == pytest.approx(1.0, rel=0.01)
+
+    @staticmethod
+    def _c_loop(n, d):
+        """The summation loops the closed forms replaced, kept as the reference."""
+        total, i = 0, 0
+        while n + 1 - i * d > 0:
+            total += n + 1 - i * d
+            i += 1
+        return total
+
+    @staticmethod
+    def _cnb_loop(n, cd, mu):
+        total = 0
+        for i in range(max(math.floor(F(n) / cd) + 1, 0)):
+            term = 1 + math.floor(F(n - i * cd) / mu)
+            if term > 0:
+                total += term
+        return total
+
+    def test_closed_forms_match_the_loops(self):
+        for n in range(-2, 30):
+            for d in range(1, 9):
+                assert dim_bound_C(n, d) == self._c_loop(n, d), (n, d)
+            for p in range(1, 9):
+                for q in range(1, 7):
+                    for mu in range(1, 5):
+                        cd = F(p, q)
+                        assert dim_bound_CNB(n, cd, mu) == self._cnb_loop(n, cd, mu), (n, cd, mu)
+
+    def test_closed_forms_on_huge_inputs(self):
+        # the loops would take about 3e9 and 1e11 steps; the CNB terms are 4
+        # once, then 3, 2 and 1 for 1e9 indices each
+        assert dim_bound_CNB(3, F(1, 10**9), 1) == 6 * 10**9 + 4
+        n = 10**11
+        assert dim_bound_C(n, 1) == (n + 1) * (n + 2) // 2
 
 
 class TestGrelem:

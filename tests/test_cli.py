@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -76,7 +77,9 @@ class TestOverflowCommand:
             "--config", str(cfg),
         ])
         assert code == 3
-        assert json.loads(out)["error"]["type"] == "NoConvergence"
+        error = json.loads(out)["error"]
+        assert error["type"] == "NoConvergence"
+        assert "no convergence at grid 8 (no two combined levels, tol 1e-15)" in error["message"]
 
     @pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf", "1,-inf"])
     def test_bad_radius_rejected(self, radius):
@@ -417,6 +420,25 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["result"]["value"] == 6
 
+    @pytest.mark.parametrize("argv,value", [
+        (["--variant", "CNB", "--n", "3", "--cd", "1/1000000000", "--mu", "1"], 6 * 10**9 + 4),
+        (["--variant", "C", "--n", "100000000000", "--d", "1"],
+         (10**11 + 1) * (10**11 + 2) // 2),
+    ])
+    def test_dimbound_finishes_on_huge_counts(self, argv, value):
+        start = time.monotonic()
+        code, out = run_cli(["dimbound", *argv])
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == value
+
+    def test_dimbound_unprintable_value_exits_2(self):
+        # the count has about 4400 digits, past Python's 4300-digit limit
+        proc = _run_module("dimbound", "--variant", "C", "--n", "9" * 2200, "--d", "1")
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
+
     def test_grelem(self):
         code, out = run_cli(["grelem", "--psi", '["0","2"]', "--e", "1", "--order", "8"])
         assert code == 0
@@ -505,6 +527,36 @@ class TestDeterminismAndRoundTrip:
         assert json.loads(target.read_text())["result"]["value"] == 1
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+_README_EXAMPLES = [
+    shlex.split(line)[1:]
+    for line in _README.read_text().splitlines()
+    if line.startswith("overflow-lab ")
+]
+_TAKES_CONFIG = {"overflow", "selfint", "dinv", "holonomy-bound"}
+
+
+@pytest.mark.parametrize("argv", _README_EXAMPLES, ids=lambda argv: " ".join(argv))
+def test_readme_examples_share_one_report_envelope(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    golden = Path(__file__).parent / "golden" / "exact" / "lattice25.json"
+    (tmp_path / "lattice.json").write_text(golden.read_text())
+    code, out = run_cli(argv)
+    assert code == 0
+    if "csv" in argv:
+        assert out.startswith("x,value,method\n")
+    else:
+        keys = {"command", "inputs", "result"}
+        if argv[0] in _TAKES_CONFIG:
+            keys.add("settings")
+        report = json.loads(out)
+        assert report["command"] == argv[0]
+        assert set(report) == keys
+    target = tmp_path / "report.out"
+    assert run_cli(["--output", str(target), *argv]) == (0, "")
+    assert target.read_text() == out
+
+
 def _run_module(*argv):
     src = str(Path(overflow_lab.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -544,6 +596,18 @@ _LONG_INTEGER = "1" * 5000  # past Python's 4300-digit limit for int(str)
 
 def test_over_long_psi_integer_exits_2():
     proc = _run_module("selfint", "--psi", f"[0,{_LONG_INTEGER}]", "--map", "z")
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("cc", ['"1e5000"', '"1e999999999"', "1e5000"])
+def test_lattice_entries_pass_the_rational_guard(cc, tmp_path):
+    # a term too long to print, an exponent Fraction would expand for
+    # minutes, and a JSON number that loads as inf
+    path = tmp_path / "lattice.json"
+    path.write_text('{"labels": ["E"], "matrix": [["-1"]], "c": ["1"], "cc": %s}' % cc)
+    proc = _run_module("equilibrium", "--lattice", str(path))
     assert proc.returncode == 2
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["error"]["type"] == "ConfigError"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from overflow_lab import quadrature
 from overflow_lab.errors import DomainError, NoConvergence, NumericalError
 from overflow_lab.maps import DiskMap, parse_map
 from overflow_lab.quadrature import (
@@ -109,6 +110,18 @@ class TestLadderFailsFast:
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
             torus_pair_log_integral(boundary, QuadratureSettings(base_grid=16))
         assert grids == [16, 128]
+
+    def test_area_non_finite_level(self, monkeypatch):
+        grids = []
+
+        def density(alpha, z):
+            grids.append(z.size)
+            return np.full(z.shape, np.nan)
+
+        monkeypatch.setattr(quadrature, "_fubini_study_density", density)
+        with pytest.raises(NumericalError, match="area integral: estimate not finite at grid 256"):
+            nevanlinna_T(IDENTITY, 1.0, "area")
+        assert set(grids) == {256}
 
 
 class TestEvenCircleMean:
@@ -334,3 +347,22 @@ def test_no_convergence_raises():
     boundary = _on_circle(1.3, lambda z: z**5 + z**2 + z)
     with pytest.raises(NoConvergence):
         torus_pair_log_integral(boundary, wild)
+
+
+@pytest.mark.parametrize("depth,last", [
+    (1, "no two combined levels"),
+    (2, "last delta [0-9.e+-]+"),
+])
+def test_no_convergence_names_the_last_level(depth, last):
+    wild = QuadratureSettings(base_grid=4, tol=1e-14, max_depth=depth)
+    boundary = _on_circle(1.3, lambda z: z**5 + z**2 + z)
+    grid = 4 * 2**depth
+    with pytest.raises(NoConvergence, match=rf"at grid {grid} \({last}, tol 1e-14\)$"):
+        torus_pair_log_integral(boundary, wild)
+
+
+def test_area_no_convergence_names_the_last_level():
+    # the area route accepts on raw levels, so two levels give one delta
+    wild = QuadratureSettings(base_grid=4, tol=1e-14, max_depth=1)
+    with pytest.raises(NoConvergence, match=r"area integral: no convergence at grid 8 \(last delta"):
+        nevanlinna_T(parse_map("z^5+z^2+z"), 1.3, "area", wild)
