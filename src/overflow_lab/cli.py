@@ -327,6 +327,8 @@ def _load_lattice(path: str) -> "lattice.IntersectionLattice":
         raise ConfigError(f"lattice JSON must have exactly the keys {sorted(required)}")
 
     def entry(x) -> Fraction:
+        if isinstance(x, bool):  # JSON true and false load as bool, a subclass of int
+            raise ConfigError(f"bad lattice entry: {json.dumps(x)} is not a number")
         return _rational(x) if isinstance(x, str) else Fraction(x)
 
     try:
@@ -378,6 +380,8 @@ def _cmd_jacobian_check(args):
 
     from . import diffeo
 
+    if not 0 <= args.level <= diffeo.JACOBIAN_MAX_LEVEL:  # before sampling that many
+        raise DomainError(f"level must be in 0..{diffeo.JACOBIAN_MAX_LEVEL}, got {args.level}")
     rng = np.random.default_rng(args.seed)
     phi = diffeo.OrbitElement(
         args.e, args.a, tuple(float(x) for x in rng.normal(size=args.level))

@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     EnumerationTooLarge,
     LevelMismatch,
+    NumericalError,
     StepTooSmall,
 )
 from .series import TruncatedSeries, compose, compositional_inverse
@@ -183,6 +184,9 @@ def _orbit_coordinates(phi: OrbitElement, points: np.ndarray) -> np.ndarray:
     return acc[phi.e + 1 :].T
 
 
+JACOBIAN_MAX_LEVEL = 6
+
+
 @dataclass(frozen=True)
 class JacobianCheck:
     determinant: float
@@ -196,10 +200,11 @@ def jacobian_check(e: int, a: int, n: int, phi: OrbitElement,
 
     Differencing is deliberately independent of the exact-composition path:
     its purpose is to confirm the closed form, not to reuse it.  Determinants
-    at steps h and h/2 must agree or the step is rejected.
+    at steps h and h/2 must agree, and neither may leave a coordinate
+    unchanged, the determinant 0 or the float range.
     """
-    if n > 6:
-        raise DomainError("finite-difference check limited to level <= 6")
+    if not 0 <= n <= JACOBIAN_MAX_LEVEL:
+        raise DomainError(f"finite-difference check needs a level in 0..{JACOBIAN_MAX_LEVEL}")
     if phi.e != e or phi.a != a or phi.level != n:
         raise DomainError("orbit element does not match (e, a, n)")
     if g.level != n:
@@ -212,11 +217,19 @@ def jacobian_check(e: int, a: int, n: int, phi: OrbitElement,
     base = np.array([float(c) for c in g.coeffs])
 
     def determinant(step: float) -> float:
+        if np.any(base + step == base) or np.any(base - step == base):
+            raise StepTooSmall(f"step {step!r} leaves a coordinate unchanged")
         # rows i and n + i move coordinate i by +step and -step
         shift = step * np.eye(n)
-        coords = _orbit_coordinates(phi, np.concatenate([base + shift, base - shift]))
-        cols = (coords[:n] - coords[n:]) / (2 * step)
-        return float(np.linalg.det(cols.T))
+        with np.errstate(all="ignore"):
+            coords = _orbit_coordinates(phi, np.concatenate([base + shift, base - shift]))
+            cols = (coords[:n] - coords[n:]) / (2 * step)
+            det = float(np.linalg.det(cols.T))
+        if not math.isfinite(det):
+            raise NumericalError(f"finite differences leave the float range at step {step!r}")
+        if det == 0.0:
+            raise StepTooSmall(f"determinant is 0 at step {step!r}")
+        return det
 
     det_h = determinant(h)
     det_h2 = determinant(h / 2)
@@ -324,6 +337,8 @@ def measure_bound_mc(e: int, a: int, rho: float, box_radius: float, n: int,
     """
     if n < 1 or n > 4:
         raise DomainError("level must be between 1 and 4")
+    if e < 1 or a == 0:  # the representatives' span e |a| would be empty
+        raise DomainError(f"need leading exponent e >= 1 and coefficient a != 0, got {e}, {a}")
     if samples < 1 or shards < 1:
         raise DomainError("need positive samples and shards")
     if not (math.isfinite(rho) and rho > 0):

@@ -150,9 +150,11 @@ def _require_float_range(alpha: DiskMap, r: float) -> None:
 def _boundary_cross(alpha: DiskMap, r: float,
                     settings: QuadratureSettings) -> Tuple[float, Certificate]:
     """Double integral of log|p(t) q(s) - q(t) p(s)| over the circle of radius r,
-    (p, q) = (num, den), so interior poles never enter; a polynomial uses the
-    plain kernel log|p(t) - p(s)|.  Real coefficients conjugate the boundary
-    values under t -> 1 - t, which the kernel folds."""
+    (p, q) = (num, den), so interior poles never enter.  The kernel takes it
+    as log|q(t)| + log|q(s)| + log|f(t) - f(s)| with f = p/q, so a rational
+    map and a polynomial (q = None, the plain log|p(t) - p(s)|) share one
+    difference loop.  Real coefficients conjugate the boundary values under
+    t -> 1 - t, which the kernel folds."""
 
     def boundary(ts: np.ndarray):
         z = r * np.exp(2j * np.pi * ts)

@@ -7,16 +7,16 @@ lattices never meet and the diagonal is never sampled.  The leading 1/N error
 of the diagonal band is removed by Richardson extrapolation (for the
 translation invariant part of the kernel this cancellation is exact at every N).
 
-The torus kernel walks the outer lattice in row blocks of about 2**16 pairs.
-Each block's differences are formed in real arithmetic into a few reused
-buffers, so the working set stays in cache at every lattice size.  The kernel
-takes one log per product of squared moduli.  A map with real coefficients has
-boundary values conjugate under t -> 1 - t, so only half of the outer rows are
-walked, each multiplied by its mirror row built from shared parts (the
-conjugate fold); every block then multiplies its two halves together (the half
-fold).  A real map thus takes one log per four squared moduli and any other map
-one per two.  A block whose product overflows or underflows is summed again
-unfolded, one log per squared modulus.
+The torus kernel has one path, the differences f(t) - f(s); a rational map
+f = p/q adds log|q(t)| + log|q(s)| as one sum of logs per lattice.  It walks
+the outer lattice in row blocks of about 2**16 pairs into three reused
+buffers, so the working set stays in cache, and takes one log per product of
+squared moduli.  A map with real coefficients has boundary values conjugate
+under t -> 1 - t, so only half of the outer rows are walked, each multiplied
+by its mirror row (the conjugate fold); every block then multiplies its two
+halves together (the half fold).  A real map thus takes one log per four
+squared moduli and any other map one per two.  A block whose product
+overflows or underflows is summed again unfolded, one log per squared modulus.
 
 The Ahlfors-Shimizu characteristic T(r) has one boundary formula for every
 map, Jensen's formula for the lift (p, q): one circle mean of
@@ -159,7 +159,7 @@ _INNER_REFINE = 8
 
 #: Pairs per row block of the torus kernel.  Each reused float64 buffer then
 #: holds 512 KiB, or 256 KiB under the conjugate fold, where an element stands
-#: for two pairs, so the two to five of them stay in a per-core L2 cache; the
+#: for two pairs, so the three of them stay in a per-core L2 cache; the
 #: outer lattice is walked in blocks of max(1, _BLOCK_ELEMENTS // m) rows, half
 #: as many under the conjugate fold.
 _BLOCK_ELEMENTS = 1 << 16
@@ -205,79 +205,51 @@ def _log_cross_sum(p1, q1, p2, q2, label: str, even: bool = False) -> float:
     means 1); with ``even`` the outer lattice also holds the conjugate of each
     row given, and the sum covers those mirrored rows too.
 
-    The outer lattice is walked in row blocks, each built in real arithmetic
-    into reused buffers.  With ``even`` a block forms |K(t, s)|^2 and
-    |K(t, conj s)|^2, which is the mirrored row's term, from shared parts and
-    multiplies them; every block then multiplies its two halves together
-    before the log, so a real map takes one log per four squared moduli and
-    any other one per two.  The block sums are combined with numpy's pairwise
-    summation.  A block whose folded sum is not finite, or whose arithmetic
-    overflowed or underflowed (a product of finite squares can leave the
-    float range, or keep only a few digits among the subnormals), is rebuilt
-    unfolded: an exactly zero squared modulus (a shared boundary value, or a
-    square that underflows) raises, and otherwise the block's sum is the sum
-    of the logs of its squared moduli.
+    A rational map has |K|^2 = |q1|^2 |q2|^2 |f1 - f2|^2, f = p/q: the q
+    factors add m sum log|q1|^2 + n sum log|q2|^2, doubled under ``even`` (a
+    mirrored row's |q| is its own), q exactly 0 raises, and f1, f2 take the
+    difference loop of a polynomial's values.  It walks the outer lattice in
+    row blocks built in real arithmetic into reused buffers.  With ``even`` a
+    block forms |f1(t) - f2(s)|^2 and |f1(t) - conj f2(s)|^2, the mirrored
+    row's term, from a shared real part and multiplies them; every block then
+    multiplies its two halves together before the log.  A block whose folded
+    sum is not finite, or whose arithmetic overflowed or underflowed (a
+    product of finite squares can leave the float range, or keep only a few
+    digits among the subnormals), is rebuilt unfolded: an exactly zero
+    squared modulus (a shared boundary value, or a square that underflows)
+    raises, and otherwise the block's sum is the sum of the logs of its
+    squared moduli.  Block sums combine by numpy's pairwise summation.
     """
     n, m = len(p1), len(p2)
+    f1, f2, total = p1, p2, 0.0
+    if q1 is not None:
+        if not (np.all(q1) and np.all(q2)):
+            raise NumericalError(f"{label}: lattice hit a pole")
+        # log|q|^2 = 2 log|q|, summed once per row and once per column
+        q_sum = m * np.sum(np.log(np.abs(q1))) + n * np.sum(np.log(np.abs(q2)))
+        f1, f2, total = p1 / q1, p2 / q2, float((4.0 if even else 2.0) * q_sum)
     rows = max(1, _BLOCK_ELEMENTS // (2 * m if even else m))
-    p1r, p1i = np.ascontiguousarray(p1.real), np.ascontiguousarray(p1.imag)
-    p2r, p2i = np.ascontiguousarray(p2.real), np.ascontiguousarray(p2.imag)
-    plain = q1 is None
-    if not plain:
-        q1r, q1i = np.ascontiguousarray(q1.real), np.ascontiguousarray(q1.imag)
-        q2r, q2i = np.ascontiguousarray(q2.real), np.ascontiguousarray(q2.imag)
-    bufs = [np.empty((rows, m)) for _ in range(3 if plain else 5)]
+    f1r, f1i = np.ascontiguousarray(f1.real), np.ascontiguousarray(f1.imag)
+    f2r, f2i = np.ascontiguousarray(f2.real), np.ascontiguousarray(f2.imag)
+    bufs = [np.empty((rows, m)) for _ in range(3)]
 
     def squared_moduli(lo: int, hi: int) -> Tuple[np.ndarray, ...]:
-        """|K(t, s)|^2 for the outer rows lo:hi and, with ``even``, |K(t, conj s)|^2."""
-        a_r, a_i = p1r[lo:hi, None], p1i[lo:hi, None]
-        if plain:
-            # K = (a_r - p2r) + i (a_i - p2i); against the conjugated inner
-            # values the imaginary part is a_i + p2i and the real part is shared
-            d2, sq, sq_conj = (buf[: hi - lo] for buf in bufs)
-            np.subtract(a_r, p2r, out=d2)
-            d2 *= d2
-            np.subtract(a_i, p2i, out=sq)
-            sq *= sq
-            sq += d2
-            if not even:
-                return (sq,)
-            np.add(a_i, p2i, out=sq_conj)
-            sq_conj *= sq_conj
-            sq_conj += d2
-            return sq, sq_conj
-        # With q1 = b_r + i b_i, K = (X + Y) + i (U + V) for X = a_r q2r - b_r p2r,
-        # Y = b_i p2i - a_i q2i, U = a_i q2r - b_i p2r and V = a_r q2i - b_r p2i;
-        # against the conjugated inner values it is (X - Y) + i (U - V)
-        x, y, u, v, tmp = (buf[: hi - lo] for buf in bufs)
-        b_r, b_i = q1r[lo:hi, None], q1i[lo:hi, None]
-        np.multiply(a_r, q2r, out=x)
-        x -= np.multiply(b_r, p2r, out=tmp)
-        np.multiply(a_i, q2r, out=u)
-        u -= np.multiply(b_i, p2r, out=tmp)
-        if even:
-            np.multiply(b_i, p2i, out=y)
-            y -= np.multiply(a_i, q2i, out=tmp)
-            np.multiply(a_r, q2i, out=v)
-            v -= np.multiply(b_r, p2i, out=tmp)
-            np.subtract(x, y, out=tmp)
-            x += y
-            np.subtract(u, v, out=y)
-            u += v
-        else:
-            x += np.multiply(b_i, p2i, out=tmp)
-            x -= np.multiply(a_i, q2i, out=tmp)
-            u += np.multiply(a_r, q2i, out=tmp)
-            u -= np.multiply(b_r, p2i, out=tmp)
-        x *= x
-        u *= u
-        x += u
+        """|f1(t) - f2(s)|^2 for the outer rows lo:hi and, with ``even``,
+        |f1(t) - conj f2(s)|^2: the imaginary part is then a_i + f2i and the
+        real part is shared."""
+        a_r, a_i = f1r[lo:hi, None], f1i[lo:hi, None]
+        d2, sq, sq_conj = (buf[: hi - lo] for buf in bufs)
+        np.subtract(a_r, f2r, out=d2)
+        d2 *= d2
+        np.subtract(a_i, f2i, out=sq)
+        sq *= sq
+        sq += d2
         if not even:
-            return (x,)
-        tmp *= tmp
-        y *= y
-        tmp += y
-        return x, tmp
+            return (sq,)
+        np.add(a_i, f2i, out=sq_conj)
+        sq_conj *= sq_conj
+        sq_conj += d2
+        return sq, sq_conj
 
     starts = range(0, n, rows)
     sums = np.empty(len(starts))
@@ -302,7 +274,7 @@ def _log_cross_sum(p1, q1, p2, q2, label: str, even: bool = False) -> float:
                     f"{label}: lattice hit an exact coincidence of boundary values"
                 )
             sums[b] = sum(np.sum(np.log(f)) for f in factors)
-    return float(np.sum(sums))
+    return total + float(np.sum(sums))
 
 
 # -- circle log means -------------------------------------------------------

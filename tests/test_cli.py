@@ -150,6 +150,14 @@ class TestOverflowCommand:
         assert err["type"] == "DomainError" and "float64" in err["message"]
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("expr", ["z/(1e150+z)", "1e150*z/(1+z)", "(1e-150*z)/(2+z)"])
+    def test_scaled_moebius_excess_is_zero(self, expr):
+        # a Moebius map's excess is 0 in closed form; here f = p/q on the
+        # circle is of size 1e-150 or 1e150, far from the pair's own scale
+        code, out = run_cli(["overflow", "--map", expr, "--target", "P1", "--radius", "1.5"])
+        assert code == 0
+        assert abs(json.loads(out)["result"]["reports"][0]["explicit"]["value"]) <= 1e-10
+
     def test_oracle_fiber_beyond_float_range_exits_2(self, fast_config):
         # the boundary data is tiny, but the monic fiber polynomial overflows
         code, out = run_cli([
@@ -209,6 +217,31 @@ class TestOverflowCommand:
         proc = _run_module(*argv, "--e", "1", "--a", "1", "--level", "2")
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
+        # a degenerate leading term: the estimate read 0, from an empty search
+        ["measure-mc", "--e", "0", "--a", "1", "--rho", "2", "--box-radius", "1", "--level", "2"],
+        ["measure-mc", "--e", "-1", "--a", "1", "--rho", "2", "--box-radius", "1", "--level", "2"],
+        ["measure-mc", "--e", "1", "--a", "0", "--rho", "2", "--box-radius", "1", "--level", "2"],
+        # a level numpy cannot sample, or that the check refuses
+        ["jacobian-check", "--e", "1", "--a", "1", "--level", "-1"],
+        ["jacobian-check", "--e", "1", "--a", "1", "--level", "7"],
+    ])
+    def test_rejected_before_sampling_exits_2_quietly(self, argv):
+        proc = _run_module(*argv)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("step,kind", [
+        ("1e-300", "StepTooSmall"), ("1e308", "NumericalError"),
+    ])
+    def test_jacobian_step_out_of_float_reach_exits_3_quietly(self, step, kind):
+        proc = _run_module("jacobian-check", "--e", "2", "--a", "3", "--level", "3",
+                           "--step", step)
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout)["error"]["type"] == kind
         assert proc.stderr == ""
 
     def test_help_exits_0(self):
@@ -601,10 +634,11 @@ def test_over_long_psi_integer_exits_2():
     assert json.loads(proc.stdout)["error"]["type"] == "ConfigError"
 
 
-@pytest.mark.parametrize("cc", ['"1e5000"', '"1e999999999"', "1e5000"])
+@pytest.mark.parametrize("cc", ['"1e5000"', '"1e999999999"', "1e5000", "true", "false"])
 def test_lattice_entries_pass_the_rational_guard(cc, tmp_path):
     # a term too long to print, an exponent Fraction would expand for
-    # minutes, and a JSON number that loads as inf
+    # minutes, a JSON number that loads as inf, and booleans, which
+    # Fraction would read as 1 and 0
     path = tmp_path / "lattice.json"
     path.write_text('{"labels": ["E"], "matrix": [["-1"]], "c": ["1"], "cc": %s}' % cc)
     proc = _run_module("equilibrium", "--lattice", str(path))

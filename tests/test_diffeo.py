@@ -20,7 +20,13 @@ from overflow_lab.diffeo import (
     reduce_mod_integer,
     reduce_to_fundamental,
 )
-from overflow_lab.errors import DomainError, EnumerationTooLarge, LevelMismatch
+from overflow_lab.errors import (
+    DomainError,
+    EnumerationTooLarge,
+    LevelMismatch,
+    NumericalError,
+    StepTooSmall,
+)
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -215,6 +221,32 @@ class TestJacobian:
         got = jacobian_check(2, 5, 0, phi, TruncatedDiffeo(()))
         assert got.determinant == 1.0
 
+    @pytest.mark.parametrize("n", [-1, 7])
+    def test_level_out_of_range_raises(self, n):
+        with pytest.raises(DomainError, match=r"level in 0\.\.6"):
+            jacobian_check(1, 1, n, OrbitElement(1, 1, ()), TruncatedDiffeo(()))
+
+    def test_step_that_moves_no_coordinate_raises(self):
+        # both halvings used to give determinant 0, which "agreed" and
+        # refuted (e a)^n with relative error 1
+        phi = OrbitElement(2, 3, (1.5, -0.7, 0.2))
+        g = TruncatedDiffeo((0.1, 0.4, -0.2))
+        with pytest.raises(StepTooSmall, match="leaves a coordinate unchanged"):
+            jacobian_check(2, 3, 3, phi, g, 1e-300)
+
+    def test_zero_determinant_raises(self):
+        # g moves from 0 to a subnormal, but the coordinate 1 + g_2 stays 1
+        phi = OrbitElement(1, 1, (F(1),))
+        with pytest.raises(StepTooSmall, match="determinant is 0"):
+            jacobian_check(1, 1, 1, phi, TruncatedDiffeo((0.0,)), 1e-320)
+
+    def test_overflowing_step_raises_quietly(self, recwarn):
+        phi = OrbitElement(2, 3, (1.5, -0.7, 0.2))
+        g = TruncatedDiffeo((0.1, 0.4, -0.2))
+        with pytest.raises(NumericalError, match="float range"):
+            jacobian_check(2, 3, 3, phi, g, 1e308)
+        assert not recwarn.list
+
 
 class TestMeasureBound:
     def test_zero_box(self):
@@ -235,6 +267,12 @@ class TestMeasureBound:
         a = measure_bound_mc(1, 2, 2.0, 1.0, 2, samples=5000, seed=3, shards=4)
         b = measure_bound_mc(1, 2, 2.0, 1.0, 2, samples=5000, seed=3, shards=4)
         assert a.estimate == b.estimate
+
+    @pytest.mark.parametrize("e, a", [(0, 1), (-1, 1), (1, 0)])
+    def test_degenerate_leading_term_raises(self, e, a):
+        # the search span e |a| would be empty, and the estimate a false 0
+        with pytest.raises(DomainError, match="leading exponent"):
+            measure_bound_mc(e, a, 2.0, 1.0, 2, samples=100, seed=1)
 
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationTooLarge):

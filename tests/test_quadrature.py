@@ -183,10 +183,37 @@ class TestLogCrossSumKernel:
         q1 = q2 = None
         if cross:
             q1, q2 = np.ones(n, dtype=complex), np.ones(m, dtype=complex)
-            p1[n - 2] *= 3.0
-            q1[n - 2] = 3.0
+            # (2x)/2 == x exactly, so f = p/q meets p2[17] too
+            p1[n - 2] *= 2.0
+            q1[n - 2] = 2.0
         with pytest.raises(NumericalError, match="exact coincidence"):
             _log_cross_sum(p1, q1, p2, q2, "kernel")
+
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("near", ["outer", "inner"])
+    def test_pole_near_the_lattice(self, near, even):
+        # q = z - z0 with z0 a relative 1e-6 off a lattice node, so |q| is
+        # about 1.3e-6 there and f = p/q about 1e6
+        n, m = 64, 512
+        z1 = 1.3 * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+        z2 = 1.3 * np.exp(2j * np.pi * (np.arange(m) + 0.75) / m)
+        z0 = z1[5] * (1 + 1e-6) if near == "outer" else z2[40] * (1 - 1e-6)
+        walked = n // 2 if even else n
+        p1, q1 = z1[:walked] ** 2 + 0.5, z1[:walked] - z0
+        p2, q2 = z2**2 + 0.5, z2 - z0
+        assert min(np.min(np.abs(q1)), np.min(np.abs(q2))) < 2e-6
+        outer = _mirrored if even else (lambda half: half)
+        want = _naive_log_cross_sum(outer(p1), outer(q1), p2, q2)
+        got = _log_cross_sum(p1, q1, p2, q2, "kernel", even)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_pole_on_the_lattice_raises(self, even):
+        # |p1 q2 - q1 p2| stays finite there, but f = p/q does not
+        p1, q1 = np.array([1.0 + 1.0j, 2.0 + 0.0j]), np.array([1.0 + 0.0j, 0.0j])
+        p2, q2 = np.array([3.0 + 1.0j, 1.0j]), np.ones(2, dtype=complex)
+        with pytest.raises(NumericalError, match="lattice hit a pole"):
+            _log_cross_sum(p1, q1, p2, q2, "kernel", even)
 
     def test_underflowing_square_raises(self):
         p1 = np.array([1.0 + 1.0j, 1e-300 + 0.0j])
