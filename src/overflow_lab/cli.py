@@ -376,18 +376,9 @@ def _cmd_sample_diffeo(args):
 
 
 def _cmd_jacobian_check(args):
-    import numpy as np
-
     from . import diffeo
 
-    if not 0 <= args.level <= diffeo.JACOBIAN_MAX_LEVEL:  # before sampling that many
-        raise DomainError(f"level must be in 0..{diffeo.JACOBIAN_MAX_LEVEL}, got {args.level}")
-    rng = np.random.default_rng(args.seed)
-    phi = diffeo.OrbitElement(
-        args.e, args.a, tuple(float(x) for x in rng.normal(size=args.level))
-    )
-    g = diffeo.TruncatedDiffeo(tuple(float(x) for x in rng.uniform(size=args.level)))
-    got = diffeo.jacobian_check(args.e, args.a, args.level, phi, g, args.step)
+    got = diffeo.sampled_jacobian_check(args.e, args.a, args.level, args.seed, args.step)
     inputs = {"e": args.e, "a": args.a, "level": args.level, "seed": args.seed,
               "step": args.step}
     return inputs, got

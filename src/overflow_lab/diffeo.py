@@ -184,7 +184,9 @@ def _orbit_coordinates(phi: OrbitElement, points: np.ndarray) -> np.ndarray:
     return acc[phi.e + 1 :].T
 
 
-JACOBIAN_MAX_LEVEL = 6
+def _require_jacobian_level(n: int) -> None:
+    if not 0 <= n <= 6:
+        raise DomainError("finite-difference check needs a level in 0..6")
 
 
 @dataclass(frozen=True)
@@ -203,8 +205,7 @@ def jacobian_check(e: int, a: int, n: int, phi: OrbitElement,
     at steps h and h/2 must agree, and neither may leave a coordinate
     unchanged, the determinant 0 or the float range.
     """
-    if not 0 <= n <= JACOBIAN_MAX_LEVEL:
-        raise DomainError(f"finite-difference check needs a level in 0..{JACOBIAN_MAX_LEVEL}")
+    _require_jacobian_level(n)
     if phi.e != e or phi.a != a or phi.level != n:
         raise DomainError("orbit element does not match (e, a, n)")
     if g.level != n:
@@ -217,8 +218,9 @@ def jacobian_check(e: int, a: int, n: int, phi: OrbitElement,
     base = np.array([float(c) for c in g.coeffs])
 
     def determinant(step: float) -> float:
-        if np.any(base + step == base) or np.any(base - step == base):
-            raise StepTooSmall(f"step {step!r} leaves a coordinate unchanged")
+        for i in np.flatnonzero((base + step == base) | (base - step == base))[:1]:
+            raise StepTooSmall(f"step {step!r} leaves coordinate {i} = {float(base[i])!r}"
+                               " unchanged")
         # rows i and n + i move coordinate i by +step and -step
         shift = step * np.eye(n)
         with np.errstate(all="ignore"):
@@ -243,6 +245,17 @@ def jacobian_check(e: int, a: int, n: int, phi: OrbitElement,
         expected=expected,
         relative_error=abs(det_h2 - expected) / scale,
     )
+
+
+def sampled_jacobian_check(e: int, a: int, n: int, seed: int,
+                           h: float = 1e-3) -> JacobianCheck:
+    """jacobian_check at a standard normal orbit tail and a uniform sample
+    point drawn from ``seed``, once the level passes."""
+    _require_jacobian_level(n)
+    rng = np.random.default_rng(seed)
+    phi = OrbitElement(e, a, tuple(float(x) for x in rng.normal(size=n)))
+    g = TruncatedDiffeo(tuple(float(x) for x in rng.uniform(size=n)))
+    return jacobian_check(e, a, n, phi, g, h)
 
 
 # -- Monte-Carlo lattice-box bound ----------------------------------------------

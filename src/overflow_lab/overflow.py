@@ -128,6 +128,8 @@ def _require_float_range(alpha: DiskMap, r: float) -> None:
     scale of that difference near the diagonal) may fall below the smallest
     normal float; |jet| itself, whose log the excess takes, must be a normal
     float.  The bounds are formed in logs, so the check itself stays finite.
+    The torus kernel forms log|q| and f = p/q rescaled by a power of two, so
+    the size of f needs no bound of its own.
     """
     if not (math.isfinite(r) and r > 0):
         raise DomainError(f"radius must be positive and finite, got {r!r}")

@@ -8,7 +8,8 @@ of the diagonal band is removed by Richardson extrapolation (for the
 translation invariant part of the kernel this cancellation is exact at every N).
 
 The torus kernel has one path, the differences f(t) - f(s); a rational map
-f = p/q adds log|q(t)| + log|q(s)| as one sum of logs per lattice.  It walks
+f = p/q adds log|q(t)| + log|q(s)| as one sum of logs per lattice, and an f
+far from modulus 1 is first scaled by an exact power of two.  It walks
 the outer lattice in row blocks of about 2**16 pairs into three reused
 buffers, so the working set stays in cache, and takes one log per product of
 squared moduli.  A map with real coefficients has boundary values conjugate
@@ -164,6 +165,10 @@ _INNER_REFINE = 8
 #: as many under the conjugate fold.
 _BLOCK_ELEMENTS = 1 << 16
 
+#: log of the largest |f| = |p/q| on the lattices beyond which the kernel
+#: rescales f; within it f is used as divided.
+_RATIO_LOG_LIMIT = 64 * math.log(2.0)
+
 
 def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
                             settings: QuadratureSettings = DEFAULT_SETTINGS,
@@ -206,28 +211,32 @@ def _log_cross_sum(p1, q1, p2, q2, label: str, even: bool = False) -> float:
     row given, and the sum covers those mirrored rows too.
 
     A rational map has |K|^2 = |q1|^2 |q2|^2 |f1 - f2|^2, f = p/q: the q
-    factors add m sum log|q1|^2 + n sum log|q2|^2, doubled under ``even`` (a
-    mirrored row's |q| is its own), q exactly 0 raises, and f1, f2 take the
-    difference loop of a polynomial's values.  It walks the outer lattice in
-    row blocks built in real arithmetic into reused buffers.  With ``even`` a
-    block forms |f1(t) - f2(s)|^2 and |f1(t) - conj f2(s)|^2, the mirrored
-    row's term, from a shared real part and multiplies them; every block then
-    multiplies its two halves together before the log.  A block whose folded
-    sum is not finite, or whose arithmetic overflowed or underflowed (a
-    product of finite squares can leave the float range, or keep only a few
-    digits among the subnormals), is rebuilt unfolded: an exactly zero
-    squared modulus (a shared boundary value, or a square that underflows)
-    raises, and otherwise the block's sum is the sum of the logs of its
-    squared moduli.  Block sums combine by numpy's pairwise summation.
+    factors are one sum of logs per lattice, doubled under ``even`` (a
+    mirrored row's |q| is its own), q exactly 0 raises, and f, divided by a
+    power of two when max|f| lies beyond 2**+-64, takes the difference loop
+    of a polynomial's values.  Row blocks are built in real arithmetic into
+    reused buffers and folded as the module docstring says.  A block whose
+    folded sum is not finite, or whose arithmetic overflowed or underflowed,
+    is rebuilt unfolded: an exactly zero squared modulus (a shared boundary
+    value, or a square that underflows) raises, and otherwise the block sums
+    the logs of its squared moduli.  Block sums combine pairwise.
     """
     n, m = len(p1), len(p2)
     f1, f2, total = p1, p2, 0.0
     if q1 is not None:
         if not (np.all(q1) and np.all(q2)):
             raise NumericalError(f"{label}: lattice hit a pole")
-        # log|q|^2 = 2 log|q|, summed once per row and once per column
-        q_sum = m * np.sum(np.log(np.abs(q1))) + n * np.sum(np.log(np.abs(q2)))
-        f1, f2, total = p1 / q1, p2 / q2, float((4.0 if even else 2.0) * q_sum)
+        log_q1, log_q2 = np.log(np.abs(q1)), np.log(np.abs(q2))
+        with np.errstate(divide="ignore"):  # log 0 = -inf where p vanishes
+            top = max(np.max(np.log(np.abs(p1)) - log_q1), np.max(np.log(np.abs(p2)) - log_q2))
+        # f = (p 2^-k) / q, 2^k about max|f|, keeps |f1 - f2|^2 and the fold's
+        # products in the float range; the sum gets back 2 k log 2 per pair,
+        # and log|q|^2 = 2 log|q| once per row and once per column
+        k = int(round(top / math.log(2.0))) if _RATIO_LOG_LIMIT < abs(top) < math.inf else 0
+        f1, f2 = (np.ldexp(np.ascontiguousarray(p, complex).view(float), -k).view(complex) / q
+                  for p, q in ((p1, q1), (p2, q2)))
+        q_sum = m * np.sum(log_q1) + n * np.sum(log_q2) + n * m * k * math.log(2.0)
+        total = float((4.0 if even else 2.0) * q_sum)
     rows = max(1, _BLOCK_ELEMENTS // (2 * m if even else m))
     f1r, f1i = np.ascontiguousarray(f1.real), np.ascontiguousarray(f1.imag)
     f2r, f2i = np.ascontiguousarray(f2.real), np.ascontiguousarray(f2.imag)

@@ -150,13 +150,21 @@ class TestOverflowCommand:
         assert err["type"] == "DomainError" and "float64" in err["message"]
         assert proc.stderr == ""
 
-    @pytest.mark.parametrize("expr", ["z/(1e150+z)", "1e150*z/(1+z)", "(1e-150*z)/(2+z)"])
-    def test_scaled_moebius_excess_is_zero(self, expr):
+    @pytest.mark.parametrize("expr,radius", [
+        ("z/(1e150+z)", "1.5"), ("1e150*z/(1+z)", "1.5"), ("(1e-150*z)/(2+z)", "1.5"),
+        # |f(t) - f(s)|^2 about 1e311 and 1e-310 unscaled
+        ("(1e5*z)/(2e-150+1e-150*z)", "1.5"), ("(1e-5*z)/(2e150+1e150*z)", "1.5"),
+        # f about 1e-310, a subnormal, though p is about 1e-210
+        ("(1e-200*z)/(1e100+z)", "1e-10"),
+    ])
+    def test_scaled_moebius_excess_is_zero(self, expr, radius):
         # a Moebius map's excess is 0 in closed form; here f = p/q on the
-        # circle is of size 1e-150 or 1e150, far from the pair's own scale
-        code, out = run_cli(["overflow", "--map", expr, "--target", "P1", "--radius", "1.5"])
-        assert code == 0
-        assert abs(json.loads(out)["result"]["reports"][0]["explicit"]["value"]) <= 1e-10
+        # circle is far from modulus 1, and far from the pair's own scale
+        proc = _run_module("overflow", "--map", expr, "--target", "P1", "--radius", radius)
+        assert proc.returncode == 0
+        # unscaled, the 1e-310 squares of the 1e-5/1e150 case read 2.3e-11
+        assert abs(json.loads(proc.stdout)["result"]["reports"][0]["explicit"]["value"]) <= 1e-12
+        assert proc.stderr == ""
 
     def test_oracle_fiber_beyond_float_range_exits_2(self, fast_config):
         # the boundary data is tiny, but the monic fiber polynomial overflows

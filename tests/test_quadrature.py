@@ -208,6 +208,24 @@ class TestLogCrossSumKernel:
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("p_scale,q_scale", [(1e5, 1e-150), (1e-5, 1e150), (1.0, 1e-30)])
+    def test_ratio_far_from_modulus_one(self, p_scale, q_scale, even):
+        # f = p/q is about 1e155, 1e-155 and 1e30: its squared differences
+        # leave the float range, or the fold's products do, unless f is scaled
+        n, m = 64, 512
+        z1 = 1.5 * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+        z2 = 1.5 * np.exp(2j * np.pi * (np.arange(m) + 0.75) / m)
+        walked = n // 2 if even else n
+        p1, q1 = p_scale * z1[:walked], q_scale * (2 + z1[:walked])
+        p2, q2 = p_scale * z2, q_scale * (2 + z2)
+        outer = _mirrored if even else (lambda half: half)
+        want = _naive_log_cross_sum(outer(p1), outer(q1), p2, q2)
+        got = _log_cross_sum(p1, q1, p2, q2, "kernel", even)
+        # each of the n m terms is about +-700, so bound the error per pair:
+        # unscaled, the subnormal squares of the 1e-155 case lose 3e-12
+        assert got == pytest.approx(want, rel=0, abs=5e-13 * n * m)
+
+    @pytest.mark.parametrize("even", [False, True])
     def test_pole_on_the_lattice_raises(self, even):
         # |p1 q2 - q1 p2| stays finite there, but f = p/q does not
         p1, q1 = np.array([1.0 + 1.0j, 2.0 + 0.0j]), np.array([1.0 + 0.0j, 0.0j])
