@@ -206,7 +206,11 @@ def _cmd_overflow(args):
                 raise DomainError("the definitional oracle handles target C only")
             entry["oracle"] = overflow.overflow_definitional_oracle(alpha, r, settings)
         if args.method == "both" and args.target == "C":
-            entry["residual"] = abs(entry["explicit"].value - entry["oracle"].value)
+            explicit, oracle = entry["explicit"], entry["oracle"]
+            entry["residual"] = abs(explicit.value - oracle.value)
+            # whether the two certificates account for the gap between the routes
+            entry["residual_within_achieved"] = entry["residual"] <= (
+                explicit.certificate.achieved + oracle.certificate.achieved)
         per_radius.append(entry)
 
     if args.format == "csv":

@@ -10,6 +10,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -168,8 +169,10 @@ class DiskMap:
     def real_coefficients(self) -> bool:
         return all(_is_real(c) for c in self.num + self.den)
 
+    @cached_property
     def _wronskian(self) -> tuple:
-        """p'q - pq', the numerator of the derivative of p/q."""
+        """p'q - pq', the numerator of the derivative of p/q, formed once per
+        map: the exact products are costly and every route asks for them."""
         return _poly_add(
             _poly_mul(_poly_deriv(self.num), self.den),
             _poly_mul(self.num, _poly_deriv(self.den)),
@@ -178,7 +181,7 @@ class DiskMap:
 
     def is_constant(self) -> bool:
         # num/den is constant iff its Wronskian vanishes
-        return all(_near_zero(c) for c in self._wronskian())
+        return all(_near_zero(c) for c in self._wronskian)
 
     def value_at_zero(self):
         return self.num[0] / self.den[0]
@@ -187,14 +190,15 @@ class DiskMap:
 
     def ramification_index(self) -> int:
         """Order of vanishing of (alpha - alpha(0)) at 0."""
-        e, _ = self._jet_data()
+        e, _ = self._jet_data
         return e
 
     def jet(self):
         """The leading Taylor coefficient alpha^{(e)}(0)/e! as a number."""
-        _, a = self._jet_data()
+        _, a = self._jet_data
         return a
 
+    @cached_property
     def _jet_data(self) -> Tuple[int, complex]:
         if self.is_constant():
             raise ConstantMap("map is constant")
@@ -226,7 +230,7 @@ class DiskMap:
     def derivative_num_den_at(self, z: np.ndarray):
         """(p'q - pq', q^2)(z): homogeneous data of the derivative."""
         z = np.asarray(z, dtype=complex)
-        wn = np.polyval([complex(c) for c in reversed(self._wronskian())], z)
+        wn = np.polyval([complex(c) for c in reversed(self._wronskian)], z)
         q = np.polyval([complex(c) for c in reversed(self.den)], z)
         return wn, q * q
 

@@ -26,6 +26,10 @@ a level in chunks of a fixed number of roots, so its memory beyond the
 level's own roots stays cache-sized.  For a map with real coefficients the
 fiber over a conjugate boundary value is the conjugate fiber, so the
 integrand is even in t and each level evaluates half of the midpoint lattice.
+The integrand kinks wherever a fiber root crosses the circle, so each level
+subtracts its Lyness-Ninham midpoint error at those crossings, read off the
+roots the level solved (_kink_correction), and the ladder compares the
+corrected levels with no Richardson step.
 
 Both routes reject, before any integral runs, a map and radius whose boundary
 values cannot be squared in float64; the oracle also rejects one whose fiber
@@ -41,6 +45,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -418,18 +423,225 @@ def _predicted_start(deriv: np.ndarray, roots: np.ndarray, z_old: np.ndarray,
         return np.where(np.isfinite(step), w + step, w)
 
 
+#: Offsets, in cells, of the 8 nodes around a cell that the kink correction
+#: fits, and the matrix taking their values to the ascending coefficients of
+#: the degree-7 interpolant in x = (t - t_j) / h.  Its derivatives carry an
+#: error of h^(8-n), so the n-th jump term one of h^9; the degree-5 fit on 6
+#: nodes left 1.4e-11 on max(0, sin 2 pi t - 0.3) at 64 nodes, this one 5.7e-14.
+_STENCIL = np.arange(-3, 5)
+_CENTER = int(-_STENCIL[0])  # the index of offset 0
+
+
+def _lagrange_fit(nodes: Sequence[int]) -> np.ndarray:
+    """Column i: the ascending coefficients of the Lagrange basis polynomial
+    of node i, the inverse of the nodes' Vandermonde matrix without a LAPACK
+    call (whose first use costs every command that imports this module)."""
+    fit = []
+    for i, xi in enumerate(nodes):
+        poly = [1.0]
+        for xj in nodes[:i] + nodes[i + 1:]:
+            # times (x - xj) / (xi - xj)
+            poly = [(a - xj * b) / (xi - xj) for a, b in zip([0.0] + poly, poly + [0.0])]
+        fit.append(poly)
+    return np.array(fit).T
+
+
+_STENCIL_FIT = _lagrange_fit(_STENCIL.tolist())
+
+#: Bernoulli polynomials B_2 .. B_6 (ascending coefficients), each divided by
+#: its index factorial: the weights of the jump terms n = 1 .. 5.
+_BERNOULLI = np.array([
+    [1 / 6, -1, 1, 0, 0, 0, 0],
+    [0, 1 / 2, -3 / 2, 1, 0, 0, 0],
+    [-1 / 30, 0, 1, -2, 1, 0, 0],
+    [0, -1 / 6, 0, 5 / 3, -5 / 2, 1, 0],
+    [1 / 42, 0, -1 / 2, 0, 5 / 2, -3, 1],
+]) / np.array([[math.factorial(n + 1)] for n in range(1, 6)])
+
+
+def _jump_weights() -> np.ndarray:
+    """The jump terms of a crossing at x of the interpolant sum_p c_p x^p are
+    sum_n (-1)^n P^(n)(x) B_(n+1)(x) / (n+1)! = sum_p c_p W_p(x); row p holds
+    the ascending coefficients of the polynomial W_p."""
+    weights = np.zeros((len(_STENCIL), len(_STENCIL) + 1))
+    for p in range(1, len(_STENCIL)):
+        for n in range(1, min(p, len(_BERNOULLI)) + 1):
+            # the n-th derivative of x^p is perm(p, n) x^(p - n)
+            weights[p, p - n:p + 2] += (-1) ** n * math.perm(p, n) * _BERNOULLI[n - 1, :n + 2]
+    return weights
+
+
+_JUMP_WEIGHTS = _jump_weights()
+
+#: Sample points per cell at which the interpolant's sign is read; a pair of
+#: crossings closer than one sample spacing is not resolved.
+_CELL_SAMPLES = 32
+_SAMPLES = np.linspace(0.0, 1.0, _CELL_SAMPLES + 1)
+_SAMPLE_POWERS = np.vander(_SAMPLES, len(_STENCIL), increasing=True).T
+
+#: A match of a fiber root to the next node's roots is unambiguous when the
+#: nearest root is this many times closer than the second nearest.
+_MATCH_MARGIN = 4.0
+
+
+def _branch_steps(deriv: np.ndarray, roots: np.ndarray, z: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Match each fiber root at row i to a root at row i + 1: (next,
+    ambiguous), both (rows - 1) x roots.
+
+    Each root is moved to the next node by the warm start's first-order step
+    and matched to the nearest root there.  A match is ambiguous unless that
+    root is _MATCH_MARGIN times closer than any other; every match of a row
+    whose matches do not form a permutation is ambiguous.
+    """
+    rows, m = roots.shape
+    if m == 1:
+        return np.zeros((rows - 1, 1), dtype=int), np.zeros((rows - 1, 1), dtype=bool)
+    pred = _predicted_start(deriv, roots[:-1], z[:-1], z[1:], np.arange(rows - 1))
+    nearest, second = np.full((2, rows - 1, m), np.inf)
+    nxt = np.zeros((rows - 1, m), dtype=int)
+    # one candidate root of the next row at a time (m is at most 7)
+    for b, target in enumerate(roots[1:].T):
+        dist = np.abs(pred - target[:, None])
+        closer = dist < nearest
+        second = np.where(closer, nearest, np.minimum(second, dist))
+        nearest = np.where(closer, dist, nearest)
+        nxt[closer] = b
+    ambiguous = ~(_MATCH_MARGIN * nearest < second)
+    # distinct targets: the powers 2^next add up to 2^m - 1 without a carry
+    ambiguous |= (np.sum(np.left_shift(1, nxt), axis=1) != (1 << m) - 1)[:, None]
+    return nxt, ambiguous
+
+
+#: Rows of a level's fibers padded on each side for the kink correction's
+#: stencils: the cell from row i to row i + 1 reads rows i - 3 .. i + 4.
+_PAD = int(_STENCIL[-1])
+
+
+def _kink_correction(deriv: np.ndarray, roots: np.ndarray, z: np.ndarray,
+                     r: float, weights: np.ndarray) -> Optional[float]:
+    """Midpoint error, times the node count, of the fiber sum
+    sum_w max(0, g(w)), g = log(r/|w|), from its crossings: roots (rows x
+    branches) over consecutive lattice nodes z, and the weight of the cell
+    from each row to the next (0 for the padding, whose rows only serve as
+    stencil nodes); None when a crossing cannot be resolved.
+
+    Lyness and Ninham (Math. Comp. 21, 1967): a periodic integrand whose
+    derivatives jump by [f^(n)] at c has midpoint error
+    sum_n (-1)^n [f^(n)](c) h^(n+1) B_(n+1)(c/h - 1/2) / (n+1)!.  At a
+    crossing f = max(0, g) jumps by sign(g') g^(n); n = 1..5 is taken, from
+    the interpolant of g on the _STENCIL nodes around the crossing's cell,
+    along the branch tracked by _branch_steps.  A cell is examined when g
+    changes sign across it or is no larger at its start than the branch's
+    last, present and next steps together, twice what a quadratic dipping
+    below 0 inside the cell can be.  Its crossings are the sign changes of
+    the interpolant on _CELL_SAMPLES points, the ends being the node values
+    themselves, so a sign change between nodes is counted in exactly one
+    cell and a pair inside a cell is found too.  An ambiguous match anywhere
+    on a crossing's stencil leaves it unresolved.
+    """
+    m = roots.shape[1]
+    if m == 0:
+        return 0.0
+    g = math.log(r) - np.log(np.abs(roots))
+    nxt, ambiguous = _branch_steps(deriv, roots, z)
+    cells = np.arange(len(nxt))[:, None]
+    prv = np.zeros_like(nxt)  # rows that are no permutation are ambiguous throughout
+    prv[cells, nxt] = np.arange(m)
+    ahead = g[cells + 1, nxt]
+    step = np.abs(ahead - g[:-1])
+    inner = slice(1, -1)
+    near = step[inner] + step[cells[:-2], prv[cells[:-2], np.arange(m)]] + step[cells[2:], nxt[inner]]
+    examined = ((g[1:-2] > 0) != (ahead[inner] > 0)) | (np.abs(g[1:-2]) <= near)
+    examined &= weights[1:-1, None] > 0
+    row, branch = np.nonzero(examined)
+    if len(row) == 0:
+        return 0.0
+    row += 1
+    # the branch through each examined (row, root) at the stencil's rows
+    branches = {0: branch}
+    for k in range(1, _STENCIL[-1] + 1):
+        branches[k] = nxt[row + k - 1, branches[k - 1]]
+    for k in range(-1, _STENCIL[0] - 1, -1):
+        branches[k] = prv[row + k, branches[k + 1]]
+    values = np.stack([g[row + k, branches[k]] for k in _STENCIL], axis=1)
+    unsure = np.zeros(len(row), dtype=bool)
+    for k in _STENCIL[:-1]:
+        unsure |= ambiguous[row + k, branches[k]]
+    coeffs = values @ _STENCIL_FIT.T
+    ends = values[:, _CENTER:_CENTER + 2]
+    samples = coeffs @ _SAMPLE_POWERS
+    samples[:, 0], samples[:, -1] = ends[:, 0], ends[:, 1]
+    positive = samples > 0
+    cell, k = np.nonzero(positive[:, 1:] != positive[:, :-1])
+    if np.any(unsure[cell]):
+        return None
+    # each sign change of the interpolant brackets a crossing: the secant
+    # of the bracket, then Newton steps kept inside it
+    c, rising = coeffs[cell], positive[cell, k + 1]
+    lo, hi = _SAMPLES[k], _SAMPLES[k + 1]
+    f_lo, f_hi = samples[cell, k], samples[cell, k + 1]
+    x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    degree = len(_STENCIL) - 1
+    slope_coeffs = c[:, 1:] * np.arange(1, degree + 1)
+    for _ in range(2):
+        powers = np.vander(x, degree + 1, increasing=True)
+        value = np.sum(c * powers, axis=1)
+        slope = np.sum(slope_coeffs * powers[:, :-1], axis=1)
+        step = np.divide(value, slope, out=np.zeros_like(value), where=slope != 0)
+        x = np.clip(x - step, lo, hi)
+    jumps = np.sum(c * (np.vander(x, degree + 2, increasing=True) @ _JUMP_WEIGHTS.T), axis=1)
+    return float(np.sum(weights[row[cell]] * np.where(rising, jumps, -jumps)))
+
+
+def _log_spike_error(spikes: np.ndarray, n: int) -> float:
+    """Midpoint error on the n-node lattice of -sum_s log|1 - s e(-t)|, the
+    log spikes of the fiber sum: where the boundary point r e(t) nears a
+    root eta = r s of alpha - alpha(0), a fiber root nears 0.
+
+    Over the midpoints t_k = (k + 1/2)/n, prod_k (1 - s e(-t_k)) = 1 + s^n,
+    so the lattice mean of log|1 - s e(-t)| is (1/n) log|1 + s^n| and its
+    integral is log max(1, |s|); the error is negligible unless |s| is
+    close to 1, and exactly -(log 2)/n for a spike on the circle at t = 1/2.
+    """
+    inside = np.where(np.abs(spikes) <= 1.0, spikes, 1.0 / spikes)
+    return -float(np.sum(np.log(np.abs(1.0 + inside ** n)))) / n
+
+
+def _origin_fiber(alpha: DiskMap) -> np.ndarray:
+    """The nonzero roots of alpha - alpha(0): its e-fold root 0 is stripped
+    exactly, by dividing out z^e."""
+    shifted = [c - (alpha.num[0] if k == 0 else 0) for k, c in enumerate(alpha.num)]
+    quotient = shifted[alpha.ramification_index():]
+    if len(quotient) == 1:
+        return np.empty(0, dtype=complex)
+    return _batched_roots(np.array([[complex(c) for c in reversed(quotient)]]))[0]
+
+
+def _rotation_order(alpha: DiskMap) -> int:
+    """The largest k with alpha(z) = P(z^k): the gcd of the exponents of the
+    nonconstant terms.  The fiber through z then holds zeta z, zeta^k = 1."""
+    return math.gcd(*(k for k, c in enumerate(alpha.num) if k and c != 0))
+
+
 class _BoundaryFibers:
     """Boundary-term integrand of the definitional oracle.
 
     For each node t: the disk potential log+(r/|zeta|) summed over the fiber of
-    alpha through the boundary point, trivial branch removed.
-    ``tangent`` is set once a fiber root lies within the tangency tolerance of
-    the circle.  A call walks its nodes in chunks of _FIBER_CHUNK_ROOTS fiber
-    roots, each one root batch with its own checks, and keeps the level's
-    roots: on a level of twice the previous node count (the next ladder level,
-    halved or not), node k starts the root solver from the roots of old node
-    k // 2, which sits 1/(4n) away on the circle, each moved to first order
-    along its fiber; any other call starts cold.
+    alpha through the boundary point z, with the roots zeta z (zeta^k = 1 for
+    alpha = P(z^k), the trivial root z among them) removed: each is the root
+    nearest to its exact position, and on the circle.  ``tangent`` is set
+    once any other fiber root lies within the tangency tolerance of the
+    circle at a node, which it does at every node for those roots zeta z
+    when k > 1 and where a crossing falls on a node.  A call walks its nodes
+    in chunks of _FIBER_CHUNK_ROOTS fiber roots, each one root batch with its
+    own checks, and keeps the level's roots: on a level of twice the previous
+    node count (the next ladder level, halved or not), node k starts the root
+    solver from the roots of old node k // 2, which sits 1/(4n) away on the
+    circle, each moved to first order along its fiber; any other call starts
+    cold.  ``kink_correction`` then reads the level's midpoint error off
+    those roots, with no further root solve, and adds that of the log spikes
+    at ``origin_fiber``, the nonzero roots of alpha - alpha(0).
     """
 
     def __init__(self, alpha: DiskMap, r: float):
@@ -438,8 +650,15 @@ class _BoundaryFibers:
         self.potential = DiskPotential(0j, r)
         self.coeffs = _poly_coeffs_desc(alpha)
         self.deriv = self.coeffs[:-1] * np.arange(alpha.degree, 0, -1)
+        k = _rotation_order(alpha)
+        self.rotations = np.exp(2j * np.pi * np.arange(k) / k)
         self.tangent = False
-        self._nodes = self._roots = None
+        self._nodes = self._roots = self._branches = None
+
+    @cached_property
+    def origin_fiber(self) -> np.ndarray:
+        """The nonzero roots of alpha - alpha(0), solved on first use."""
+        return _origin_fiber(self.alpha)
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
         r, n, d = self.r, len(ts), self.alpha.degree
@@ -448,6 +667,7 @@ class _BoundaryFibers:
         work = _aberth_work(chunk, d)
         rows = np.empty((chunk, d + 1), dtype=complex)
         roots = np.empty((n, d), dtype=complex)
+        branches = np.empty((n, d - len(self.rotations)), dtype=complex)
         sums = np.empty(n)
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
@@ -462,18 +682,50 @@ class _BoundaryFibers:
                 start = _predicted_start(self.deriv, self._roots[j0:j1], z_old, z0,
                                          np.arange(lo, hi) // 2 - j0)
             found = roots[lo:hi] = _batched_roots(batch, start, work)
-            # drop the known root at the boundary node itself
-            idx = np.argmin(np.abs(found - z0[:, None]), axis=1)
+            # drop the known roots zeta z0, the trivial one first
             mask = np.ones(found.shape, dtype=bool)
-            mask[np.arange(hi - lo), idx] = False
-            if np.any(mask & (np.abs(np.abs(found) - r) < BOUNDARY_TANGENCY_TOL)):
-                self.tangent = True
-            contrib = np.where(mask, self.potential.values(found), 0.0)
+            at = np.arange(hi - lo)
+            for k, zeta in enumerate(self.rotations):
+                gap = np.where(mask, np.abs(found - zeta * z0[:, None]), np.inf)
+                mask[at, np.argmin(gap, axis=1)] = False
+                if k == 0 and np.any(mask & (np.abs(np.abs(found) - r) < BOUNDARY_TANGENCY_TOL)):
+                    self.tangent = True
+            branches[lo:hi] = found[mask].reshape(hi - lo, -1)
+            contrib = self.potential.values(branches[lo:hi])
             if not np.all(np.isfinite(contrib)):
                 raise RootConditioning("fiber root at the singular point")
             sums[lo:hi] = np.sum(contrib, axis=1)
-        self._nodes, self._roots = ts, roots
+        self._nodes, self._roots, self._branches = ts, roots, branches
         return sums
+
+    def kink_correction(self, n: int) -> Optional[float]:
+        """Midpoint error of the last call, whose nodes are the n-node
+        midpoint lattice or, for a real map, its first half; the mirrored
+        half has the conjugate fibers.  None when a crossing cannot be
+        resolved (see _kink_correction), or when fewer than 4 stencils span
+        the lattice."""
+        if n < 4 * len(_STENCIL) and self._branches.shape[1]:
+            return None
+        z = self.r * np.exp(2j * np.pi * self._nodes)
+        rows = len(z)
+        if rows == n:  # the periodic lattice, continued around the circle
+            def padded(a):
+                return np.concatenate([a[-_PAD:], a, a[:_PAD]])
+
+            weights = np.zeros(rows + 2 * _PAD - 1)
+            weights[_PAD:_PAD + rows] = 1.0
+        else:  # the first half, continued by the mirrored one
+            def padded(a):
+                return np.concatenate([a[_PAD - 1::-1].conj(), a, a[:-_PAD - 1:-1].conj()])
+
+            # a cell and its mirror count twice, the two cells at the folds once
+            weights = np.zeros(rows + 2 * _PAD - 1)
+            weights[_PAD - 1:_PAD + rows] = 2.0
+            weights[[_PAD - 1, _PAD + rows - 1]] = 1.0
+        kinks = _kink_correction(self.deriv, padded(self._branches), padded(z), self.r, weights)
+        if kinks is None:
+            return None
+        return kinks / n + _log_spike_error(self.origin_fiber / self.r, n)
 
 
 def overflow_definitional_oracle(alpha: DiskMap, r: float,
@@ -481,11 +733,15 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
     """Excess from its definition: equilibrium potential against fiber divisors.
 
     term1 sums log(r/|z|) over the nonzero roots of alpha - alpha(0) inside
-    the open disk; term2 integrates the same fiber sum along boundary values.
-    Root moduli within the tangency tolerance of the circle set the
-    boundary_tangency flag and mark the value unreliable.  A real map's fiber
-    sum is even in t (conjugate boundary points have conjugate fibers), so
-    its boundary term evaluates half of each lattice.
+    the open disk; term2 integrates the same fiber sum along boundary values,
+    each level of its circle mean corrected for the kinks where a fiber root
+    crosses the circle and for the log spikes where one passes through 0
+    (_BoundaryFibers.kink_correction); the certificate is the gap between
+    two corrected levels.  A root of alpha - alpha(0) within the tangency
+    tolerance of the circle, or any other fiber root within it at a node,
+    sets the boundary_tangency flag and marks the value less certain.  A
+    real map's fiber sum is even in t (conjugate boundary points have
+    conjugate fibers), so its boundary term evaluates half of each lattice.
     """
     _require_nonconstant(alpha)
     if not alpha.is_polynomial:
@@ -497,24 +753,19 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
     _require_float_range(alpha, r)
     _require_fiber_range(alpha, r)
     e = alpha.ramification_index()
-    tangent = False
 
     # term1: fiber of alpha(0), origin branch stripped exactly
-    shifted = [c - (alpha.num[0] if k == 0 else 0) for k, c in enumerate(alpha.num)]
-    quotient = shifted[e:]
-    term1 = 0.0
-    if len(quotient) > 1:
-        roots = _batched_roots(np.array([[complex(c) for c in reversed(quotient)]]))[0]
-        tangent = bool(np.any(np.abs(np.abs(roots) - r) < BOUNDARY_TANGENCY_TOL))
-        potential = DiskPotential(0j, r).values(roots)
-        if np.any(np.isinf(potential)):
-            raise RootConditioning("unexpected fiber root at the origin")
-        term1 = float(np.sum(potential))
-
     fibers = _BoundaryFibers(alpha, r)
+    roots = fibers.origin_fiber
+    tangent = bool(np.any(np.abs(np.abs(roots) - r) < BOUNDARY_TANGENCY_TOL))
+    potential = DiskPotential(0j, r).values(roots)
+    if np.any(np.isinf(potential)):
+        raise RootConditioning("unexpected fiber root at the origin")
+    term1 = float(np.sum(potential))
+
     term2, cert = circle_mean(
         fibers, settings, label="definitional boundary term",
-        even=alpha.real_coefficients,
+        even=alpha.real_coefficients, correction=fibers.kink_correction,
     )
     return OverflowReport(
         term1 + term2, "definitional", "C", r, e,

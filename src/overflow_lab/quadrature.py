@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -98,7 +98,7 @@ def _midpoints(n: int, offset: float = 0.0) -> np.ndarray:
     return (np.arange(n) + 0.5 + offset) / n
 
 
-def _richardson_ladder(estimate: Callable[[int], float],
+def _richardson_ladder(estimate: Callable[[int], Optional[float]],
                        settings: QuadratureSettings,
                        label: str,
                        richardson: bool = True) -> Tuple[float, Certificate]:
@@ -106,12 +106,14 @@ def _richardson_ladder(estimate: Callable[[int], float],
     ``estimate(n)``, the raw rule on n nodes.  Successive levels combine as
     the Richardson pair 2*I(2N) - I(N), or as the raw levels themselves
     without ``richardson``; two successive combined values within ``tol``
-    accept the latter, and a non-finite level raises at once."""
+    accept the latter, and a non-finite level raises at once.  Without
+    ``richardson`` a level may also be None, a level that cannot be compared:
+    the ladder goes on to the next one."""
     raw_prev = combined_prev = delta = None
     n = settings.base_grid
     for _ in range(settings.max_depth + 1):
         raw = estimate(n)
-        if not math.isfinite(raw):
+        if raw is not None and not math.isfinite(raw):
             raise NumericalError(f"{label}: estimate not finite at grid {n}")
         combined = raw
         if richardson:
@@ -132,7 +134,9 @@ def _richardson_ladder(estimate: Callable[[int], float],
 def circle_mean(values: Callable[[np.ndarray], np.ndarray],
                 settings: QuadratureSettings = DEFAULT_SETTINGS,
                 label: str = "circle mean",
-                even: bool = False) -> Tuple[float, Certificate]:
+                even: bool = False,
+                correction: Optional[Callable[[int], Optional[float]]] = None,
+                ) -> Tuple[float, Certificate]:
     """Mean over [0,1) of a periodic integrand, midpoint rule with doubling.
 
     Integrable log spikes at a fixed offset from the lattice contribute an
@@ -143,13 +147,24 @@ def circle_mean(values: Callable[[np.ndarray], np.ndarray],
     lattice of n nodes is symmetric too (node k mirrors node n - 1 - k), so
     each level evaluates ``values`` on its first n/2 nodes only and takes
     their mean, which is the full rule; ladder and certificate are unchanged.
+
+    ``correction(n)``, called after each level's values on the n-node
+    lattice, returns that level's midpoint error, which is subtracted, or
+    None when the level cannot be corrected.  The ladder then compares the
+    corrected levels themselves, with no Richardson step, and skips an
+    uncorrected one; the certificate is the gap between the last two
+    corrected levels.  Without it the rule is the Richardson ladder above.
     """
 
-    def estimate(n: int) -> float:
+    def estimate(n: int) -> Optional[float]:
         ts = _midpoints(n)[: n // 2] if even else _midpoints(n)
-        return float(np.mean(np.asarray(values(ts), dtype=float)))
+        mean = float(np.mean(np.asarray(values(ts), dtype=float)))
+        if correction is None or not math.isfinite(mean):
+            return mean
+        error = correction(n)
+        return None if error is None else mean - error
 
-    return _richardson_ladder(estimate, settings, label)
+    return _richardson_ladder(estimate, settings, label, richardson=correction is None)
 
 
 #: Inner-lattice refinement of the torus product rule.  Equal-weight circle

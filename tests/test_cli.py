@@ -49,7 +49,21 @@ class TestOverflowCommand:
         entry = report["result"]["reports"][0]
         assert entry["explicit"]["value"] == pytest.approx(2 * math.log(10), rel=0.05)
         assert entry["residual"] <= 1e-4
+        achieved = (entry["explicit"]["certificate"]["achieved"]
+                    + entry["oracle"]["certificate"]["achieved"])
+        assert entry["residual_within_achieved"] is (entry["residual"] <= achieved)
         assert report["settings"] == {"grid": 64, "tol": 1e-6, "depth": 9}
+
+    def test_residual_beyond_both_certificates_is_reported(self):
+        # at large r the explicit route's Richardson deltas read 1e-14 while
+        # it is 2.4e-5 off; the verdict is reported, the exit code stays 0
+        code, out = run_cli([
+            "overflow", "--map", "3-z-3*z^2+z^3-2*z^5", "--radius", "90.5", "--method", "both",
+        ])
+        assert code == 0
+        (entry,) = json.loads(out)["result"]["reports"]
+        assert entry["residual"] > 1e-5
+        assert entry["residual_within_achieved"] is False
 
     def test_csv_sweep(self, fast_config):
         code, out = run_cli([
@@ -235,6 +249,11 @@ class TestOverflowCommand:
         # a level numpy cannot sample, or that the check refuses
         ["jacobian-check", "--e", "1", "--a", "1", "--level", "-1"],
         ["jacobian-check", "--e", "1", "--a", "1", "--level", "7"],
+        # a leading exponent beyond the cap, whose (e a)^n also leaves the float range
+        ["jacobian-check", "--e", "1" + "0" * 320, "--a", "1", "--level", "2"],
+        ["jacobian-check", "--e", "65", "--a", "1", "--level", "2"],
+        # (e a)^n beyond the float range from a huge leading coefficient
+        ["jacobian-check", "--e", "2", "--a", "1" + "0" * 200, "--level", "2"],
     ])
     def test_rejected_before_sampling_exits_2_quietly(self, argv):
         proc = _run_module(*argv)
@@ -276,7 +295,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
     "path", sorted(GOLDEN_DIR.glob("oracle_*.json")), ids=lambda p: p.stem
 )
 def test_oracle_matches_golden(path, tmp_path):
-    """Canonical oracle reports (tol 1e-8) recorded before the root solver changed."""
+    """Canonical oracle reports (tol 1e-8) of the kink-corrected ladder."""
     golden = json.loads(path.read_text())
     cfg = tmp_path / "tight.json"
     cfg.write_text(json.dumps(golden["settings"]))

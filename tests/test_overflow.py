@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,7 +123,8 @@ def full_lattice_cold_start():
     circle_mean, batched = overflow.circle_mean, overflow._batched_roots
     with pytest.MonkeyPatch.context() as m:
         m.setattr(overflow, "circle_mean",
-                  lambda values, settings, label, even=False: circle_mean(values, settings, label))
+                  lambda values, settings, label, even=False, correction=None:
+                  circle_mean(values, settings, label, correction=correction))
         m.setattr(overflow, "_batched_roots",
                   lambda coeffs, start=None, work=None: batched(coeffs))
         yield
@@ -133,12 +136,12 @@ def node_counts(monkeypatch):
     lengths = []
     circle_mean = overflow.circle_mean
 
-    def spy(values, settings, label, even=False):
+    def spy(values, settings, label, even=False, correction=None):
         def counted(ts):
             lengths.append(len(ts))
             return values(ts)
 
-        return circle_mean(counted, settings, label, even)
+        return circle_mean(counted, settings, label, even, correction)
 
     monkeypatch.setattr(overflow, "circle_mean", spy)
     return lengths
@@ -302,6 +305,168 @@ class TestFiberChunkChecks:
             tracemalloc.stop()
         top_roots = (report.certificate.grid // 2) * 8 * 16  # half lattice, complex128
         assert peak <= 4 * top_roots + 2 * 2**20
+
+
+def lattice_kink_error(g, r=1.0, deriv=(1.0,)):
+    """What _kink_correction reads off branches with the given values of
+    g = log(r/|w|) (nodes x branches) on the periodic n-node midpoint lattice,
+    as a midpoint error; each root w = r e^-g sits on the positive real axis,
+    and ``deriv`` (alpha' in descending order) only steers the matching."""
+    n = len(g)
+    pad = overflow._PAD
+    roots = r * np.exp(-np.asarray(g, dtype=float)).astype(complex)
+    z = r * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+    weights = np.zeros(n + 2 * pad - 1)
+    weights[pad:pad + n] = 1.0
+
+    def padded(a):
+        return np.concatenate([a[-pad:], a, a[:pad]])
+
+    error = overflow._kink_correction(np.array(deriv, dtype=complex), padded(roots), padded(z),
+                                      r, weights)
+    return None if error is None else error / n
+
+
+def midpoints(n, shift=0.0):
+    return (np.arange(n) + 0.5 + shift) / n
+
+
+class TestKinkCorrection:
+    @pytest.mark.parametrize("shift", [0.0, 0.2, 0.45, 0.7])
+    def test_sine_kink_within_1e12_at_64_nodes(self, shift):
+        # max(0, sin 2 pi t - 0.3), its crossings anywhere between two nodes
+        a = 0.3
+        exact = (2 * math.sqrt(1 - a * a) / (2 * math.pi)
+                 - a * (0.5 - math.asin(a) / math.pi))
+        g = np.sin(2 * np.pi * (midpoints(64) - shift / 64)) - a
+        raw = float(np.mean(np.maximum(g, 0.0)))
+        assert abs(raw - exact) > 1e-5
+        assert abs(raw - lattice_kink_error(g[:, None]) - exact) <= 1e-12
+
+    def test_pair_of_crossings_inside_one_cell(self):
+        # g = 1 - cos 2 pi (t - c) - delta dips below 0 on |t - c| < w only,
+        # a window inside one cell that no node sees
+        n = 64
+        c, w = 10.0 / n, 0.3 / n
+        delta = 1.0 - math.cos(2 * math.pi * w)
+        exact = (1.0 - delta) - (2 * w * (1.0 - delta) - math.sin(2 * math.pi * w) / math.pi)
+        g = 1.0 - np.cos(2 * np.pi * (midpoints(n) - c)) - delta
+        assert np.all(g > 0)
+        raw = float(np.mean(g))
+        assert abs(raw - exact) > 1e-6
+        assert abs(raw - lattice_kink_error(g[:, None]) - exact) <= 1e-12
+
+    def test_coinciding_branches_leave_the_level_uncorrected(self):
+        # two branches on top of each other cannot be told apart at the crossing
+        g = np.sin(2 * np.pi * midpoints(64)) - 0.3
+        assert lattice_kink_error(np.stack([g, g], axis=1)) is None
+
+    @pytest.mark.parametrize("shift,ambiguous", [(0.2, False), (0.3, True)])
+    def test_a_match_needs_a_margin(self, shift, ambiguous):
+        # with alpha' = 0 the predictor leaves each root where it was: root 0
+        # is matched to the root at distance `shift`, the other one 1 - shift
+        # farther, and the match is ambiguous unless that is 4 times farther
+        roots = np.array([[0.0, 1.0], [shift, 1.0]], dtype=complex)
+        nxt, flags = overflow._branch_steps(np.array([0j]), roots, np.array([1.0, 1j]))
+        assert nxt.tolist() == [[0, 1]]
+        assert flags.tolist() == [[ambiguous, False]]
+
+    def test_far_branches_need_no_correction(self):
+        g = 1.0 + 0.5 * np.cos(2 * np.pi * midpoints(64))
+        assert lattice_kink_error(np.stack([g, -g], axis=1)) == 0.0
+
+    @pytest.mark.parametrize("s", [1.0, np.exp(0.6j), 0.9 * np.exp(0.2j), 1.1 * np.exp(-2j)])
+    def test_log_spike_error_is_exact(self, s):
+        n = 64
+        lattice = -float(np.mean(np.log(np.abs(1 - s * np.exp(-2j * np.pi * midpoints(n))))))
+        integral = -math.log(max(1.0, abs(s)))
+        got = overflow._log_spike_error(np.array([s]), n)
+        assert got == pytest.approx(lattice - integral, abs=1e-15)
+
+    def test_real_maps_fold_the_lattice_into_the_same_correction(self):
+        # the half lattice of a real map, mirrored, against its full lattice
+        alpha, r = parse_map("2-2*z+2*z^4-z^6-z^8"), 1.871
+        half, full = overflow._BoundaryFibers(alpha, r), overflow._BoundaryFibers(alpha, r)
+        half(midpoints(256)[:128])
+        full(midpoints(256))
+        assert half.kink_correction(256) == pytest.approx(full.kink_correction(256), abs=1e-15)
+
+    @pytest.mark.parametrize("half", [True, False], ids=["half", "full"])
+    def test_crossings_in_the_fold_cells(self, half):
+        # g = cos 4 pi t - cos 4 pi c, even in t, crosses at +-c and 1/2 +- c,
+        # inside the cells around the folds t = 0 and t = 1/2
+        n, c = 256, 0.3 / 256
+        u = 2 * c
+        exact = math.sin(2 * math.pi * u) / math.pi - 2 * u * math.cos(2 * math.pi * u)
+        ts = midpoints(n)[: n // 2] if half else midpoints(n)
+        g = np.cos(4 * np.pi * ts) - math.cos(4 * np.pi * c)
+        fibers = overflow._BoundaryFibers(parse_map("z^2+z"), 1.0)
+        fibers._nodes, fibers._branches = ts, np.exp(-g)[:, None].astype(complex)
+        fibers.origin_fiber = np.empty(0, dtype=complex)  # no log spike
+        raw = float(np.mean(np.maximum(g, 0.0)))
+        assert abs(raw - exact) > 1e-7
+        assert abs(raw - fibers.kink_correction(n) - exact) <= 1e-12
+
+    def test_map_of_z_to_the_k_strips_its_rotations(self):
+        # the fiber of -3 + 3 z^2 through z holds -z, on the circle at every node
+        fibers = overflow._BoundaryFibers(parse_map("-3+3*z^2"), 2.163)
+        assert np.all(fibers(midpoints(64)) == 0.0)
+        assert fibers._branches.shape == (64, 0)
+        assert fibers.tangent
+
+
+REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "oracle_reference.json").read_text())
+
+#: How closely the reference table's tol-1e-11 ladder values are trusted.
+REFERENCE_ERROR = 1e-10
+
+
+def reference_entries(names=None):
+    return [pytest.param(e, id=f"{e['map']}@{e['radius']}") for e in REFERENCE["entries"]
+            if names is None or e["map"] in names]
+
+
+class TestOracleReference:
+    @pytest.mark.parametrize("name", ["defaults", "criterion_7", "oracle_tight"])
+    def test_certificates_bound_the_error(self, name):
+        cfg = REFERENCE["settings"][name]
+        settings = QuadratureSettings(cfg["grid"], cfg["tol"], cfg["depth"])
+        checked = 0
+        for entry in REFERENCE["entries"]:
+            got = overflow_definitional_oracle(parse_map(entry["map"]), entry["radius"], settings)
+            if got.boundary_tangency:
+                continue
+            error = abs(got.value - entry["reference"]["value"])
+            assert error <= got.certificate.achieved + REFERENCE_ERROR, entry["map"]
+            checked += 1
+        assert checked >= 50
+
+    def test_the_reference_ladder_overclaims_at_the_defaults(self):
+        # the table's own record of the Richardson ladder that the corrected
+        # levels replace: two unflagged reports off by more than their tol
+        over = [e["map"] for e in REFERENCE["entries"]
+                if not e["defaults"]["boundary_tangency"]
+                and abs(e["defaults"]["value"] - e["reference"]["value"]) > 1e-6]
+        assert sorted(over) == ["-3-2*z^2-3*z^3", "1+2*z+3*z^2"]
+
+    @pytest.mark.parametrize("entry", reference_entries({"z^2+z"}))
+    @pytest.mark.parametrize("name", ["defaults", "oracle_tight"])
+    def test_log_spike_on_the_circle_matches_the_reference(self, entry, name):
+        # a fiber root passes through 0 over the boundary point -1: flagged by
+        # term1's tangency, and corrected in closed form all the same
+        cfg = REFERENCE["settings"][name]
+        settings = QuadratureSettings(cfg["grid"], cfg["tol"], cfg["depth"])
+        got = overflow_definitional_oracle(parse_map(entry["map"]), entry["radius"], settings)
+        assert got.boundary_tangency
+        error = abs(got.value - entry["reference"]["value"])
+        assert error <= got.certificate.achieved + REFERENCE_ERROR
+
+    @pytest.mark.parametrize("entry", reference_entries({"-3+3*z^2", "1-3*z^2"}))
+    def test_even_maps_match_the_reference(self, entry):
+        got = overflow_definitional_oracle(parse_map(entry["map"]), entry["radius"])
+        assert got.value == pytest.approx(entry["reference"]["value"], abs=1e-15)
+        assert got.boundary_tangency
 
 
 def assert_same_multiset(got, want, rel):

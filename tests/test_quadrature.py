@@ -144,6 +144,40 @@ class TestEvenCircleMean:
         assert lengths[-1] == half_cert.grid // 2
 
 
+class TestCorrectedCircleMean:
+    def test_corrected_levels_accept_without_richardson(self):
+        # max(0, cos 2 pi t) integrates to 1/pi; the correction here is the
+        # exact midpoint error, so the first two levels agree
+        def values(ts):
+            return np.maximum(0.0, np.cos(2 * np.pi * ts))
+
+        def error(n):
+            return float(np.mean(values((np.arange(n) + 0.5) / n))) - 1 / math.pi
+
+        value, cert = circle_mean(values, QuadratureSettings(base_grid=16, tol=1e-12),
+                                  correction=error)
+        assert value == pytest.approx(1 / math.pi, abs=1e-15)
+        assert cert.grid == 32
+
+    def test_an_uncorrected_level_is_skipped(self):
+        grids = []
+
+        def error(n):
+            grids.append(n)
+            return None if n == 32 else 0.0
+
+        value, cert = circle_mean(lambda ts: np.ones(len(ts)), QuadratureSettings(base_grid=16),
+                                  correction=error)
+        # 16 and 32 cannot be compared (32 is uncorrected), nor 32 and 64
+        assert (value, cert.grid, cert.achieved) == (1.0, 128, 0.0)
+        assert grids == [16, 32, 64, 128]
+
+    def test_no_two_corrected_levels_raise(self):
+        with pytest.raises(NoConvergence, match="no two combined levels"):
+            circle_mean(lambda ts: np.ones(len(ts)), QuadratureSettings(base_grid=16, max_depth=3),
+                        correction=lambda n: None)
+
+
 def _points(rng, k, scale=10.0):
     return scale * (rng.normal(size=k) + 1j * rng.normal(size=k))
 
