@@ -22,8 +22,7 @@ oracle in arithmetic.py less log|jet| + e log r, so that oracle reports
 through this one.  The boundary integrand, _BoundaryFibers, warm-starts each
 ladder level from the roots of the level before (node k of 2n nodes from
 node k // 2 of n), each root moved to first order along its fiber, and solves
-a level in chunks of a fixed number of roots, so its memory beyond the
-level's own roots stays cache-sized.  For a map with real coefficients the
+each level as one root batch.  For a map with real coefficients the
 fiber over a conjugate boundary value is the conjugate fiber, so the
 integrand is even in t and each level evaluates half of the midpoint lattice.
 The integrand kinks wherever a fiber root crosses the circle, so each level
@@ -216,8 +215,7 @@ _ABERTH_PHASE = 0.4
 
 
 def _batched_roots(poly_coeffs_desc: np.ndarray,
-                   start: Optional[np.ndarray] = None,
-                   work: Optional[Tuple[np.ndarray, ...]] = None) -> np.ndarray:
+                   start: Optional[np.ndarray] = None) -> np.ndarray:
     """Roots of a batch of monic-normalizable polynomials (deg x (n+1) desc order).
 
     Batched Aberth-Ehrlich iteration first, from ``start`` (batch x deg
@@ -227,9 +225,7 @@ def _batched_roots(poly_coeffs_desc: np.ndarray,
     uncertified rows (multiple or clustered roots, a zero constant term,
     widely spread moduli, coinciding starting points) fall back to
     companion-matrix eigenvalues.  Every row is then polished by Newton steps;
-    raises if the residual contract cannot be met.  ``work`` holds
-    Aberth-Ehrlich work buffers from _aberth_work for at least this batch,
-    which a caller solving several batches in turn can pass to each.
+    raises if the residual contract cannot be met.
     """
     batch, ncoef = poly_coeffs_desc.shape
     d = ncoef - 1
@@ -240,7 +236,7 @@ def _batched_roots(poly_coeffs_desc: np.ndarray,
         monic = poly_coeffs_desc / lead
     if not np.all(np.isfinite(monic)):
         raise NumericalError("root batch not finite after monic normalization")
-    roots, certified = _aberth_roots(monic, start, work)
+    roots, certified = _aberth_roots(monic, start)
     if not np.all(certified):
         roots[~certified] = _companion_roots(monic[~certified])
 
@@ -259,26 +255,20 @@ def _batched_roots(poly_coeffs_desc: np.ndarray,
     return roots
 
 
-def _aberth_work(batch: int, d: int) -> Tuple[np.ndarray, ...]:
-    """Work buffers of _aberth_roots for up to ``batch`` rows of degree d."""
-    return (np.empty((4, d * batch), dtype=complex), np.empty((2, d * batch)),
-            np.empty(d * batch, dtype=bool))
-
-
-def _aberth_roots(monic: np.ndarray, start: Optional[np.ndarray] = None,
-                  work: Optional[Tuple[np.ndarray, ...]] = None,
-                  ) -> Tuple[np.ndarray, np.ndarray]:
+def _aberth_roots(monic: np.ndarray,
+                  start: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Aberth-Ehrlich iteration on a batch of monic rows: (roots, certified).
 
     Starts from ``start`` (batch x deg) when given, else from the circle of
     radius |a_0|^(1/d).  Works on the transposed (degree, batch) layout so
     that every ufunc runs along the batch axis, and keeps iterating only the
-    rows still moving.  ``work`` (from _aberth_work, for this batch or a
-    larger one) is used in place of fresh buffers.
+    rows still moving, in work buffers allocated once for the whole batch.
     """
     batch, ncoef = monic.shape
     d = ncoef - 1
-    buffers, sizes, moved = _aberth_work(batch, d) if work is None else work
+    buffers = np.empty((4, d * batch), dtype=complex)
+    sizes = np.empty((2, d * batch))
+    moved = np.empty(d * batch, dtype=bool)
     a0 = np.abs(monic[:, -1])
     if start is None:
         rho = np.where(a0 > 0.0, a0 ** (1.0 / d), 1.0)
@@ -395,14 +385,6 @@ def _require_fiber_range(alpha: DiskMap, r: float) -> None:
     log_b = float(np.logaddexp(0.0, log_sum - _log_abs(alpha.num[d])))
     if (d + 1) * log_b + math.log(d + 1) > _LOG_FLOAT_MAX:
         raise DomainError(f"fiber roots may overflow float64 at radius {r!r}")
-
-
-#: Fiber roots per chunk of the oracle's root solves: a chunk holds
-#: max(1, _FIBER_CHUNK_ROOTS // degree) nodes.  Each of Aberth-Ehrlich's four
-#: complex work buffers then holds 128 KiB and its whole work set about
-#: 1.2 MiB, within a per-core L2 cache; a ladder level is solved chunk by
-#: chunk, so only its roots and node sums span the whole level.
-_FIBER_CHUNK_ROOTS = 1 << 13
 
 
 def _predicted_start(deriv: np.ndarray, roots: np.ndarray, z_old: np.ndarray,
@@ -633,13 +615,12 @@ class _BoundaryFibers:
     nearest to its exact position, and on the circle.  ``tangent`` is set
     once any other fiber root lies within the tangency tolerance of the
     circle at a node, which it does at every node for those roots zeta z
-    when k > 1 and where a crossing falls on a node.  A call walks its nodes
-    in chunks of _FIBER_CHUNK_ROOTS fiber roots, each one root batch with its
-    own checks, and keeps the level's roots: on a level of twice the previous
-    node count (the next ladder level, halved or not), node k starts the root
-    solver from the roots of old node k // 2, which sits 1/(4n) away on the
-    circle, each moved to first order along its fiber; any other call starts
-    cold.  ``kink_correction`` then reads the level's midpoint error off
+    when k > 1 and where a crossing falls on a node.  A call solves its nodes
+    as one root batch and keeps the level's roots: on a level of twice the
+    previous node count (the next ladder level, halved or not), node k starts
+    the root solver from the roots of old node k // 2, which sits 1/(4n) away
+    on the circle, each moved to first order along its fiber; any other call
+    starts cold.  ``kink_correction`` then reads the level's midpoint error off
     those roots, with no further root solve, and adds that of the log spikes
     at ``origin_fiber``, the nonzero roots of alpha - alpha(0).
     """
@@ -661,42 +642,29 @@ class _BoundaryFibers:
         return _origin_fiber(self.alpha)
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
-        r, n, d = self.r, len(ts), self.alpha.degree
-        warm = self._roots is not None and n == 2 * len(self._roots)
-        chunk = min(n, max(1, _FIBER_CHUNK_ROOTS // d))
-        work = _aberth_work(chunk, d)
-        rows = np.empty((chunk, d + 1), dtype=complex)
-        roots = np.empty((n, d), dtype=complex)
-        branches = np.empty((n, d - len(self.rotations)), dtype=complex)
-        sums = np.empty(n)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            z0 = r * np.exp(2j * np.pi * ts[lo:hi])
-            batch = rows[: hi - lo]
-            batch[:] = self.coeffs
-            batch[:, -1] -= self.alpha(z0)
-            start = None
-            if warm:
-                j0, j1 = lo // 2, (hi - 1) // 2 + 1
-                z_old = r * np.exp(2j * np.pi * self._nodes[j0:j1])
-                start = _predicted_start(self.deriv, self._roots[j0:j1], z_old, z0,
-                                         np.arange(lo, hi) // 2 - j0)
-            found = roots[lo:hi] = _batched_roots(batch, start, work)
-            # drop the known roots zeta z0, the trivial one first
-            mask = np.ones(found.shape, dtype=bool)
-            at = np.arange(hi - lo)
-            for k, zeta in enumerate(self.rotations):
-                gap = np.where(mask, np.abs(found - zeta * z0[:, None]), np.inf)
-                mask[at, np.argmin(gap, axis=1)] = False
-                if k == 0 and np.any(mask & (np.abs(np.abs(found) - r) < BOUNDARY_TANGENCY_TOL)):
-                    self.tangent = True
-            branches[lo:hi] = found[mask].reshape(hi - lo, -1)
-            contrib = self.potential.values(branches[lo:hi])
-            if not np.all(np.isfinite(contrib)):
-                raise RootConditioning("fiber root at the singular point")
-            sums[lo:hi] = np.sum(contrib, axis=1)
+        r, n = self.r, len(ts)
+        z0 = r * np.exp(2j * np.pi * ts)
+        rows = np.tile(self.coeffs, (n, 1))
+        rows[:, -1] -= self.alpha(z0)
+        start = None
+        if self._roots is not None and n == 2 * len(self._roots):
+            z_old = r * np.exp(2j * np.pi * self._nodes)
+            start = _predicted_start(self.deriv, self._roots, z_old, z0, np.arange(n) // 2)
+        roots = _batched_roots(rows, start)
+        # drop the known roots zeta z0, the trivial one first
+        mask = np.ones(roots.shape, dtype=bool)
+        at = np.arange(n)
+        for k, zeta in enumerate(self.rotations):
+            gap = np.where(mask, np.abs(roots - zeta * z0[:, None]), np.inf)
+            mask[at, np.argmin(gap, axis=1)] = False
+            if k == 0 and np.any(mask & (np.abs(np.abs(roots) - r) < BOUNDARY_TANGENCY_TOL)):
+                self.tangent = True
+        branches = roots[mask].reshape(n, -1)
+        contrib = self.potential.values(branches)
+        if not np.all(np.isfinite(contrib)):
+            raise RootConditioning("fiber root at the singular point")
         self._nodes, self._roots, self._branches = ts, roots, branches
-        return sums
+        return np.sum(contrib, axis=1)
 
     def kink_correction(self, n: int) -> Optional[float]:
         """Midpoint error of the last call, whose nodes are the n-node

@@ -126,7 +126,7 @@ def full_lattice_cold_start():
                   lambda values, settings, label, even=False, correction=None:
                   circle_mean(values, settings, label, correction=correction))
         m.setattr(overflow, "_batched_roots",
-                  lambda coeffs, start=None, work=None: batched(coeffs))
+                  lambda coeffs, start=None: batched(coeffs))
         yield
 
 
@@ -180,9 +180,9 @@ class TestHalvedWarmOracle:
         starts, found = [], []
         batched = overflow._batched_roots
 
-        def spy(coeffs, start=None, work=None):
+        def spy(coeffs, start=None):
             starts.append(start)
-            found.append(batched(coeffs, start, work))
+            found.append(batched(coeffs, start))
             return found[-1]
 
         monkeypatch.setattr(overflow, "_batched_roots", spy)
@@ -202,76 +202,23 @@ class TestHalvedWarmOracle:
         assert starts[2] is None
 
 
-def oracle_test_map(degree, kind):
-    """A degree-d polynomial with small integer coefficients, real or complex,
-    and a radius: uniform in [0.5, 2.5] for a real map, 1.3 for a complex one."""
-    rng = np.random.default_rng(500 + degree)
-    coeffs = rng.integers(-3, 4, size=degree + 1).astype(float)
-    coeffs[degree] = rng.choice([-2.0, -1.0, 1.0, 3.0])
-    coeffs[1] = coeffs[1] or 1.0
-    if kind == "complex":
-        return DiskMap(tuple(coeffs + 1j * rng.integers(-2, 3, size=degree + 1))), 1.3
-    return DiskMap(tuple(coeffs)), float(rng.uniform(0.5, 2.5))
-
-
-def warm_ladder(alpha, r, levels=(32, 64, 128)):
-    """Integrand values on successive midpoint levels of one _BoundaryFibers,
-    first halves only for a real map, and its tangency flag."""
-    fibers = overflow._BoundaryFibers(alpha, r)
-    even = alpha.real_coefficients
-    values = [fibers((np.arange(n // 2 if even else n) + 0.5) / n) for n in levels]
-    return values, fibers.tangent
-
-
-ONE_CHUNK = 1 << 40
-
-
-@pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("degree", range(1, 9))
-class TestChunkedFibers:
-    @pytest.mark.parametrize("nodes_per_chunk", [1, 5])
-    def test_integrand_matches_one_chunk(self, degree, kind, nodes_per_chunk, monkeypatch):
-        # 5 nodes per chunk leaves a ragged last chunk on every level, and
-        # chunks whose previous-level rows straddle two old chunks
-        alpha, r = oracle_test_map(degree, kind)
-        assert alpha.real_coefficients == (kind == "real")
-        monkeypatch.setattr(overflow, "_FIBER_CHUNK_ROOTS", ONE_CHUNK)
-        want, want_tangent = warm_ladder(alpha, r)
-        monkeypatch.setattr(overflow, "_FIBER_CHUNK_ROOTS", nodes_per_chunk * degree)
-        got, got_tangent = warm_ladder(alpha, r)
-        for g, w in zip(got, want):
-            assert np.max(np.abs(g - w)) <= 1e-14
-        assert got_tangent == want_tangent
-
-    def test_oracle_matches_one_chunk(self, degree, kind, monkeypatch):
-        alpha, r = oracle_test_map(degree, kind)
-        monkeypatch.setattr(overflow, "_FIBER_CHUNK_ROOTS", ONE_CHUNK)
-        want = overflow_definitional_oracle(alpha, r, FAST)
-        monkeypatch.setattr(overflow, "_FIBER_CHUNK_ROOTS", 100 * degree)
-        got = overflow_definitional_oracle(alpha, r, FAST)
-        assert abs(got.value - want.value) <= 1e-14
-        assert got.certificate.grid == want.certificate.grid
-        assert got.boundary_tangency == want.boundary_tangency
-
-
-class TestFiberChunkChecks:
-    @pytest.mark.parametrize("nodes_per_chunk", [1, 5, ONE_CHUNK])
-    def test_tangency_in_an_early_chunk_sets_the_flag(self, nodes_per_chunk, monkeypatch):
+class TestFiberChecks:
+    def test_tangency_at_a_node_sets_the_flag(self):
         # alpha = z^2 + c z has the nontrivial fiber root -z - c, on the unit
-        # circle exactly where 2 cos(theta) = -c: node 3 of 32, first chunk
+        # circle exactly where 2 cos(theta) = -c: node 3 of 32
         c = -2.0 * math.cos(2.0 * math.pi * 3.5 / 32)
-        monkeypatch.setattr(overflow, "_FIBER_CHUNK_ROOTS", nodes_per_chunk * 2)
-        _, tangent = warm_ladder(DiskMap((0.0, c, 1.0)), 1.0)
-        assert tangent
+        fibers = overflow._BoundaryFibers(DiskMap((0.0, c, 1.0)), 1.0)
+        for n in (32, 64, 128):  # the first halves of warm midpoint levels
+            fibers((np.arange(n // 2) + 0.5) / n)
+        assert fibers.tangent
 
-    def test_coinciding_start_in_a_later_chunk_is_rescued(self, rescued, monkeypatch):
+    def test_coinciding_start_is_rescued(self, rescued):
         alpha, r = parse_map("z^3+z"), 1.5
-        monkeypatch.setattr(overflow, "_FIBER_CHUNK_ROOTS", 4 * 3)  # 4 nodes per chunk
         nodes = (np.arange(16) + 0.5) / 16
         want = overflow._BoundaryFibers(alpha, r)(nodes)
         fibers = overflow._BoundaryFibers(alpha, r)
         fibers((np.arange(8) + 0.5) / 8)
-        # old node 5 starts new nodes 10 and 11, in the third chunk of four
+        # old node 5 starts new nodes 10 and 11
         fibers._roots[5, 1] = fibers._roots[5, 0]
         rescued.clear()
         got = fibers(nodes)
@@ -280,6 +227,19 @@ class TestFiberChunkChecks:
         assert len(rescued) == 2
         np.testing.assert_array_equal(np.array(rescued), rows)
         assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_a_level_is_one_root_batch(self, monkeypatch):
+        batches = []
+        batched = overflow._batched_roots
+
+        def spy(coeffs, start=None):
+            batches.append(len(coeffs))
+            return batched(coeffs, start)
+
+        monkeypatch.setattr(overflow, "_batched_roots", spy)
+        fibers = overflow._BoundaryFibers(parse_map("2-2*z+2*z^4-z^6-z^8"), 1.871)
+        fibers((np.arange(2048) + 0.5) / 2048)  # 16384 fiber roots
+        assert batches == [2048]
 
     def test_predictor_keeps_the_root_where_the_derivative_vanishes(self):
         # alpha = z^3 - 3z; over z' = -2 the fiber is 1 (double, alpha'(1) = 0) and -2
@@ -294,8 +254,9 @@ class TestFiberChunkChecks:
         np.testing.assert_allclose(start[:, 2], z_new, rtol=1e-15)
 
     def test_oracle_memory_is_bounded_by_the_top_level(self):
-        # the level's roots, the previous level's and the node sums span the
-        # level; everything else is chunk-sized
+        # the level's roots, the previous level's, the node sums and the work
+        # buffers of its one root batch span the level, about 13x its roots
+        # array; at the 256 nodes accepted here that fits the fixed 2 MiB
         alpha = parse_map("2-2*z+2*z^4-z^6-z^8")
         tracemalloc.start()
         try:
@@ -567,7 +528,7 @@ class TestBatchedRoots:
         assert calls == [6]
 
     def test_residual_contract_rejects_bad_rescue_roots(self, monkeypatch):
-        def nothing_certified(monic, start=None, work=None):
+        def nothing_certified(monic, start=None):
             return np.zeros((len(monic), monic.shape[1] - 1), dtype=complex), np.zeros(len(monic), bool)
 
         monkeypatch.setattr(overflow, "_aberth_roots", nothing_certified)
