@@ -278,31 +278,17 @@ def holonomy_degree_bound(m: MorphismToLine,
 
     The primary bound is the floor of the capacity-normalized invariant; the
     comparison value is the boundary log-plus integral scaled by Euler's
-    constant e (the classical holonomy-counting form).
+    constant e (the classical holonomy-counting form).  D_invariant raises
+    NotPseudoconcave before any boundary integral runs.
     """
-    import numpy as np
+    from .overflow import log_plus_mean
 
-    from .quadrature import circle_mean
-
-    settings = _or_default(settings)
-    deg = m.surface.normal_degree
-    if not (deg > 0):
-        raise NotPseudoconcave(f"normal degree {deg} is not positive")
     d_value = D_invariant(m, settings)
-    alpha = m.alpha_an
-    r = float(m.surface.radius)
-
-    def logplus(ts: np.ndarray) -> np.ndarray:
-        z = r * np.exp(2j * np.pi * ts)
-        p, q = alpha.num_den_at(z)
-        return np.maximum(np.log(np.abs(p / q)), 0.0)
-
-    mean, _ = circle_mean(logplus, settings, label="log-plus boundary mean")
-    cdt = math.e * mean / deg
+    mean, _ = log_plus_mean(m.alpha_an, float(m.surface.radius), _or_default(settings))
     return HolonomyBound(
         degree_bound=math.floor(d_value + 1e-12),
         d_invariant=d_value,
-        cdt_bound=cdt,
+        cdt_bound=math.e * mean / m.surface.normal_degree,
     )
 
 

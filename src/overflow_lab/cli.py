@@ -111,7 +111,8 @@ def load_settings(path: Optional[str]) -> "QuadratureSettings":
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer past
+        # Python's digit limit, or arrays nested past the recursion limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -140,7 +141,7 @@ def load_settings(path: Optional[str]) -> "QuadratureSettings":
 def _parse_psi(text: str) -> TruncatedSeries:
     try:
         items = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # as in load_settings
         raise ConfigError(f"series literal is not a JSON array: {exc}") from None
     if not isinstance(items, list):
         raise ConfigError("series literal must be a JSON array")
@@ -324,7 +325,7 @@ def _load_lattice(path: str) -> "lattice.IntersectionLattice":
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"lattice file not found: {path}") from None
-    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # as in load_settings
         raise ConfigError(f"lattice file is not valid JSON: {exc}") from None
     required = {"labels", "matrix", "c", "cc"}
     if not isinstance(data, dict) or set(data) != required:

@@ -388,13 +388,11 @@ def measure_bound_mc(e: int, a: int, rho: float, box_radius: float, n: int,
             f"the box or bounds overflow at rho {rho!r}, box radius {box_radius!r}"
         ) from None
 
-    per_shard = [samples // shards] * shards
-    for i in range(samples % shards):
-        per_shard[i] += 1
     hits = 0
-    for shard, count in enumerate(per_shard):
-        if count == 0:
-            continue
+    # shard k holds samples // shards samples, one more for k < samples % shards;
+    # only the first min(shards, samples) hold any
+    for shard in range(min(shards, samples)):
+        count = samples // shards + (shard < samples % shards)
         rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
         g = np.zeros((n + 2, count))
         g[1] = 1.0

@@ -420,6 +420,8 @@ def parse_map(text: str) -> DiskMap:
         in_range = all(_in_float_range(c) for c in alpha.num + alpha.den)
     except OverflowError:
         in_range = False
+    except RecursionError:
+        parser.error("expression nested too deeply")
     if not in_range:
         parser.error("coefficient outside the float64 range")
     return alpha

@@ -15,11 +15,11 @@ Definitional route (polynomials only): the excess as an integral of the
 equilibrium potential (potential.DiskPotential, the one definition of
 log+(r/|zeta|)) against the fiber divisors, evaluated by locating the
 fibers with one batched root solver: Aberth-Ehrlich iteration, with
-companion-matrix eigenvalues only for the rows it cannot certify, then Newton
-polish under a residual contract.  Its term1, the fiber sum over alpha(0),
-is by Jensen's formula the constant kappa of the direct self-intersection
-oracle in arithmetic.py less log|jet| + e log r, so that oracle reports
-through this one.  The boundary integrand, _BoundaryFibers, warm-starts each
+companion-matrix eigenvalues only for the rows it cannot certify, and Newton
+steps only when a row misses the residual contract.  Its term1, the fiber
+sum over alpha(0), is by Jensen's formula the constant kappa of the direct
+self-intersection oracle in arithmetic.py less log|jet| + e log r, so that
+oracle reports through this one.  The boundary integrand, _BoundaryFibers, warm-starts each
 ladder level from the roots of the level before (node k of 2n nodes from
 node k // 2 of n), each root moved to first order along its fiber, and solves
 each level as one root batch.  For a map with real coefficients the
@@ -28,7 +28,9 @@ integrand is even in t and each level evaluates half of the midpoint lattice.
 The integrand kinks wherever a fiber root crosses the circle, so each level
 subtracts its Lyness-Ninham midpoint error at those crossings, read off the
 roots the level solved (_kink_correction), and the ladder compares the
-corrected levels with no Richardson step.
+corrected levels.  The holonomy comparison value's mean of log+|alpha|
+(log_plus_mean) kinks where |alpha| = 1 and takes the same correction, with
+w = q/p as the one fiber branch at radius 1.
 
 Both routes reject, before any integral runs, a map and radius whose boundary
 values cannot be squared in float64; the oracle also rejects one whose fiber
@@ -224,8 +226,8 @@ def _batched_roots(poly_coeffs_desc: np.ndarray,
     are finite and the monic coefficients rebuilt from them match the input;
     uncertified rows (multiple or clustered roots, a zero constant term,
     widely spread moduli, coinciding starting points) fall back to
-    companion-matrix eigenvalues.  Every row is then polished by Newton steps;
-    raises if the residual contract cannot be met.
+    companion-matrix eigenvalues.  When some row then misses the residual
+    contract, Newton steps polish every row; raises if it still cannot be met.
     """
     batch, ncoef = poly_coeffs_desc.shape
     d = ncoef - 1
@@ -667,33 +669,42 @@ class _BoundaryFibers:
         return np.sum(contrib, axis=1)
 
     def kink_correction(self, n: int) -> Optional[float]:
-        """Midpoint error of the last call, whose nodes are the n-node
-        midpoint lattice or, for a real map, its first half; the mirrored
-        half has the conjugate fibers.  None when a crossing cannot be
-        resolved (see _kink_correction), or when fewer than 4 stencils span
-        the lattice."""
-        if n < 4 * len(_STENCIL) and self._branches.shape[1]:
-            return None
-        z = self.r * np.exp(2j * np.pi * self._nodes)
-        rows = len(z)
-        if rows == n:  # the periodic lattice, continued around the circle
-            def padded(a):
-                return np.concatenate([a[-_PAD:], a, a[:_PAD]])
-
-            weights = np.zeros(rows + 2 * _PAD - 1)
-            weights[_PAD:_PAD + rows] = 1.0
-        else:  # the first half, continued by the mirrored one
-            def padded(a):
-                return np.concatenate([a[_PAD - 1::-1].conj(), a, a[:-_PAD - 1:-1].conj()])
-
-            # a cell and its mirror count twice, the two cells at the folds once
-            weights = np.zeros(rows + 2 * _PAD - 1)
-            weights[_PAD - 1:_PAD + rows] = 2.0
-            weights[[_PAD - 1, _PAD + rows - 1]] = 1.0
-        kinks = _kink_correction(self.deriv, padded(self._branches), padded(z), self.r, weights)
+        """Midpoint error of the last call on the n-node lattice, its kinks
+        (see _lattice_kinks) and its log spikes."""
+        kinks = _lattice_kinks(self.deriv, self._branches, self._nodes, self.r, n)
         if kinks is None:
             return None
-        return kinks / n + _log_spike_error(self.origin_fiber / self.r, n)
+        return kinks + _log_spike_error(self.origin_fiber / self.r, n)
+
+
+def _lattice_kinks(deriv: np.ndarray, branches: np.ndarray, ts: np.ndarray,
+                   r: float, n: int) -> Optional[float]:
+    """Midpoint error of the mean over the n-node lattice of the fiber sum
+    sum_w max(0, log(r/|w|)), from its crossings (see _kink_correction):
+    ``branches`` holds the roots w over the nodes ``ts``, which are the whole
+    lattice or, for a real map, its first half, the mirrored half having the
+    conjugate fibers.  None when a crossing cannot be resolved, or when fewer
+    than 4 stencils span the lattice."""
+    if n < 4 * len(_STENCIL) and branches.shape[1]:
+        return None
+    z = r * np.exp(2j * np.pi * ts)
+    rows = len(z)
+    if rows == n:  # the periodic lattice, continued around the circle
+        def padded(a):
+            return np.concatenate([a[-_PAD:], a, a[:_PAD]])
+
+        weights = np.zeros(rows + 2 * _PAD - 1)
+        weights[_PAD:_PAD + rows] = 1.0
+    else:  # the first half, continued by the mirrored one
+        def padded(a):
+            return np.concatenate([a[_PAD - 1::-1].conj(), a, a[:-_PAD - 1:-1].conj()])
+
+        # a cell and its mirror count twice, the two cells at the folds once
+        weights = np.zeros(rows + 2 * _PAD - 1)
+        weights[_PAD - 1:_PAD + rows] = 2.0
+        weights[[_PAD - 1, _PAD + rows - 1]] = 1.0
+    kinks = _kink_correction(deriv, padded(branches), padded(z), r, weights)
+    return None if kinks is None else kinks / n
 
 
 def overflow_definitional_oracle(alpha: DiskMap, r: float,
@@ -739,6 +750,31 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
         term1 + term2, "definitional", "C", r, e,
         certificate=cert, boundary_tangency=tangent or fibers.tangent,
     )
+
+
+def log_plus_mean(alpha: DiskMap, r: float,
+                  settings: QuadratureSettings = DEFAULT_SETTINGS) -> Tuple[float, Certificate]:
+    """Mean of log+|alpha| over the circle of radius r, kink-corrected.
+
+    log+|alpha| = log+(1/|w|) with w = q/p is the oracle's fiber sum with w as
+    the one branch at radius 1, so each level subtracts the same jump terms
+    where |alpha| crosses 1 (_lattice_kinks) and the ladder compares the
+    corrected levels.  A map with real coefficients has an even integrand.
+    """
+    nodes = branch = None
+
+    def values(ts: np.ndarray) -> np.ndarray:
+        nonlocal nodes, branch
+        p, q = alpha.num_den_at(r * np.exp(2j * np.pi * ts))
+        nodes, branch = ts, (q / p)[:, None]
+        return np.maximum(-np.log(np.abs(branch[:, 0])), 0.0)
+
+    def correction(n: int) -> Optional[float]:
+        return _lattice_kinks(None, branch, nodes, 1.0, n)
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # zeros and poles of alpha
+        return circle_mean(values, settings, label="log-plus boundary mean",
+                           even=alpha.real_coefficients, correction=correction)
 
 
 # -- bound check and asymptotics ----------------------------------------------

@@ -1,11 +1,17 @@
 """Numerical integration on circles and the torus, plus Nevanlinna characteristics.
 
+Every rule runs one doubling ladder, which accepts a level once it lies within
+the tolerance of the level before.  A circle mean's levels are midpoint rules,
+less the rule's own error where a caller supplies it (the kinks of a log+
+integrand); the torus rule's levels are Richardson pairs.
+
 Integrands with logarithmic singularities along coincidence curves are handled
 by a staggered midpoint product rule: the inner torus lattice is a fixed even
 factor finer than the outer one and shifted by a quarter of its cell, so the two
 lattices never meet and the diagonal is never sampled.  The leading 1/N error
-of the diagonal band is removed by Richardson extrapolation (for the
-translation invariant part of the kernel this cancellation is exact at every N).
+of the diagonal band is removed by pairing each raw level with the one before,
+2 I(N) - I(N/2) (for the translation invariant part of the kernel this
+cancellation is exact at every N).
 
 The torus kernel has one path, the differences f(t) - f(s); a rational map
 f = p/q adds log|q(t)| + log|q(s)| as one sum of logs per lattice, and an f
@@ -26,8 +32,8 @@ the area integral against the log(r/|z|) weight, which uses a Gauss rule
 generated for the weight u*log(1/u) on (0,1); its recurrence coefficients are
 computed once from the exact rational moments 1/(k+2)^2, so the radial rule
 converges spectrally for the smooth pullback densities that arise here.  Its
-angular lattice runs the same ladder on raw levels (no 1/N term to remove),
-and the accepted level must agree with the rule of half as many radial nodes.
+angular lattice runs the same ladder, and the accepted level must agree with
+the rule of half as many radial nodes.
 
 All grid reductions use numpy's pairwise summation; results are deterministic
 for fixed settings.
@@ -98,32 +104,24 @@ def _midpoints(n: int, offset: float = 0.0) -> np.ndarray:
     return (np.arange(n) + 0.5 + offset) / n
 
 
-def _richardson_ladder(estimate: Callable[[int], Optional[float]],
-                       settings: QuadratureSettings,
-                       label: str,
-                       richardson: bool = True) -> Tuple[float, Certificate]:
+def _ladder(estimate: Callable[[int], Optional[float]],
+            settings: QuadratureSettings,
+            label: str) -> Tuple[float, Certificate]:
     """Doubling ladder of every circle, torus and area rule over
-    ``estimate(n)``, the raw rule on n nodes.  Successive levels combine as
-    the Richardson pair 2*I(2N) - I(N), or as the raw levels themselves
-    without ``richardson``; two successive combined values within ``tol``
-    accept the latter, and a non-finite level raises at once.  Without
-    ``richardson`` a level may also be None, a level that cannot be compared:
-    the ladder goes on to the next one."""
-    raw_prev = combined_prev = delta = None
+    ``estimate(n)``, the rule's level on n nodes: two successive levels within
+    ``tol`` accept the latter, a non-finite level raises at once, and a level
+    of None is compared with neither of its neighbours."""
+    prev = delta = None
     n = settings.base_grid
     for _ in range(settings.max_depth + 1):
-        raw = estimate(n)
-        if raw is not None and not math.isfinite(raw):
+        level = estimate(n)
+        if level is not None and not math.isfinite(level):
             raise NumericalError(f"{label}: estimate not finite at grid {n}")
-        combined = raw
-        if richardson:
-            combined = None if raw_prev is None else 2.0 * raw - raw_prev
-            raw_prev = raw
-        if combined is not None and combined_prev is not None:
-            delta = abs(combined - combined_prev)
+        if level is not None and prev is not None:
+            delta = abs(level - prev)
             if delta <= settings.tol:
-                return combined, Certificate(settings.tol, delta, n)
-        combined_prev = combined
+                return level, Certificate(settings.tol, delta, n)
+        prev = level
         n *= 2
     last = "no two combined levels" if delta is None else f"last delta {delta:.3g}"
     raise NoConvergence(
@@ -139,9 +137,8 @@ def circle_mean(values: Callable[[np.ndarray], np.ndarray],
                 ) -> Tuple[float, Certificate]:
     """Mean over [0,1) of a periodic integrand, midpoint rule with doubling.
 
-    Integrable log spikes at a fixed offset from the lattice contribute an
-    exactly-1/N error term which the Richardson pair removes; for smooth
-    periodic integrands the pair converges as fast as the raw sequence.
+    The ladder compares the midpoint levels themselves, which converge
+    exponentially for a smooth periodic integrand.
 
     ``even`` declares the integrand symmetric under t -> 1 - t.  The midpoint
     lattice of n nodes is symmetric too (node k mirrors node n - 1 - k), so
@@ -150,10 +147,8 @@ def circle_mean(values: Callable[[np.ndarray], np.ndarray],
 
     ``correction(n)``, called after each level's values on the n-node
     lattice, returns that level's midpoint error, which is subtracted, or
-    None when the level cannot be corrected.  The ladder then compares the
-    corrected levels themselves, with no Richardson step, and skips an
-    uncorrected one; the certificate is the gap between the last two
-    corrected levels.  Without it the rule is the Richardson ladder above.
+    None when the level cannot be corrected: an integrand that kinks passes
+    its jump terms here, and the ladder skips an uncorrected level.
     """
 
     def estimate(n: int) -> Optional[float]:
@@ -164,7 +159,7 @@ def circle_mean(values: Callable[[np.ndarray], np.ndarray],
         error = correction(n)
         return None if error is None else mean - error
 
-    return _richardson_ladder(estimate, settings, label, richardson=correction is None)
+    return _ladder(estimate, settings, label)
 
 
 #: Inner-lattice refinement of the torus product rule.  Equal-weight circle
@@ -195,9 +190,10 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
     parameter.  The plain ratio kernel log|f(t) - f(s)| is the case q = 1.
     The two staggered midpoint lattices are refined together, the inner one
     kept a fixed factor finer and shifted by a quarter of its cell so no
-    inner node meets an outer one; each level's diagonal-band error is
-    exactly proportional to one over the lattice size, which the Richardson
-    pair removes.
+    inner node meets an outer one.  The diagonal band adds an error exactly
+    proportional to one over the lattice size, so each ladder level is the
+    Richardson pair 2 I(N) - I(N/2) of the raw levels, which removes it; the
+    first raw level has no pair and is not compared.
 
     ``even`` declares boundary values conjugate under t -> 1 - t, as those of
     a map with real coefficients are.  The outer lattice of n nodes is
@@ -208,16 +204,23 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
     and certificate are unchanged.
     """
 
-    def estimate(n: int) -> float:
+    half = None  # the raw level on half as many nodes
+
+    def estimate(n: int) -> Optional[float]:
+        nonlocal half
         m = n * _INNER_REFINE
         p1, q1 = boundary(_midpoints(n))
         p2, q2 = boundary(_midpoints(m, 0.25))
         if even:
             p1 = p1[: n // 2]
             q1 = None if q1 is None else q1[: n // 2]
-        return 0.5 * _log_cross_sum(p1, q1, p2, q2, label, even) / (n * m)
+        raw = 0.5 * _log_cross_sum(p1, q1, p2, q2, label, even) / (n * m)
+        coarse, half = half, raw
+        if coarse is None:  # no pair yet; a non-finite level still raises at once
+            return None if math.isfinite(raw) else raw
+        return 2.0 * raw - coarse
 
-    return _richardson_ladder(estimate, settings, label)
+    return _ladder(estimate, settings, label)
 
 
 def _log_cross_sum(p1, q1, p2, q2, label: str, even: bool = False) -> float:
@@ -408,10 +411,8 @@ def nevanlinna_T(alpha: DiskMap, r: float, method: str = "boundary",
                 total += w * float(np.mean(dens))
             return 2.0 * math.pi * r * r * total
 
-        value, cert = _richardson_ladder(
-            lambda n: estimate(n, _RADIAL_NODES), settings,
-            "nevanlinna area integral", richardson=False,
-        )
+        value, cert = _ladder(lambda n: estimate(n, _RADIAL_NODES), settings,
+                              "nevanlinna area integral")
         gap = abs(value - estimate(cert.grid, _RADIAL_NODES // 2))
         if gap > settings.tol:
             raise NoConvergence(

@@ -135,6 +135,25 @@ class TestOverflowCommand:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("kind,error", [
+        ("parentheses", "ParseError"), ("minus signs", "ParseError"),
+        ("psi", "ConfigError"), ("config", "ConfigError"), ("lattice", "ConfigError"),
+    ])
+    def test_input_nested_past_the_recursion_limit_exits_2(self, kind, error, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        argv = {
+            "parentheses": ["overflow", "--map=" + "(" * 300 + "z" + ")" * 300, "--radius", "1"],
+            "minus signs": ["overflow", "--map=" + "-" * 1000 + "z", "--radius", "1"],
+            "psi": ["grelem", "--psi", "[" * 1000, "--e", "1", "--order", "3"],
+            "config": ["overflow", "--map", "z", "--radius", "1", "--config", str(deep)],
+            "lattice": ["equilibrium", "--lattice", str(deep)],
+        }[kind]
+        proc = _run_module(*argv)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == error
+        assert proc.stderr == ""
+
     def test_huge_exponent_rejected(self):
         code, out = run_cli(["overflow", "--map", "z^100000", "--radius", "1"])
         assert code == 2
@@ -408,6 +427,20 @@ class TestMorphismCommands:
         result = json.loads(out)["result"]
         assert result["degree_bound"] == 1
         assert result["cdt_bound"] > 0
+
+    def test_holonomy_bound_across_kinks_at_tight_settings(self, tmp_path):
+        # |alpha| crosses 1 on the circle; the kink-corrected mean accepts at
+        # grid 1024 where the uncorrected one ran out of levels
+        cfg = tmp_path / "tight.json"
+        cfg.write_text('{"grid": 64, "tol": 1e-8, "depth": 11}')
+        code, out = run_cli([
+            "holonomy-bound", "--psi", '["0","1"]', "--map=1-z+z^3+z^4",
+            "--radius", "1.429", "--config", str(cfg),
+        ])
+        assert code == 0
+        # e log+ mean / log r, with the mpmath mean of log+|alpha|
+        cdt = math.e * 1.4613465489499957 / math.log(1.429)
+        assert json.loads(out)["result"]["cdt_bound"] == pytest.approx(cdt, abs=1e-7)
 
     def test_underflowing_coefficient_rejected(self):
         # 1e-400 * z^2 became 0.0, and the float copy of the map read as constant

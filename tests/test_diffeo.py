@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -267,6 +268,16 @@ class TestMeasureBound:
         a = measure_bound_mc(1, 2, 2.0, 1.0, 2, samples=5000, seed=3, shards=4)
         b = measure_bound_mc(1, 2, 2.0, 1.0, 2, samples=5000, seed=3, shards=4)
         assert a.estimate == b.estimate
+
+    def test_empty_shards_cost_nothing(self):
+        # 10 samples over 10**6 shards: only the 10 shards holding a sample run
+        tracemalloc.start()
+        try:
+            measure_bound_mc(1, 2, 2.0, 1.0, 2, samples=10, seed=3, shards=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("e, a", [(0, 1), (-1, 1), (1, 0)])
     def test_degenerate_leading_term_raises(self, e, a):

@@ -20,6 +20,7 @@ from overflow_lab.errors import (
 )
 from overflow_lab.maps import DiskMap, parse_map
 from overflow_lab.overflow import (
+    log_plus_mean,
     nevanlinna_bound_check,
     overflow_definitional_oracle,
     overflow_to_C,
@@ -696,3 +697,25 @@ class TestAsymptotics:
     def test_requires_one_value_per_radius(self):
         with pytest.raises(DomainError):
             polynomial_asymptotics([1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+#: Means of log+|alpha| over the circle of radius r, by mpmath at 25 digits
+#: with the integral split where |alpha| crosses 1 (checked against scipy to
+#: within 2e-16).
+LOG_PLUS_REFERENCE = [
+    ("z+1/2", 1.0, 0.15971714623438024),
+    ("2*z^3-z", 0.9, 0.45682635435631382),
+    ("3*z^2+z", 0.6, 0.22469369925492348),
+    ("1-z+z^3+z^4", 1.429, 1.4613465489499957),
+    ("3+z+3*z^2+2*z^3-3*z^4", 0.679, 1.099035196258141),
+    ("-3+3*z-z^2-2*z^3-3*z^4", 0.84, 1.3285679478598238),
+]
+
+
+@pytest.mark.parametrize("settings", [
+    quadrature.DEFAULT_SETTINGS, QuadratureSettings(base_grid=64, tol=1e-8, max_depth=11),
+], ids=["defaults", "tight"])
+@pytest.mark.parametrize("expr,r,reference", LOG_PLUS_REFERENCE)
+def test_log_plus_mean_within_its_certificate(expr, r, reference, settings):
+    value, cert = log_plus_mean(parse_map(expr), r, settings)
+    assert abs(value - reference) <= min(cert.achieved, settings.tol)

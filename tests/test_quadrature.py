@@ -144,6 +144,18 @@ class TestEvenCircleMean:
         assert lengths[-1] == half_cert.grid // 2
 
 
+def test_smooth_circle_mean_accepts_on_two_raw_levels():
+    # the midpoint rule on exp(cos 2 pi t) is exact to rounding at 64 nodes
+    def values(ts):
+        return np.exp(np.cos(2 * np.pi * ts))
+
+    def level(n):
+        return float(np.mean(values((np.arange(n) + 0.5) / n)))
+
+    value, cert = circle_mean(values, QuadratureSettings(base_grid=64))
+    assert (value, cert.grid, cert.achieved) == (level(128), 128, abs(level(128) - level(64)))
+
+
 class TestCorrectedCircleMean:
     def test_corrected_levels_accept_without_richardson(self):
         # max(0, cos 2 pi t) integrates to 1/pi; the correction here is the
