@@ -14,23 +14,25 @@ kernel.
 Definitional route (polynomials only): the excess as an integral of the
 equilibrium potential (potential.DiskPotential, the one definition of
 log+(r/|zeta|)) against the fiber divisors, evaluated by locating the
-fibers with one batched root solver: Aberth-Ehrlich iteration, with
-companion-matrix eigenvalues only for the rows it cannot certify, and Newton
-steps only when a row misses the residual contract.  Its term1, the fiber
-sum over alpha(0), is by Jensen's formula the constant kappa of the direct
-self-intersection oracle in arithmetic.py less log|jet| + e log r, so that
-oracle reports through this one.  The boundary integrand, _BoundaryFibers, warm-starts each
-ladder level from the roots of the level before (node k of 2n nodes from
-node k // 2 of n), each root moved to first order along its fiber, and solves
-each level as one root batch.  For a map with real coefficients the
-fiber over a conjugate boundary value is the conjugate fiber, so the
-integrand is even in t and each level evaluates half of the midpoint lattice.
+fibers with one batched root solver: companion-matrix eigenvalues for a
+cold batch, Newton steps from predicted roots for a warm one.  Its term1,
+the fiber sum over alpha(0), is by Jensen's formula the constant kappa of
+the direct self-intersection oracle in arithmetic.py less log|jet| + e log r,
+so that oracle reports through this one.  The boundary integrand,
+_BoundaryFibers, solves its first ladder level cold and predicts each later
+level from the roots of the level before (node k of 2n nodes from node
+k // 2 of n), each root moved to first order along its fiber, so that Newton
+corrects it; it solves each level as one root batch.  For a map with real
+coefficients the fiber over a conjugate boundary value is the conjugate
+fiber, so the integrand is even in t and each level evaluates half of the
+midpoint lattice.
 The integrand kinks wherever a fiber root crosses the circle, so each level
 subtracts its Lyness-Ninham midpoint error at those crossings, read off the
 roots the level solved (_kink_correction), and the ladder compares the
 corrected levels.  The holonomy comparison value's mean of log+|alpha|
 (log_plus_mean) kinks where |alpha| = 1 and takes the same correction, with
-w = q/p as the one fiber branch at radius 1.
+w = q/p as the one fiber branch at radius 1, and the log-spike correction at
+the poles of alpha.
 
 Both routes reject, before any integral runs, a map and radius whose boundary
 values cannot be squared in float64; the oracle also rejects one whose fiber
@@ -203,34 +205,28 @@ def overflow_to_P1(alpha: DiskMap, r: float,
 
 # -- definitional oracle ------------------------------------------------------
 
-#: Aberth-Ehrlich steps before a row is handed to the companion eigensolver.
-#: Simple roots converge cubically; on the oracle's fibers 97% of the rows stop
-#: within 10 steps and all but a few in 10^4 within 15.
-_ABERTH_STEPS = 30
+#: Newton steps a warm batch may take; a start predicted along the fiber
+#: is about one step from its root, so the batch stops well before.
+_NEWTON_STEPS = 8
 
-#: A row stops iterating once every correction is at most this times max(1, |z|).
-_ABERTH_STEP_TOL = 1e-14
-
-#: Phase of the starting circle, chosen off the real axis so that no starting
-#: point of a real polynomial sits on its symmetry line.
-_ABERTH_PHASE = 0.4
+#: The batch stops stepping once every step is at most this times max(1, |z|).
+_NEWTON_STEP_TOL = 1e-14
 
 
 def _batched_roots(poly_coeffs_desc: np.ndarray,
                    start: Optional[np.ndarray] = None) -> np.ndarray:
     """Roots of a batch of monic-normalizable polynomials (deg x (n+1) desc order).
 
-    Batched Aberth-Ehrlich iteration first, from ``start`` (batch x deg
-    starting points, e.g. the roots of nearby polynomials) when given, else
-    from a circle.  A row is certified when its iteration converged, its roots
-    are finite and the monic coefficients rebuilt from them match the input;
-    uncertified rows (multiple or clustered roots, a zero constant term,
-    widely spread moduli, coinciding starting points) fall back to
-    companion-matrix eigenvalues.  When some row then misses the residual
-    contract, Newton steps polish every row; raises if it still cannot be met.
+    A cold batch (no ``start``) takes companion-matrix eigenvalues.  A warm
+    one takes Newton steps from ``start`` (batch x deg starting points, e.g.
+    the roots of nearby polynomials moved along their fibers).  A warm row is
+    certified when its steps converged, its roots are finite and the monic
+    coefficients rebuilt from them match the input; uncertified rows
+    (coinciding starts, multiple or clustered roots, starts too far out)
+    take eigenvalues.  Raises when some row then misses the residual
+    contract.
     """
-    batch, ncoef = poly_coeffs_desc.shape
-    d = ncoef - 1
+    d = poly_coeffs_desc.shape[1] - 1
     lead = poly_coeffs_desc[:, :1]
     if np.any(np.abs(lead) == 0.0):
         raise NumericalError("leading coefficient vanished in root batch")
@@ -238,108 +234,42 @@ def _batched_roots(poly_coeffs_desc: np.ndarray,
         monic = poly_coeffs_desc / lead
     if not np.all(np.isfinite(monic)):
         raise NumericalError("root batch not finite after monic normalization")
-    roots, certified = _aberth_roots(monic, start)
-    if not np.all(certified):
-        roots[~certified] = _companion_roots(monic[~certified])
-
-    deriv = monic[:, :-1] * np.arange(d, 0, -1)[None, :]
+    if start is None:
+        roots = _companion_roots(monic)
+    else:
+        roots, converged = _newton_roots(monic, start)
+        with np.errstate(all="ignore"):
+            bound = ROOT_RESIDUAL_TOL * np.prod(1.0 + np.abs(roots), axis=1)
+            rebuilt = np.abs(_monic_from_roots(roots) - monic) <= bound[:, None]
+        # the rebuild bound alone is looser than the residual contract
+        uncertified = ~(converged & np.all(np.isfinite(roots), axis=1) & np.all(rebuilt, axis=1))
+        if np.any(uncertified):
+            roots[uncertified] = _companion_roots(monic[uncertified])
     scale = np.max(np.abs(monic), axis=1)[:, None] * np.maximum(1.0, np.abs(roots)) ** d
-    pv = _polyval_batch(monic, roots)
-    for _ in range(6):
-        if np.all(np.abs(pv) <= ROOT_RESIDUAL_TOL * scale):
-            return roots
-        dv = _polyval_batch(deriv, roots)
-        step = np.where(np.abs(dv) > 0, pv / np.where(dv == 0, 1, dv), 0)
-        roots = roots - step
-        pv = _polyval_batch(monic, roots)
-    if not np.all(np.abs(pv) <= ROOT_RESIDUAL_TOL * scale):
+    if not np.all(np.abs(_polyval_batch(monic, roots)) <= ROOT_RESIDUAL_TOL * scale):
         raise RootConditioning("root residuals exceed the solver contract")
     return roots
 
 
-def _aberth_roots(monic: np.ndarray,
-                  start: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Aberth-Ehrlich iteration on a batch of monic rows: (roots, certified).
-
-    Starts from ``start`` (batch x deg) when given, else from the circle of
-    radius |a_0|^(1/d).  Works on the transposed (degree, batch) layout so
-    that every ufunc runs along the batch axis, and keeps iterating only the
-    rows still moving, in work buffers allocated once for the whole batch.
-    """
-    batch, ncoef = monic.shape
-    d = ncoef - 1
-    buffers = np.empty((4, d * batch), dtype=complex)
-    sizes = np.empty((2, d * batch))
-    moved = np.empty(d * batch, dtype=bool)
-    a0 = np.abs(monic[:, -1])
-    if start is None:
-        rho = np.where(a0 > 0.0, a0 ** (1.0 / d), 1.0)
-        angles = 2.0 * np.pi * np.arange(d) / d + _ABERTH_PHASE
-        z = np.exp(1j * angles)[:, None] * rho[None, :]
-    else:
-        z = np.array(start.T, dtype=complex)
-    coeffs = np.ascontiguousarray(monic.T)
-    roots = np.empty((d, batch), dtype=complex)
-    converged = np.zeros(batch, dtype=bool)
-    rows = np.arange(batch)
-
+def _newton_roots(monic: np.ndarray, start: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Newton steps from ``start`` on every root of a batch of monic rows,
+    until each step is within _NEWTON_STEP_TOL or _NEWTON_STEPS have run:
+    (roots, converged), a row converged when its last steps were."""
+    z = np.array(start, dtype=complex)
     with np.errstate(all="ignore"):
-        for _ in range(_ABERTH_STEPS):
-            n = z.shape[1]
-            p, dp, repel, inv = (buf[:d * n].reshape(d, n) for buf in buffers)
-            step_size, z_size = (buf[:d * n].reshape(d, n) for buf in sizes)
-            big = moved[:d * n].reshape(d, n)
+        for _ in range(_NEWTON_STEPS):
             # p and p' by one Horner loop (the leading coefficient is 1)
-            np.add(z, coeffs[1], out=p)
-            dp.fill(1.0)
-            for k in range(2, ncoef):
-                np.multiply(dp, z, out=dp)
-                dp += p
-                np.multiply(p, z, out=p)
-                p += coeffs[k]
-            # Aberth sum over j != k of 1/(z_k - z_j), one cyclic shift s at a
-            # time; the shift d - s is the same set of pairs with the sign flipped
-            repel.fill(0.0)
-            for s in range(1, d // 2 + 1):
-                inv[s:] = z[:-s]
-                inv[:s] = z[-s:]
-                np.subtract(z, inv, out=inv)
-                np.reciprocal(inv, out=inv)  # inv[k] = 1 / (z[k] - z[k - s])
-                repel += inv
-                if 2 * s != d:
-                    repel[:-s] -= inv[s:]
-                    repel[-s:] -= inv[:s]
-            # correction w = p / (p' - p * repel)
-            np.multiply(repel, p, out=repel)
-            np.subtract(dp, repel, out=dp)
-            np.divide(p, dp, out=p)
-            z -= p
-            # a NaN correction compares False and retires the row; the
-            # finiteness test below then leaves it uncertified
-            np.abs(z, out=z_size)
-            np.maximum(z_size, 1.0, out=z_size)
-            z_size *= _ABERTH_STEP_TOL
-            np.abs(p, out=step_size)
-            np.greater(step_size, z_size, out=big)
-            moving = np.any(big, axis=0)
-            if np.all(moving):
-                continue
-            done = ~moving
-            roots[:, rows[done]] = z[:, done]
-            converged[rows[done]] = True
-            rows, z, coeffs = rows[moving], z[:, moving], coeffs[:, moving]
-            if rows.size == 0:
+            p, dp = z + monic[:, 1:2], np.ones_like(z)
+            for k in range(2, monic.shape[1]):
+                dp = dp * z + p
+                p = p * z + monic[:, k:k + 1]
+            step = p / dp
+            z -= step
+            # a step that is not finite compares False
+            small = np.abs(step) <= _NEWTON_STEP_TOL * np.maximum(1.0, np.abs(z))
+            if np.all(small):
                 break
-    roots[:, rows] = z
-    roots = roots.T.copy()
-
-    # a zero constant term leaves the starting circle without a scale
-    certified = converged & (a0 > 0.0) & np.all(np.isfinite(roots), axis=1)
-    idx = np.flatnonzero(certified)
-    rebuilt = _monic_from_roots(roots[idx])
-    bound = ROOT_RESIDUAL_TOL * np.prod(1.0 + np.abs(roots[idx]), axis=1)
-    certified[idx] = np.all(np.abs(rebuilt - monic[idx]) <= bound[:, None], axis=1)
-    return roots, certified
+    return z, np.all(small, axis=1)
 
 
 def _monic_from_roots(roots: np.ndarray) -> np.ndarray:
@@ -353,7 +283,8 @@ def _monic_from_roots(roots: np.ndarray) -> np.ndarray:
 
 
 def _companion_roots(monic: np.ndarray) -> np.ndarray:
-    """Companion-matrix eigenvalues of a batch of monic rows (the rescue step)."""
+    """Companion-matrix eigenvalues of a batch of monic rows: every cold row,
+    and the warm rows Newton's steps leave uncertified."""
     batch, ncoef = monic.shape
     d = ncoef - 1
     comp = np.zeros((batch, d, d), dtype=complex)
@@ -620,9 +551,9 @@ class _BoundaryFibers:
     when k > 1 and where a crossing falls on a node.  A call solves its nodes
     as one root batch and keeps the level's roots: on a level of twice the
     previous node count (the next ladder level, halved or not), node k starts
-    the root solver from the roots of old node k // 2, which sits 1/(4n) away
+    Newton's steps from the roots of old node k // 2, which sits 1/(4n) away
     on the circle, each moved to first order along its fiber; any other call
-    starts cold.  ``kink_correction`` then reads the level's midpoint error off
+    is cold and takes eigenvalues.  ``kink_correction`` then reads the level's midpoint error off
     those roots, with no further root solve, and adds that of the log spikes
     at ``origin_fiber``, the nonzero roots of alpha - alpha(0).
     """
@@ -759,9 +690,15 @@ def log_plus_mean(alpha: DiskMap, r: float,
     log+|alpha| = log+(1/|w|) with w = q/p is the oracle's fiber sum with w as
     the one branch at radius 1, so each level subtracts the same jump terms
     where |alpha| crosses 1 (_lattice_kinks) and the ladder compares the
-    corrected levels.  A map with real coefficients has an even integrand.
+    corrected levels.  Near a pole eta of alpha, log+|alpha| is
+    -log|1 - (eta/r) e(-t)| plus a smooth term, so each level also subtracts
+    the log-spike error at the poles over r.  A map with real coefficients
+    has an even integrand.
     """
     nodes = branch = None
+    poles = np.empty(0, dtype=complex)
+    if not alpha.is_polynomial:
+        poles = _batched_roots(np.array([[complex(c) for c in reversed(alpha.den)]]))[0]
 
     def values(ts: np.ndarray) -> np.ndarray:
         nonlocal nodes, branch
@@ -770,7 +707,8 @@ def log_plus_mean(alpha: DiskMap, r: float,
         return np.maximum(-np.log(np.abs(branch[:, 0])), 0.0)
 
     def correction(n: int) -> Optional[float]:
-        return _lattice_kinks(None, branch, nodes, 1.0, n)
+        kinks = _lattice_kinks(None, branch, nodes, 1.0, n)
+        return None if kinks is None else kinks + _log_spike_error(poles / r, n)
 
     with np.errstate(divide="ignore", invalid="ignore"):  # zeros and poles of alpha
         return circle_mean(values, settings, label="log-plus boundary mean",

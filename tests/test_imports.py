@@ -82,6 +82,23 @@ def test_importing_the_cli_loads_no_numeric_layer():
     assert {"overflow_lab.errors", "overflow_lab.series"} <= loaded
 
 
+def test_importing_the_float_layers_calls_no_lapack():
+    # the first LAPACK call raises resident memory by about 1 MB, a cost only
+    # the commands that solve roots should pay, when they run
+    _modules_after(
+        "import numpy.linalg\n"
+        "calls = []\n"
+        "for name in numpy.linalg.__all__:\n"
+        "    f = getattr(numpy.linalg, name)\n"
+        "    if callable(f) and not isinstance(f, type):\n"
+        "        setattr(numpy.linalg, name,\n"
+        "                lambda *a, _name=name, _f=f, **k: calls.append(_name) or _f(*a, **k))\n"
+        "import overflow_lab.overflow, overflow_lab.quadrature\n"
+        "assert 'overflow_lab.overflow' in sys.modules\n"
+        "assert calls == [], calls"
+    )
+
+
 def test_lattice_commands_never_load_numpy():
     lattice = REPO / "tests" / "golden" / "exact" / "lattice25.json"
     loaded = _modules_after(

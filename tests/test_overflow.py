@@ -225,8 +225,8 @@ class TestFiberChecks:
         got = fibers(nodes)
         rows = np.tile(overflow._poly_coeffs_desc(alpha), (2, 1))
         rows[:, -1] -= alpha(r * np.exp(2j * np.pi * nodes[10:12]))
-        assert len(rescued) == 2
-        np.testing.assert_array_equal(np.array(rescued), rows)
+        assert len(rescued) == 1
+        np.testing.assert_array_equal(rescued[0], rows)
         assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_a_level_is_one_root_batch(self, monkeypatch):
@@ -254,9 +254,17 @@ class TestFiberChecks:
         # the simple root moves by alpha'(-2) / alpha'(-2) (z - z') = z - z'
         np.testing.assert_allclose(start[:, 2], z_new, rtol=1e-15)
 
+    def test_warm_levels_certify_by_newton(self, rescued):
+        # term1's row and the first half-lattice level are cold; every later
+        # level's rows certify by Newton from their predicted starts
+        report = overflow_definitional_oracle(parse_map("2-2*z+2*z^4-z^6-z^8"), 1.871,
+                                              ORACLE_TIGHT)
+        assert report.certificate.grid > 128
+        assert [len(rows) for rows in rescued] == [1, 32]
+
     def test_oracle_memory_is_bounded_by_the_top_level(self):
         # the level's roots, the previous level's, the node sums and the work
-        # buffers of its one root batch span the level, about 13x its roots
+        # temporaries of its one root batch span the level, about 10x its roots
         # array; at the 256 nodes accepted here that fits the fixed 2 MiB
         alpha = parse_map("2-2*z+2*z^4-z^6-z^8")
         tracemalloc.start()
@@ -449,12 +457,13 @@ def assert_residual_contract(coeffs, roots):
 
 @pytest.fixture()
 def rescued(monkeypatch):
-    """The monic rows that reach the companion-matrix rescue step."""
+    """The batches of monic rows that reach companion-matrix eigenvalues,
+    one per call."""
     seen = []
     companion = overflow._companion_roots
 
     def spy(monic):
-        seen.extend(monic)
+        seen.append(monic)
         return companion(monic)
 
     monkeypatch.setattr(overflow, "_companion_roots", spy)
@@ -477,7 +486,9 @@ class TestBatchedRoots:
         got = overflow._batched_roots(batch)
         for row, roots in zip(batch, got):
             assert_same_multiset(roots, np.roots(row), rel=1e-12)
-        assert rescued == []
+        # a cold batch reaches eigenvalues in one call
+        assert len(rescued) == 1
+        np.testing.assert_array_equal(rescued[0], batch / batch[:, :1])
 
     @pytest.mark.parametrize("name", RESCUE_ROWS)
     def test_uncertified_rows_take_the_rescue_step(self, name, rescued):
@@ -486,8 +497,9 @@ class TestBatchedRoots:
         generic = rng.normal(size=(2, len(row))) + 1j * rng.normal(size=(2, len(row)))
         batch = np.array([generic[0], 2.0 * row, generic[1]])
         roots = overflow._batched_roots(batch)
+        # a cold batch, hard rows and all, takes eigenvalues in one call
         assert len(rescued) == 1
-        np.testing.assert_array_equal(rescued[0], row / row[0])
+        np.testing.assert_array_equal(rescued[0], batch / batch[:, :1])
         assert_residual_contract(batch, roots)
 
     @pytest.mark.parametrize("degree", range(1, 9))
@@ -495,10 +507,13 @@ class TestBatchedRoots:
         rng = np.random.default_rng(300 + degree)
         batch = rng.normal(size=(200, degree + 1)) + 1j * rng.normal(size=(200, degree + 1))
         nearby = batch + 1e-3 * (rng.normal(size=batch.shape) + 1j * rng.normal(size=batch.shape))
-        got = overflow._batched_roots(nearby, start=overflow._batched_roots(batch))
+        start = overflow._batched_roots(batch)
+        rescued.clear()
+        got = overflow._batched_roots(nearby, start=start)
         assert_residual_contract(nearby, got)
         for row, roots in zip(nearby, got):
             assert_same_multiset(roots, np.roots(row), rel=1e-12)
+        # Newton certifies every warm row
         assert rescued == []
 
     def test_coinciding_starts_take_the_rescue_step(self, rescued):
@@ -506,9 +521,11 @@ class TestBatchedRoots:
         batch = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
         start = overflow._batched_roots(batch)
         start[1, 1] = start[1, 0]
+        rescued.clear()
         roots = overflow._batched_roots(batch, start=start)
+        # exactly the row whose starts coincide
         assert len(rescued) == 1
-        np.testing.assert_array_equal(rescued[0], batch[1] / batch[1, 0])
+        np.testing.assert_array_equal(rescued[0], batch[1:2] / batch[1, 0])
         assert_residual_contract(batch, roots)
 
     def test_non_finite_monic_rows_raise(self):
@@ -529,10 +546,6 @@ class TestBatchedRoots:
         assert calls == [6]
 
     def test_residual_contract_rejects_bad_rescue_roots(self, monkeypatch):
-        def nothing_certified(monic, start=None):
-            return np.zeros((len(monic), monic.shape[1] - 1), dtype=complex), np.zeros(len(monic), bool)
-
-        monkeypatch.setattr(overflow, "_aberth_roots", nothing_certified)
         monkeypatch.setattr(overflow, "_companion_roots", lambda monic: np.full(3, 1e6 + 0j)[None])
         with pytest.raises(RootConditioning):
             overflow._batched_roots(np.poly([1.0, 2.0, 3.0]).astype(complex)[None])
@@ -719,3 +732,19 @@ LOG_PLUS_REFERENCE = [
 def test_log_plus_mean_within_its_certificate(expr, r, reference, settings):
     value, cert = log_plus_mean(parse_map(expr), r, settings)
     assert abs(value - reference) <= min(cert.achieved, settings.tol)
+
+
+#: Cl_2(pi/3) / pi, the mean of log+|1/(z - 1)| over the unit circle.
+POLE_ON_THE_CIRCLE = 0.32306594721945053
+
+
+@pytest.mark.parametrize("settings", [
+    quadrature.DEFAULT_SETTINGS, QuadratureSettings(base_grid=64, tol=1e-8, max_depth=11),
+], ids=["defaults", "tight"])
+def test_log_plus_mean_with_a_pole_on_the_circle(settings):
+    # log+|alpha| spikes like -log|e(t) - 1| at t = 0, between two nodes
+    value, cert = log_plus_mean(parse_map("1/(z-1)"), 1.0, settings)
+    assert abs(value - POLE_ON_THE_CIRCLE) <= min(cert.achieved, settings.tol)
+    # a double pole: its two eigenvalues split by about 1e-8 around 1
+    value, cert = log_plus_mean(parse_map("1/(z-1)^2"), 1.0, settings)
+    assert abs(value - 2 * POLE_ON_THE_CIRCLE) <= settings.tol
