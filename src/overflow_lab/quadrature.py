@@ -13,17 +13,30 @@ of the diagonal band is removed by pairing each raw level with the one before,
 2 I(N) - I(N/2) (for the translation invariant part of the kernel this
 cancellation is exact at every N).
 
-The torus kernel has one path, the differences f(t) - f(s); a rational map
-f = p/q adds log|q(t)| + log|q(s)| as one sum of logs per lattice, and an f
-far from modulus 1 is first scaled by an exact power of two.  It walks
-the outer lattice in row blocks of about 2**16 pairs into three reused
-buffers, so the working set stays in cache, and takes one log per product of
-squared moduli.  A map with real coefficients has boundary values conjugate
-under t -> 1 - t, so only half of the outer rows are walked, each multiplied
-by its mirror row (the conjugate fold); every block then multiplies its two
-halves together (the half fold).  A real map thus takes one log per four
-squared moduli and any other map one per two.  A block whose product
-overflows or underflows is summed again unfolded, one log per squared modulus.
+The torus kernel sums a level's inner lattice by Graeffe root squaring.  The
+inner nodes are the m roots of y^m = -i, so an outer row's sum of
+log|p(t) q(s) - q(t) p(s)| is log|prod_j P(y_j)| for the row polynomial
+P(y) = q(t) A(y) - p(t) B(y), whose coefficients A and B one FFT reads off the
+level's inner values of p and q; the product is one value of P's log2(m)-th
+Graeffe iterate, O(d^2 log m) per row with no root solved (Cerlienco, Mignotte
+& Piras, J. Symbolic Comput. 4, 1987).  A rotation order and the diagonal root
+are divided out exactly first.  Fiber roots of equal modulus whose powers
+meet under squaring lose the iterate's accuracy, so every row is run again as
+the reciprocal polynomial turned by a fraction of a node, and a row whose two
+sums disagree is summed directly, as is a level too small or of too high a
+degree for Graeffe to be cheaper.
+
+The direct sum takes the differences f(t) - f(s); a rational map f = p/q adds
+log|q(t)| + log|q(s)| as one sum of logs per lattice, and an f far from
+modulus 1 is first scaled by an exact power of two.  It walks the outer
+lattice in row blocks of about 2**16 pairs into three reused buffers, so the
+working set stays in cache, and takes one log per product of squared moduli.
+A map with real coefficients has boundary values conjugate under t -> 1 - t,
+so only half of the outer rows are walked, each multiplied by its mirror row
+(the conjugate fold); every block then multiplies its two halves together (the
+half fold).  A real map thus takes one log per four squared moduli and any
+other map one per two.  A block whose product overflows or underflows is
+summed again unfolded, one log per squared modulus.
 
 The Ahlfors-Shimizu characteristic T(r) has one boundary formula for every
 map, Jensen's formula for the lift (p, q): one circle mean of
@@ -168,14 +181,14 @@ def circle_mean(values: Callable[[np.ndarray], np.ndarray],
 #: linear cost; kept even so the lattices never collide.
 _INNER_REFINE = 8
 
-#: Pairs per row block of the torus kernel.  Each reused float64 buffer then
+#: Pairs per row block of the direct torus sum.  Each reused float64 buffer then
 #: holds 512 KiB, or 256 KiB under the conjugate fold, where an element stands
 #: for two pairs, so the three of them stay in a per-core L2 cache; the
 #: outer lattice is walked in blocks of max(1, _BLOCK_ELEMENTS // m) rows, half
 #: as many under the conjugate fold.
 _BLOCK_ELEMENTS = 1 << 16
 
-#: log of the largest |f| = |p/q| on the lattices beyond which the kernel
+#: log of the largest |f| = |p/q| on the lattices beyond which the direct sum
 #: rescales f; within it f is used as divided.
 _RATIO_LOG_LIMIT = 64 * math.log(2.0)
 
@@ -187,20 +200,23 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
     """Double integral of log|p(t) q(s) - q(t) p(s)| over the unit torus.
 
     ``boundary`` evaluates the homogeneous pair (p, q) along the circle
-    parameter.  The plain ratio kernel log|f(t) - f(s)| is the case q = 1.
+    parameter, once on each level's n outer nodes and then on its 8n inner
+    ones.  The plain ratio kernel log|f(t) - f(s)| is the case q = 1.
     The two staggered midpoint lattices are refined together, the inner one
     kept a fixed factor finer and shifted by a quarter of its cell so no
     inner node meets an outer one.  The diagonal band adds an error exactly
     proportional to one over the lattice size, so each ladder level is the
     Richardson pair 2 I(N) - I(N/2) of the raw levels, which removes it; the
-    first raw level has no pair and is not compared.
+    first raw level has no pair and is not compared.  A raw level's inner
+    sums are Graeffe's (_graeffe_cross_sum), with the direct sum for the rows
+    that fail its check; both evaluate the same rule.
 
     ``even`` declares boundary values conjugate under t -> 1 - t, as those of
     a map with real coefficients are.  The outer lattice of n nodes is
     symmetric too (node k mirrors node n - 1 - k), and the kernel's modulus at
     a mirrored node equals its modulus at node k against the conjugated inner
-    values, so each level walks the first n/2 outer rows only and folds the
-    mirrored rows in; ``boundary`` still sees the full lattices, and ladder
+    values, so each level sums the first n/2 outer rows only and takes the
+    mirrored rows along; ``boundary`` still sees the full lattices, and ladder
     and certificate are unchanged.
     """
 
@@ -214,13 +230,180 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
         if even:
             p1 = p1[: n // 2]
             q1 = None if q1 is None else q1[: n // 2]
-        raw = 0.5 * _log_cross_sum(p1, q1, p2, q2, label, even) / (n * m)
+        raw = 0.5 * _graeffe_cross_sum(n, p1, q1, p2, q2, label, even) / (n * m)
         coarse, half = half, raw
         if coarse is None:  # no pair yet; a non-finite level still raises at once
             return None if math.isfinite(raw) else raw
         return 2.0 * raw - coarse
 
     return _ladder(estimate, settings, label)
+
+
+#: Inner coefficients below this fraction of the largest are the FFT's
+#: rounding and are set to zero, so that a row's exponents are exact.
+_COEFF_FLOOR = 1e-14
+
+#: A diagonal root is divided out of a row when the division leaves a
+#: remainder within this fraction of the row's coefficient 1-norm.
+_DEFLATION_REMAINDER = 1e-12
+
+#: A row whose sums for its polynomial and for the check polynomial differ by
+#: more than this times m goes to _log_cross_sum.
+_CHECK_GAP = 1e-13
+
+#: The check polynomial is the reciprocal of the row turned by this fraction
+#: of a turn of its nodes.  Unturned, a row whose roots all lie near the
+#: circle is nearly its own reciprocal, and the two Graeffe passes round alike.
+_CHECK_TURN = 0.125
+
+#: A level's fixed cost in the Graeffe kernel, in pairs of the direct sum.  A
+#: level runs on _log_cross_sum unless its pairs, m per row, exceed Graeffe's
+#: products, (deg + 1)^2 per row and step, by more than this.
+_GRAEFFE_LEVEL_PAIRS = 1 << 17
+
+
+def _inner_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients A_0..A_{m-1} of the polynomial taking ``values`` at the
+    inner nodes y_j = e((j + 3/4)/m), the roots of y^m = -i: the boundary
+    polynomial reduced mod y^m + i, exact for any degree.  Real and imaginary
+    parts below _COEFF_FLOOR of the largest modulus are set to zero."""
+    m = len(values)
+    a = np.fft.fft(values) / m * np.exp(-1.5j * np.pi * np.arange(m) / m)
+    floor = _COEFF_FLOOR * np.max(np.abs(a))
+    a.real[np.abs(a.real) < floor] = 0.0
+    a.imag[np.abs(a.imag) < floor] = 0.0
+    return a
+
+
+def _scaled(values: np.ndarray, k) -> np.ndarray:
+    """``values`` times 2**-k, exactly for every k; an array k scales the
+    columns of a 2-d ``values``."""
+    parts = np.ascontiguousarray(values, complex).view(float)
+    return np.ldexp(parts, -np.repeat(k, 2) if np.ndim(k) else -k).view(complex)
+
+
+def _graeffe_step(polys: np.ndarray) -> np.ndarray:
+    """P(y) P(-y) = E(y^2)^2 - y^2 O(y^2)^2 as a polynomial in y^2, for each
+    column P(y) = E(y^2) + y O(y^2) of coefficients (constant term first):
+    its roots are the squares of P's."""
+    even, odd = polys[0::2], polys[1::2]
+    out = np.zeros_like(polys)
+    for a, e in enumerate(even):
+        out[a: a + len(even)] += e * even
+    for a, o in enumerate(odd):
+        out[a + 1: a + 1 + len(odd)] -= o * odd
+    return out
+
+
+def _graeffe_iterate(polys: np.ndarray, steps: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``steps`` Graeffe steps on each column: the iterate, each column scaled
+    by a power of two before every step, and the log of what that took out."""
+    log_scale = np.zeros(polys.shape[1])
+    for step in range(steps + 1):
+        top = np.max(np.abs(polys.view(float)), axis=0).reshape(-1, 2).max(axis=1)
+        k = np.frexp(top)[1]
+        polys = _scaled(polys, k)
+        log_scale += k
+        if step < steps:
+            polys = _graeffe_step(polys)
+            log_scale *= 2.0
+    return polys, log_scale * math.log(2.0)
+
+
+def _log_abs_at(iterate: np.ndarray, log_scale: np.ndarray, point: complex) -> np.ndarray:
+    """log|e^log_scale R(point)| for each column R of ``iterate``."""
+    powers = point ** np.arange(len(iterate))
+    return log_scale + np.log(np.abs(np.sum(iterate * powers[:, None], axis=0)))
+
+
+def _graeffe_cross_sum(n: int, p1, q1, p2, q2, label: str, even: bool = False) -> float:
+    """_log_cross_sum on the lattices of a torus level on n outer nodes: p1
+    at the first len(p1) of t_i = (i + 1/2)/n, p2 at the m = 2^k roots of
+    y^m = -i, y_j = e((j + 3/4)/m).
+
+    Row i's sum of log|K| over the inner lattice is log|prod_j P_i(y_j)| for
+    P_i(y) = q(t_i) A(y) - p(t_i) B(y), where A and B are p's and q's
+    coefficients on the inner lattice (B = 1 for q = None).  With K the gcd
+    of the exponents k >= 1 that carry a coefficient and g = gcd(K, m), P_i
+    is a polynomial R_i in u = y^K, and the m nodes are the m/g roots of
+    u^(m/g) = c = (-i)^(K/g), each g times.  The diagonal root u = e(K t_i)
+    is divided out of R_i, and its lattice term is exactly log|1 - c| =
+    (1/2) log 2 per node of u; the rest is log|R_i's Graeffe iterate at c|.
+    A mirrored row of ``even`` has the conjugate coefficients when A and B
+    are real, so it is the same iterate at conj(c); otherwise the conjugate
+    outer values are rows of their own.  Each row is checked against the
+    reciprocal of R_i(u e(_CHECK_TURN (g/m))), which has the same modulus at
+    the turned nodes; a row whose two sums differ by more than _CHECK_GAP m,
+    or are not finite, is summed by _log_cross_sum, as is the whole level
+    when p2 or q2 is zero or not finite throughout or Graeffe would cost more.
+    """
+    m = len(p2)
+    if q1 is not None and not (np.all(q1) and np.all(q2)):
+        raise NumericalError(f"{label}: lattice hit a pole")
+    tops = [float(np.max(np.abs(v))) for v in (p2, q2) if v is not None]
+    if not all(0.0 < top < math.inf for top in tops):
+        return _log_cross_sum(p1, q1, p2, q2, label, even)
+    # p and q scaled by powers of two to about modulus one: log|K| gains kp + kq
+    kp, kq = math.frexp(tops[0])[1], 0
+    a, f1 = _inner_coefficients(_scaled(p2, kp)), _scaled(p1, kp)
+    b = g1 = None
+    if q1 is not None:
+        kq = math.frexp(tops[1])[1]
+        b, g1 = _inner_coefficients(_scaled(q2, kq)), _scaled(q1, kq)
+    exponents = np.flatnonzero(a if b is None else (a != 0) | (b != 0))
+    K = math.gcd(*exponents[exponents > 0].tolist()) or m
+    deg, g = int(exponents[-1]) // K, math.gcd(K, m)
+    steps = (m // g).bit_length() - 1
+    if len(p1) * (m - (deg + 1) ** 2 * steps) <= _GRAEFFE_LEVEL_PAIRS:
+        return _log_cross_sum(p1, q1, p2, q2, label, even)
+    c = -1j if (K // g) % 4 == 1 else 1j
+
+    shared = even and not np.any(a.imag) and (b is None or not np.any(b.imag))
+    outer_p, outer_q = p1, q1
+    roots = np.exp(1j * np.pi * ((K * (2 * np.arange(len(p1)) + 1)) % (2 * n)) / n)
+    if even and not shared:
+        f1, outer_p, roots = (np.concatenate([v, np.conj(v)]) for v in (f1, outer_p, roots))
+        if q1 is not None:
+            g1, outer_q = (np.concatenate([v, np.conj(v)]) for v in (g1, outer_q))
+    points = (c, np.conj(c)) if shared else (c,)
+    if b is None:
+        polys = np.repeat(a[: deg * K + 1: K, None], len(f1), axis=1)
+        polys[0] -= f1
+    else:
+        polys = a[: deg * K + 1: K, None] * g1 - b[: deg * K + 1: K, None] * f1
+
+    # synthetic division by u - e(K t_i), kept where the remainder vanishes
+    diagonal = np.zeros(len(f1), dtype=bool)
+    if deg >= 1:
+        quotient = np.zeros_like(polys)
+        acc = polys[deg]
+        for k in range(deg - 1, -1, -1):
+            quotient[k] = acc
+            acc = polys[k] + roots * acc
+        diagonal = np.abs(acc) <= _DEFLATION_REMAINDER * np.sum(np.abs(polys), axis=0)
+        polys[:, diagonal] = quotient[:, diagonal]
+
+    turn = np.exp(2j * np.pi * _CHECK_TURN * np.arange(deg + 1) / (m // g))
+    check = np.conj((polys * turn[:, None])[::-1])
+    with np.errstate(all="ignore"):
+        iterate, log_scale = _graeffe_iterate(np.concatenate([polys, check], axis=1), steps)
+        rows, back = len(f1), np.exp(-2j * np.pi * _CHECK_TURN)
+        sums = [(_log_abs_at(iterate[:, :rows], log_scale[:rows], point),
+                 _log_abs_at(iterate[:, rows:], log_scale[rows:], point * back))
+                for point in points]
+    shift = m * (kp + kq) * math.log(2.0) + diagonal * (g * 0.5 * math.log(2.0))
+    total, redo_p, redo_q = 0.0, [], []
+    for mirrored, (direct, checked) in enumerate(sums):
+        ok = g * np.abs(direct - checked) <= _CHECK_GAP * m
+        total += 2.0 * float(np.sum(g * direct[ok] + shift[ok]))
+        redo_p.append(np.conj(outer_p[~ok]) if mirrored else outer_p[~ok])
+        if q1 is not None:
+            redo_q.append(np.conj(outer_q[~ok]) if mirrored else outer_q[~ok])
+    redo_p = np.concatenate(redo_p)
+    if len(redo_p):
+        total += _log_cross_sum(redo_p, np.concatenate(redo_q) if redo_q else None,
+                                p2, q2, label)
+    return total
 
 
 def _log_cross_sum(p1, q1, p2, q2, label: str, even: bool = False) -> float:

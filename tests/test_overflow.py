@@ -627,6 +627,44 @@ class TestP1:
         assert overflow_to_P1(alpha, r, TIGHT).value == pytest.approx(want, abs=1e-7)
 
 
+#: Settings of the exact-invariance checks: the explicit route accepts
+#: grids up to 131072 here, which its Graeffe inner sums make cheap.
+INVARIANT = QuadratureSettings(base_grid=64, tol=1e-8, max_depth=12)
+
+
+class TestExactInvariances:
+    """Identities of the excess that need no reference table."""
+
+    @pytest.mark.parametrize("pulled,r,base,oracle", [
+        ("1+2*z^2-z^6", 1.1, "1+2*z-z^3", True),
+        ("2-z^4+z^8", 1.05, "2-z+z^2", True),
+        ("1+z^5+3*z^15", 0.97, "1+z+3*z^3", False),  # degree 15, beyond the oracle
+    ])
+    def test_pull_back_by_a_power(self, pulled, r, base, oracle):
+        # alpha = P0(z^K): the torus substitution gives cross(alpha, r) =
+        # cross(P0, r^K), and e(alpha) = K e(P0) with the same jet, so the
+        # excess of alpha at r is that of P0 at r^K
+        alpha, p0 = parse_map(pulled), parse_map(base)
+        k = overflow._rotation_order(alpha)
+        for route in [overflow_to_C] + [overflow_definitional_oracle] * oracle:
+            want = route(p0, r**k, INVARIANT).value
+            assert route(alpha, r, INVARIANT).value == pytest.approx(want, rel=0,
+                                                                     abs=INVARIANT.tol)
+
+    def test_rotation_of_the_sphere(self):
+        # R(w) = (3w/5 + 4/5)/(-4w/5 + 3/5) is a rotation of the Riemann sphere:
+        # the chordal kernel, T(r) and the jet norm are invariant, so R o alpha
+        # has the P1 excess of alpha, through the rational path of the kernel
+        alpha = parse_map("1+2*z-z^3")
+        rotated = DiskMap(tuple(3 * c + 4 * (k == 0) for k, c in enumerate(alpha.num)),
+                          tuple(-4 * c + 3 * (k == 0) for k, c in enumerate(alpha.num)))
+        assert (rotated.num, rotated.den) == ((7, 6, 0, -3), (-1, -8, 0, 4))
+        want = overflow_definitional_oracle(alpha, 1.1, INVARIANT).value
+        for map_ in (rotated, alpha):
+            got = overflow_to_P1(map_, 1.1, INVARIANT).value
+            assert got == pytest.approx(want, rel=0, abs=INVARIANT.tol)
+
+
 class TestNevanlinnaBound:
     def test_identity_closed_form(self):
         bc = nevanlinna_bound_check(DiskMap((0, 1)), 1.0, FAST)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from overflow_lab import quadrature
+from overflow_lab import overflow, quadrature
 from overflow_lab.errors import DomainError, NoConvergence, NumericalError
 from overflow_lab.maps import DiskMap, parse_map
 from overflow_lab.quadrature import (
     _BLOCK_ELEMENTS,
     MAX_LATTICE,
     QuadratureSettings,
+    _graeffe_cross_sum,
     _log_cross_sum,
     circle_log_mean,
     circle_mean,
@@ -103,13 +104,22 @@ class TestLadderFailsFast:
     def test_torus_overflowing_level(self):
         grids = []
 
-        def boundary(ts):
+        def boundary(ts):  # values that overflowed to infinity
             grids.append(len(ts))
-            return 1e200 * np.exp(2j * np.pi * ts), None
+            return np.full(len(ts), np.inf, dtype=complex), None
 
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="not finite"):
             torus_pair_log_integral(boundary, QuadratureSettings(base_grid=16))
         assert grids == [16, 128]
+
+    def test_torus_values_near_the_float_limit(self):
+        # the Graeffe rows are scaled by powers of two, so squared moduli of
+        # 1e400 never form: log|1e200 (z - w)| integrates to 200 log 10
+        def boundary(ts):
+            return 1e200 * np.exp(2j * np.pi * ts), None
+
+        got, _ = torus_pair_log_integral(boundary)
+        assert got == pytest.approx(200 * math.log(10), abs=1e-9)
 
     def test_area_non_finite_level(self, monkeypatch):
         grids = []
@@ -457,3 +467,116 @@ def test_area_no_convergence_names_the_last_level():
     wild = QuadratureSettings(base_grid=4, tol=1e-14, max_depth=1)
     with pytest.raises(NoConvergence, match=r"area integral: no convergence at grid 8 \(last delta"):
         nevanlinna_T(parse_map("z^5+z^2+z"), 1.3, "area", wild)
+
+
+def _level(alpha, r, n):
+    """The outer and inner values of the torus level on n outer nodes, the
+    outer half only for a map with real coefficients."""
+    m = n * quadrature._INNER_REFINE
+    values = []
+    for ts in (quadrature._midpoints(n), quadrature._midpoints(m, 0.25)):
+        p, q = alpha.num_den_at(r * np.exp(2j * np.pi * ts))
+        values += [p, None if alpha.is_polynomial else q]
+    if alpha.real_coefficients:
+        values[:2] = [None if v is None else v[: n // 2] for v in values[:2]]
+    return values
+
+
+@pytest.fixture
+def direct_rows(monkeypatch):
+    """Rows handed to _log_cross_sum, one (rows, even) pair per call."""
+    calls = []
+
+    def spy(p1, q1, p2, q2, label, even=False):
+        calls.append((len(p1), even))
+        return _log_cross_sum(p1, q1, p2, q2, label, even)
+
+    monkeypatch.setattr(quadrature, "_log_cross_sum", spy)
+    return calls
+
+
+class TestGraeffeKernel:
+    """The Graeffe inner sums against the direct sum on the same lattices."""
+
+    CASES = [
+        ("3-z-3*z^2-z^3-z^4+3*z^5", 1.787),  # a degree-5 excess-c pool map
+        ("z^8", 1.5),
+        ("7*z^8-z^4+2", 3.0),
+        ("-2*z^8+z^4-3", 40.0),
+        ("2-2*z+2*z^4-z^6-z^8", 1.871),  # clustered fibers
+        ("1+z-2*z^3+z^7-3*z^11+2*z^16", 10.0),
+        ("2-z+3*z^2-z^5+z^8", 100.0),
+        ("(2+z^2)/(3*z^2+z-(1/2))", 0.8),
+    ]
+
+    @pytest.mark.parametrize("expr,r", CASES)
+    @pytest.mark.parametrize("n", [16, 128, 1024])
+    def test_every_level_matches_the_direct_sum(self, expr, r, n, monkeypatch):
+        # at any level size: the cost cut-over would send small levels direct
+        monkeypatch.setattr(quadrature, "_GRAEFFE_LEVEL_PAIRS", -math.inf)
+        alpha = parse_map(expr)
+        p1, q1, p2, q2 = _level(alpha, r, n)
+        even = alpha.real_coefficients
+        scale = 0.5 / (n * len(p2))
+        got = _graeffe_cross_sum(n, p1, q1, p2, q2, "kernel", even) * scale
+        assert got == pytest.approx(_log_cross_sum(p1, q1, p2, q2, "kernel", even) * scale,
+                                    rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("alpha", [
+        parse_map("2+z-z^33+z^64"),
+        DiskMap((-1, 2 - 1j, 0, 1 + 1j)),
+        DiskMap((1j, 2, 0.5 - 1j), (1, 0.3j)),
+    ], ids=["degree 64", "complex", "complex rational"])
+    def test_coarse_lattices_and_complex_maps(self, alpha, n, monkeypatch, direct_rows):
+        # m = 8n is at most the degree 64: the inner coefficients are the
+        # map's reduced mod y^m + i; a complex map has no mirrored rows
+        monkeypatch.setattr(quadrature, "_GRAEFFE_LEVEL_PAIRS", -math.inf)
+        p1, q1, p2, q2 = _level(alpha, 1.01, n)
+        scale = 0.5 / (n * len(p2))
+        got = _graeffe_cross_sum(n, p1, q1, p2, q2, "kernel", alpha.real_coefficients)
+        want = _log_cross_sum(p1, q1, p2, q2, "kernel", alpha.real_coefficients)
+        assert got * scale == pytest.approx(want * scale, rel=0, abs=1e-12)
+        assert direct_rows == []  # every row passed its check
+
+    def test_degree_five_pool_map_needs_no_direct_row(self, direct_rows):
+        alpha = parse_map("3-z-3*z^2-z^3-z^4+3*z^5")
+        overflow._boundary_cross(alpha, 1.787, quadrature.DEFAULT_SETTINGS)
+        assert direct_rows == []
+
+    def test_merging_fiber_roots_fall_back_row_by_row(self, direct_rows):
+        # at r = 10 the fiber roots of a degree-16 map lie near e(t) times the
+        # 16th roots of unity and merge under squaring; the check catches them
+        n = 1024
+        p1, q1, p2, q2 = _level(parse_map("1+z-2*z^3+z^7-3*z^11+2*z^16"), 10.0, n)
+        got = _graeffe_cross_sum(n, p1, q1, p2, q2, "kernel", True)
+        assert direct_rows and all(not even for _, even in direct_rows)
+        assert got == pytest.approx(_log_cross_sum(p1, q1, p2, q2, "kernel", True),
+                                    rel=0, abs=1e-12 * n * len(p2))
+
+    def test_each_level_evaluates_the_boundary_twice(self):
+        lengths = []
+
+        def boundary(ts):
+            lengths.append(len(ts))
+            z = 1.787 * np.exp(2j * np.pi * ts)
+            return 3 - z - 3 * z**2 - z**3 - z**4 + 3 * z**5, None
+
+        _, cert = torus_pair_log_integral(boundary, even=True)
+        levels = [256 * 2**k for k in range(len(lengths) // 2)]
+        assert lengths == [size for n in levels for size in (n, 8 * n)]
+        assert levels[-1] == cert.grid
+
+    @pytest.mark.parametrize("expr,r,settings", [
+        ("-z-2*z^2", 42.17, quadrature.DEFAULT_SETTINGS),
+        ("2*z^4+3*z", 100.0, quadrature.DEFAULT_SETTINGS),
+        ("(1+2*z+z^2)/(3*z-(9/4))", 0.9515, QuadratureSettings(64, 1e-5, 9)),
+    ])
+    def test_the_rule_is_unchanged(self, expr, r, settings, monkeypatch):
+        alpha = parse_map(expr)
+        got, cert = overflow._boundary_cross(alpha, r, settings)
+        monkeypatch.setattr(quadrature, "_graeffe_cross_sum",
+                            lambda n, *lattices: _log_cross_sum(*lattices))
+        want, want_cert = overflow._boundary_cross(alpha, r, settings)
+        assert cert.grid == want_cert.grid
+        assert got == pytest.approx(want, rel=0, abs=1e-12)

@@ -39,3 +39,14 @@ def test_asymptotics_writes_csv_and_fit(tmp_path):
     assert abs(sweep["fit"]["slope"] - 2.0) < 1e-2
     rows = (tmp_path / "out" / "excess_z3+z.csv").read_text().splitlines()
     assert rows[0] == "x,value,method" and len(rows) == 4
+
+
+def test_torus_kernel_agreement_on_two_maps(tmp_path):
+    proc = _run_script("torus_kernel_agreement.py", "--set", "adversarial", "--limit", "2",
+                       cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    *rows, summary = proc.stdout.splitlines()
+    assert [row.split()[1] for row in rows] == ["3-z-3*z^2-z^3-z^4+3*z^5", "z^8"]
+    summary = json.loads(summary)
+    assert summary["largest_gap"] <= 1e-12
+    assert summary["fallback_rows"] == 0 and summary["rows"] > 0
