@@ -2,10 +2,12 @@
 """Agreement of the torus kernel's Graeffe inner sums with the direct sum.
 
 For each map and radius the explicit route's torus integral runs once as the
-CLI runs it, timed in process, counting the outer rows that the reciprocal
-check sends to the direct kernel (``quadrature._log_cross_sum``).  Then every
-ladder level up to the accepted grid is evaluated again by both kernels on the
-same lattices, and the largest gap between the two levels is printed.
+CLI runs it, on P at radius r^K for a map P(z^K)
+(``overflow._power_reduction``), timed in process, counting the outer rows
+that the reciprocal check sends to the direct kernel
+(``quadrature._log_cross_sum``).  Then every ladder level up to the accepted
+grid is evaluated again by both kernels on the same lattices, and the largest
+gap between the two levels is printed.
 
 Sets: ``pool``, the maps and radii of perfbench's ``excess-c`` pool;
 ``adversarial``, rotation orders, large radii, clustered fibers, high degree,
@@ -27,7 +29,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from overflow_lab import quadrature  # noqa: E402
+from overflow_lab import overflow, quadrature  # noqa: E402
 from overflow_lab.errors import NoConvergence  # noqa: E402
 from overflow_lab.maps import parse_map  # noqa: E402
 from overflow_lab.quadrature import QuadratureSettings  # noqa: E402
@@ -71,7 +73,7 @@ def _lattices(alpha, r, n):
 
 def check(expr, r, config):
     """One case: accepted grid, largest level gap, fallback rows, seconds."""
-    alpha = parse_map(expr)
+    alpha, _, r = overflow._power_reduction(parse_map(expr), r)
     settings = QuadratureSettings(*config) if config else quadrature.DEFAULT_SETTINGS
     even = alpha.real_coefficients
     direct = quadrature._log_cross_sum

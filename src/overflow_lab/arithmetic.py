@@ -84,10 +84,6 @@ class SurfaceDescriptor:
     def pseudoconcave(self) -> bool:
         return self.normal_degree > 0
 
-    @property
-    def pseudoconvex(self) -> bool:
-        return self.normal_degree < 0
-
 
 @dataclass(frozen=True)
 class MorphismToLine:

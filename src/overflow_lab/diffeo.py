@@ -115,23 +115,6 @@ def haar_sample(n: int, seed: int) -> TruncatedDiffeo:
     return TruncatedDiffeo(tuple(float(x) for x in rng.uniform(size=n)))
 
 
-def reduce_mod_integer(g: TruncatedDiffeo) -> Tuple[TruncatedDiffeo, TruncatedDiffeo]:
-    """Right-translate by an integer element into the unit coefficient cube."""
-    level = g.level
-    current = g
-    gamma = identity_diffeo(level)
-    for k in range(2, level + 2):
-        c = current.coeffs[k - 2]
-        shift = -math.floor(c)
-        if shift != 0:
-            gen_coeffs = [0] * level
-            gen_coeffs[k - 2] = shift
-            gen = TruncatedDiffeo(tuple(gen_coeffs))
-            current = group_compose(current, gen)
-            gamma = group_compose(gamma, gen)
-    return gamma, current
-
-
 def reduce_to_fundamental(phi: OrbitElement) -> Tuple[TruncatedDiffeo, OrbitElement]:
     """Split an integer orbit element as gamma acting on a domain representative.
 

@@ -37,6 +37,10 @@ the poles of alpha.
 Both routes reject, before any integral runs, a map and radius whose boundary
 values cannot be squared in float64; the oracle also rejects one whose fiber
 roots, by Cauchy's bound, could overflow the root solver's residual scale.
+Both then integrate a map alpha = P(z^K) as P on the circle of radius r^K,
+which the circle of radius r covers K times (_power_reduction): the orbit
+zeta z, zeta^K = 1, of each boundary point never enters a kernel row or a
+fiber, and the reports keep alpha's radius and ramification index.
 
 The radius-sweep fit takes the excess values the sweep already reported, for
 either target.
@@ -155,6 +159,28 @@ def _require_float_range(alpha: DiskMap, r: float) -> None:
         raise DomainError("the leading Taylor coefficient at 0 is outside the float64 range")
 
 
+def _power_reduction(alpha: DiskMap, r: float) -> Tuple[DiskMap, int, float]:
+    """(P, K, r^K) for alpha(z) = P(z^K) with K the largest such power, the
+    gcd of the exponents of the nonconstant terms of num and den.
+
+    The circle of radius r covers that of radius r^K K times, so alpha's
+    cross integral, term1 and fiber mean at r are P's at r^K, and alpha's e
+    is K times P's with the same jet: both routes integrate P at r^K.  A
+    DomainError when r^K is not a normal float64.
+    """
+    k = math.gcd(*(j for coeffs in (alpha.num, alpha.den)
+                   for j, c in enumerate(coeffs) if j and c != 0))
+    if k == 1:
+        return alpha, 1, r
+    try:
+        radius = r ** k
+    except OverflowError:
+        radius = math.inf
+    if not sys.float_info.min <= radius < math.inf:
+        raise DomainError(f"radius {r!r} to the power {k} leaves the float64 range")
+    return DiskMap(alpha.num[::k], alpha.den[::k]), k, radius
+
+
 # -- explicit route -----------------------------------------------------------
 
 def _boundary_cross(alpha: DiskMap, r: float,
@@ -177,11 +203,13 @@ def _boundary_cross(alpha: DiskMap, r: float,
 
 def _explicit_excess(alpha: DiskMap, r: float, settings: QuadratureSettings,
                      target: str) -> OverflowReport:
-    """cross - (2 log|q(0)| + log|jet| + e log r): q(0) = 1 adds exactly 0.0,
-    so a polynomial's excess is the same float for both targets."""
+    """cross - (2 log|q(0)| + log|jet| + e log r), cross taken on P at r^K
+    (_power_reduction): q(0) = 1 adds exactly 0.0, so a polynomial's excess
+    is the same float for both targets."""
     _require_nonconstant(alpha)
     _require_float_range(alpha, r)
-    cross, cert = _boundary_cross(alpha, r, settings)
+    base, _, radius = _power_reduction(alpha, r)
+    cross, cert = _boundary_cross(base, radius, settings)
     e = alpha.ramification_index()
     jet = abs(complex(alpha.jet()))
     q0 = abs(complex(alpha.den[0]))
@@ -533,27 +561,19 @@ def _origin_fiber(alpha: DiskMap) -> np.ndarray:
     return _batched_roots(np.array([[complex(c) for c in reversed(quotient)]]))[0]
 
 
-def _rotation_order(alpha: DiskMap) -> int:
-    """The largest k with alpha(z) = P(z^k): the gcd of the exponents of the
-    nonconstant terms.  The fiber through z then holds zeta z, zeta^k = 1."""
-    return math.gcd(*(k for k, c in enumerate(alpha.num) if k and c != 0))
-
-
 class _BoundaryFibers:
     """Boundary-term integrand of the definitional oracle.
 
     For each node t: the disk potential log+(r/|zeta|) summed over the fiber of
-    alpha through the boundary point z, with the roots zeta z (zeta^k = 1 for
-    alpha = P(z^k), the trivial root z among them) removed: each is the root
-    nearest to its exact position, and on the circle.  ``tangent`` is set
-    once any other fiber root lies within the tangency tolerance of the
-    circle at a node, which it does at every node for those roots zeta z
-    when k > 1 and where a crossing falls on a node.  A call solves its nodes
-    as one root batch and keeps the level's roots: on a level of twice the
-    previous node count (the next ladder level, halved or not), node k starts
-    Newton's steps from the roots of old node k // 2, which sits 1/(4n) away
-    on the circle, each moved to first order along its fiber; any other call
-    is cold and takes eigenvalues.  ``kink_correction`` then reads the level's midpoint error off
+    alpha through the boundary point z, less the trivial root z, taken as the
+    root nearest to it.  ``tangent`` is set once any other fiber root lies
+    within the tangency tolerance of the circle at a node, as where a
+    crossing falls on a node.  A call solves its nodes as one root batch and
+    keeps the level's roots: on a level of twice the previous node count (the
+    next ladder level, halved or not), node k starts Newton's steps from the
+    roots of old node k // 2, which sits 1/(4n) away on the circle, each
+    moved to first order along its fiber; any other call is cold and takes
+    eigenvalues.  ``kink_correction`` then reads the level's midpoint error off
     those roots, with no further root solve, and adds that of the log spikes
     at ``origin_fiber``, the nonzero roots of alpha - alpha(0).
     """
@@ -564,8 +584,6 @@ class _BoundaryFibers:
         self.potential = DiskPotential(0j, r)
         self.coeffs = _poly_coeffs_desc(alpha)
         self.deriv = self.coeffs[:-1] * np.arange(alpha.degree, 0, -1)
-        k = _rotation_order(alpha)
-        self.rotations = np.exp(2j * np.pi * np.arange(k) / k)
         self.tangent = False
         self._nodes = self._roots = self._branches = None
 
@@ -584,14 +602,10 @@ class _BoundaryFibers:
             z_old = r * np.exp(2j * np.pi * self._nodes)
             start = _predicted_start(self.deriv, self._roots, z_old, z0, np.arange(n) // 2)
         roots = _batched_roots(rows, start)
-        # drop the known roots zeta z0, the trivial one first
         mask = np.ones(roots.shape, dtype=bool)
-        at = np.arange(n)
-        for k, zeta in enumerate(self.rotations):
-            gap = np.where(mask, np.abs(roots - zeta * z0[:, None]), np.inf)
-            mask[at, np.argmin(gap, axis=1)] = False
-            if k == 0 and np.any(mask & (np.abs(np.abs(roots) - r) < BOUNDARY_TANGENCY_TOL)):
-                self.tangent = True
+        mask[np.arange(n), np.argmin(np.abs(roots - z0[:, None]), axis=1)] = False
+        if np.any(mask & (np.abs(np.abs(roots) - r) < BOUNDARY_TANGENCY_TOL)):
+            self.tangent = True
         branches = roots[mask].reshape(n, -1)
         contrib = self.potential.values(branches)
         if not np.all(np.isfinite(contrib)):
@@ -642,6 +656,7 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
                                  settings: QuadratureSettings = DEFAULT_SETTINGS) -> OverflowReport:
     """Excess from its definition: equilibrium potential against fiber divisors.
 
+    Both terms are taken on P at r^K for alpha = P(z^K) (_power_reduction).
     term1 sums log(r/|z|) over the nonzero roots of alpha - alpha(0) inside
     the open disk; term2 integrates the same fiber sum along boundary values,
     each level of its circle mean corrected for the kinks where a fiber root
@@ -649,9 +664,11 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
     (_BoundaryFibers.kink_correction); the certificate is the gap between
     two corrected levels.  A root of alpha - alpha(0) within the tangency
     tolerance of the circle, or any other fiber root within it at a node,
-    sets the boundary_tangency flag and marks the value less certain.  A
-    real map's fiber sum is even in t (conjugate boundary points have
-    conjugate fibers), so its boundary term evaluates half of each lattice.
+    sets the boundary_tangency flag and marks the value less certain; K > 1
+    sets it too, since alpha's fiber through z then holds the roots zeta z
+    of the circle, zeta^K = 1.  A real map's fiber sum is even in t
+    (conjugate boundary points have conjugate fibers), so its boundary term
+    evaluates half of each lattice.
     """
     _require_nonconstant(alpha)
     if not alpha.is_polynomial:
@@ -663,23 +680,24 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
     _require_float_range(alpha, r)
     _require_fiber_range(alpha, r)
     e = alpha.ramification_index()
+    base, k, radius = _power_reduction(alpha, r)
 
-    # term1: fiber of alpha(0), origin branch stripped exactly
-    fibers = _BoundaryFibers(alpha, r)
+    # term1: fiber of base(0), origin branch stripped exactly
+    fibers = _BoundaryFibers(base, radius)
     roots = fibers.origin_fiber
-    tangent = bool(np.any(np.abs(np.abs(roots) - r) < BOUNDARY_TANGENCY_TOL))
-    potential = DiskPotential(0j, r).values(roots)
+    tangent = bool(np.any(np.abs(np.abs(roots) - radius) < BOUNDARY_TANGENCY_TOL))
+    potential = DiskPotential(0j, radius).values(roots)
     if np.any(np.isinf(potential)):
         raise RootConditioning("unexpected fiber root at the origin")
     term1 = float(np.sum(potential))
 
     term2, cert = circle_mean(
         fibers, settings, label="definitional boundary term",
-        even=alpha.real_coefficients, correction=fibers.kink_correction,
+        even=base.real_coefficients, correction=fibers.kink_correction,
     )
     return OverflowReport(
         term1 + term2, "definitional", "C", r, e,
-        certificate=cert, boundary_tangency=tangent or fibers.tangent,
+        certificate=cert, boundary_tangency=k > 1 or tangent or fibers.tangent,
     )
 
 

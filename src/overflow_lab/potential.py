@@ -1,8 +1,8 @@
 """Potential theory on closed disks.
 
 Scope is deliberately narrow: equilibrium potentials of pointed closed disks
-(log+ of r/|z - a|, harmonic measure uniform on the bounding circle) and the
-capacitary norm on the projective line.  The capacitary degree of a disk is
+(log+ of r/|z - a|, harmonic measure uniform on the bounding circle).  The
+capacitary degree of a disk is
 SurfaceDescriptor.normal_degree in arithmetic.py.
 Curvature forms of arbitrary Green functions and Dirichlet-space pairings
 are out of scope and have no representation here.
@@ -53,7 +53,3 @@ class DiskPotential:
             out = np.log(self.radius) - np.log(d)
         return np.maximum(out, 0.0)
 
-
-def capacitary_norm_P1(w: complex) -> float:
-    """Capacitary norm of d/dz at a finite chart point of the line: (1+|w|^2)^{-1}."""
-    return 1.0 / (1.0 + abs(complex(w)) ** 2)

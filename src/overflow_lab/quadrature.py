@@ -19,12 +19,13 @@ log|p(t) q(s) - q(t) p(s)| is log|prod_j P(y_j)| for the row polynomial
 P(y) = q(t) A(y) - p(t) B(y), whose coefficients A and B one FFT reads off the
 level's inner values of p and q; the product is one value of P's log2(m)-th
 Graeffe iterate, O(d^2 log m) per row with no root solved (Cerlienco, Mignotte
-& Piras, J. Symbolic Comput. 4, 1987).  A rotation order and the diagonal root
-are divided out exactly first.  Fiber roots of equal modulus whose powers
-meet under squaring lose the iterate's accuracy, so every row is run again as
-the reciprocal polynomial turned by a fraction of a node, and a row whose two
-sums disagree is summed directly, as is a level too small or of too high a
-degree for Graeffe to be cheaper.
+& Piras, J. Symbolic Comput. 4, 1987).  The diagonal root is divided out
+exactly first.  Fiber roots of equal modulus whose powers meet under squaring
+lose the iterate's accuracy, so every row is run again as the reciprocal
+polynomial turned by a fraction of a node, and a row whose two sums disagree
+is summed directly, as is a level too small or of too high a degree for
+Graeffe to be cheaper.  The roots zeta e(t), zeta^K = 1, of a map P(z^K) are
+such a merging orbit, so the explicit route integrates P on radius r^K.
 
 The direct sum takes the differences f(t) - f(s); a rational map f = p/q adds
 log|q(t)| + log|q(s)| as one sum of logs per lattice, and an f far from
@@ -323,19 +324,17 @@ def _graeffe_cross_sum(n: int, p1, q1, p2, q2, label: str, even: bool = False) -
 
     Row i's sum of log|K| over the inner lattice is log|prod_j P_i(y_j)| for
     P_i(y) = q(t_i) A(y) - p(t_i) B(y), where A and B are p's and q's
-    coefficients on the inner lattice (B = 1 for q = None).  With K the gcd
-    of the exponents k >= 1 that carry a coefficient and g = gcd(K, m), P_i
-    is a polynomial R_i in u = y^K, and the m nodes are the m/g roots of
-    u^(m/g) = c = (-i)^(K/g), each g times.  The diagonal root u = e(K t_i)
-    is divided out of R_i, and its lattice term is exactly log|1 - c| =
-    (1/2) log 2 per node of u; the rest is log|R_i's Graeffe iterate at c|.
-    A mirrored row of ``even`` has the conjugate coefficients when A and B
-    are real, so it is the same iterate at conj(c); otherwise the conjugate
-    outer values are rows of their own.  Each row is checked against the
-    reciprocal of R_i(u e(_CHECK_TURN (g/m))), which has the same modulus at
-    the turned nodes; a row whose two sums differ by more than _CHECK_GAP m,
-    or are not finite, is summed by _log_cross_sum, as is the whole level
-    when p2 or q2 is zero or not finite throughout or Graeffe would cost more.
+    coefficients on the inner lattice (B = 1 for q = None).  The diagonal
+    root y = e(t_i) is divided out of P_i, and its lattice term is exactly
+    log|e(m t_i) + i| = (1/2) log 2; the rest is log|P_i's log2(m)-th
+    Graeffe iterate at -i|.  A mirrored row of ``even`` has the conjugate
+    coefficients when A and B are real, so it is the same iterate at i;
+    otherwise the conjugate outer values are rows of their own.  Each row is
+    checked against the reciprocal of P_i(y e(_CHECK_TURN / m)), which has
+    the same modulus at the turned nodes; a row whose two sums differ by more
+    than _CHECK_GAP m, or are not finite, is summed by _log_cross_sum, as is
+    the whole level when p2 or q2 is zero or not finite throughout or Graeffe
+    would cost more.
     """
     m = len(p2)
     if q1 is not None and not (np.all(q1) and np.all(q2)):
@@ -350,29 +349,26 @@ def _graeffe_cross_sum(n: int, p1, q1, p2, q2, label: str, even: bool = False) -
     if q1 is not None:
         kq = math.frexp(tops[1])[1]
         b, g1 = _inner_coefficients(_scaled(q2, kq)), _scaled(q1, kq)
-    exponents = np.flatnonzero(a if b is None else (a != 0) | (b != 0))
-    K = math.gcd(*exponents[exponents > 0].tolist()) or m
-    deg, g = int(exponents[-1]) // K, math.gcd(K, m)
-    steps = (m // g).bit_length() - 1
+    deg = int(np.flatnonzero(a if b is None else (a != 0) | (b != 0))[-1])
+    steps = m.bit_length() - 1
     if len(p1) * (m - (deg + 1) ** 2 * steps) <= _GRAEFFE_LEVEL_PAIRS:
         return _log_cross_sum(p1, q1, p2, q2, label, even)
-    c = -1j if (K // g) % 4 == 1 else 1j
 
     shared = even and not np.any(a.imag) and (b is None or not np.any(b.imag))
     outer_p, outer_q = p1, q1
-    roots = np.exp(1j * np.pi * ((K * (2 * np.arange(len(p1)) + 1)) % (2 * n)) / n)
+    roots = np.exp(1j * np.pi * (2 * np.arange(len(p1)) + 1) / n)
     if even and not shared:
         f1, outer_p, roots = (np.concatenate([v, np.conj(v)]) for v in (f1, outer_p, roots))
         if q1 is not None:
             g1, outer_q = (np.concatenate([v, np.conj(v)]) for v in (g1, outer_q))
-    points = (c, np.conj(c)) if shared else (c,)
+    points = (-1j, 1j) if shared else (-1j,)
     if b is None:
-        polys = np.repeat(a[: deg * K + 1: K, None], len(f1), axis=1)
+        polys = np.repeat(a[: deg + 1, None], len(f1), axis=1)
         polys[0] -= f1
     else:
-        polys = a[: deg * K + 1: K, None] * g1 - b[: deg * K + 1: K, None] * f1
+        polys = a[: deg + 1, None] * g1 - b[: deg + 1, None] * f1
 
-    # synthetic division by u - e(K t_i), kept where the remainder vanishes
+    # synthetic division by y - e(t_i), kept where the remainder vanishes
     diagonal = np.zeros(len(f1), dtype=bool)
     if deg >= 1:
         quotient = np.zeros_like(polys)
@@ -383,7 +379,7 @@ def _graeffe_cross_sum(n: int, p1, q1, p2, q2, label: str, even: bool = False) -
         diagonal = np.abs(acc) <= _DEFLATION_REMAINDER * np.sum(np.abs(polys), axis=0)
         polys[:, diagonal] = quotient[:, diagonal]
 
-    turn = np.exp(2j * np.pi * _CHECK_TURN * np.arange(deg + 1) / (m // g))
+    turn = np.exp(2j * np.pi * _CHECK_TURN * np.arange(deg + 1) / m)
     check = np.conj((polys * turn[:, None])[::-1])
     with np.errstate(all="ignore"):
         iterate, log_scale = _graeffe_iterate(np.concatenate([polys, check], axis=1), steps)
@@ -391,11 +387,11 @@ def _graeffe_cross_sum(n: int, p1, q1, p2, q2, label: str, even: bool = False) -
         sums = [(_log_abs_at(iterate[:, :rows], log_scale[:rows], point),
                  _log_abs_at(iterate[:, rows:], log_scale[rows:], point * back))
                 for point in points]
-    shift = m * (kp + kq) * math.log(2.0) + diagonal * (g * 0.5 * math.log(2.0))
+    shift = m * (kp + kq) * math.log(2.0) + diagonal * (0.5 * math.log(2.0))
     total, redo_p, redo_q = 0.0, [], []
     for mirrored, (direct, checked) in enumerate(sums):
-        ok = g * np.abs(direct - checked) <= _CHECK_GAP * m
-        total += 2.0 * float(np.sum(g * direct[ok] + shift[ok]))
+        ok = np.abs(direct - checked) <= _CHECK_GAP * m
+        total += 2.0 * float(np.sum(direct[ok] + shift[ok]))
         redo_p.append(np.conj(outer_p[~ok]) if mirrored else outer_p[~ok])
         if q1 is not None:
             redo_q.append(np.conj(outer_q[~ok]) if mirrored else outer_q[~ok])

@@ -113,13 +113,6 @@ class TruncatedSeries:
         return acc
 
 
-def x_series(order: int) -> TruncatedSeries:
-    """The identity series X to the given order."""
-    if order < 1:
-        raise DomainError("identity series needs order >= 1")
-    return TruncatedSeries([0, 1] + [0] * (order - 1))
-
-
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficients of f(g(X)) modulo X^{N+1}, N the common order.
 

@@ -43,7 +43,7 @@ class TestSurfaceDescriptor:
     def test_pseudoconcavity(self):
         assert surface(3).pseudoconcave
         convex = SurfaceDescriptor(1.0, TruncatedSeries([F(0), F(2)]))
-        assert convex.pseudoconvex and not convex.pseudoconcave
+        assert not convex.pseudoconcave
 
     def test_radius_scales_degree(self):
         desc = SurfaceDescriptor(math.e, TruncatedSeries([F(0), F(1)]))

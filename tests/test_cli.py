@@ -65,6 +65,35 @@ class TestOverflowCommand:
         assert entry["residual"] > 1e-5
         assert entry["residual_within_achieved"] is False
 
+    @pytest.mark.parametrize("config", ['{"grid": 64, "tol": 1e-8, "depth": 11}', None],
+                             ids=["tight", "defaults"])
+    def test_map_of_z_to_the_k_agrees_with_the_oracle(self, config, tmp_path):
+        # alpha = P(z^4): alpha's n-node rule is P's n/4-node rule, so on
+        # alpha's own boundary the tight ladder accepted 5.6e-4 off with
+        # achieved 3.6e-15, and the defaults exited 3
+        argv = ["overflow", "--map", "7*z^8-z^4+2", "--radius", "3", "--method", "both"]
+        if config:
+            (tmp_path / "quad.json").write_text(config)
+            argv += ["--config", str(tmp_path / "quad.json")]
+        code, out = run_cli(argv)
+        assert code == 0
+        (entry,) = json.loads(out)["result"]["reports"]
+        assert entry["residual"] <= entry["explicit"]["certificate"]["tol"]
+        assert entry["residual_within_achieved"] is True
+        assert (entry["explicit"]["radius"], entry["explicit"]["ramification_index"]) == (3, 4)
+
+    @pytest.mark.parametrize("expr,radius", [
+        ("1+(1/(10^60))^3*z^16", "1e20"),  # r^16 overflows
+        ("1+1e300*z^2", "1e-155"),  # r^2 is subnormal
+    ])
+    def test_radius_to_the_power_beyond_float_range_exits_2(self, expr, radius):
+        # the boundary values of alpha = P(z^K) fit float64 at r, but r^K,
+        # the radius both routes integrate P at, does not
+        code, out = run_cli(["overflow", "--map", expr, "--radius", radius, "--method", "both"])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "DomainError" and "to the power" in err["message"]
+
     def test_csv_sweep(self, fast_config):
         code, out = run_cli([
             "overflow", "--map", "z^2", "--radius", "0.5,1,2",

@@ -1,5 +1,4 @@
 import itertools
-import math
 import tracemalloc
 from fractions import Fraction as F
 
@@ -18,7 +17,6 @@ from overflow_lab.diffeo import (
     identity_diffeo,
     jacobian_check,
     measure_bound_mc,
-    reduce_mod_integer,
     reduce_to_fundamental,
 )
 from overflow_lab.errors import (
@@ -121,22 +119,6 @@ class TestHaarSampling:
         sample = rng.uniform(size=(count, 3))
         total = sample.mean(axis=0)
         assert np.all(np.abs(total - 0.5) < 0.005)
-
-    def test_left_translation_invariance(self):
-        # translate by a fixed element, reduce, compare box frequencies
-        gamma = TruncatedDiffeo((0.3, -1.2, 0.7))
-        rng = np.random.default_rng(11)
-        count = 4000
-        hits_plain, hits_moved = 0, 0
-        for _ in range(count):
-            g = TruncatedDiffeo(tuple(float(x) for x in rng.uniform(size=3)))
-            _, reduced_plain = reduce_mod_integer(g)
-            _, reduced_moved = reduce_mod_integer(group_compose(gamma, g))
-            hits_plain += all(c < 0.5 for c in reduced_plain.coeffs)
-            hits_moved += all(c < 0.5 for c in reduced_moved.coeffs)
-        p1, p2 = hits_plain / count, hits_moved / count
-        sigma = math.sqrt(p1 * (1 - p1) / count + p2 * (1 - p2) / count)
-        assert abs(p1 - p2) <= 3 * sigma + 1e-12
 
 
 class TestReduction:

@@ -377,13 +377,6 @@ class TestKinkCorrection:
         assert abs(raw - exact) > 1e-7
         assert abs(raw - fibers.kink_correction(n) - exact) <= 1e-12
 
-    def test_map_of_z_to_the_k_strips_its_rotations(self):
-        # the fiber of -3 + 3 z^2 through z holds -z, on the circle at every node
-        fibers = overflow._BoundaryFibers(parse_map("-3+3*z^2"), 2.163)
-        assert np.all(fibers(midpoints(64)) == 0.0)
-        assert fibers._branches.shape == (64, 0)
-        assert fibers.tangent
-
 
 REFERENCE = json.loads(
     (Path(__file__).parent / "data" / "oracle_reference.json").read_text())
@@ -645,11 +638,44 @@ class TestExactInvariances:
         # cross(P0, r^K), and e(alpha) = K e(P0) with the same jet, so the
         # excess of alpha at r is that of P0 at r^K
         alpha, p0 = parse_map(pulled), parse_map(base)
-        k = overflow._rotation_order(alpha)
+        reduced, k, radius = overflow._power_reduction(alpha, r)
+        assert (reduced, radius) == (p0, r**k)
         for route in [overflow_to_C] + [overflow_definitional_oracle] * oracle:
             want = route(p0, r**k, INVARIANT).value
             assert route(alpha, r, INVARIANT).value == pytest.approx(want, rel=0,
                                                                      abs=INVARIANT.tol)
+
+    @pytest.mark.parametrize("pulled,r,base", [
+        ("1+2*z^2-z^6", 1.1, "1+2*z-z^3"),
+        ("(z^2+3)/(z^2/9+1)", 1.0, "(z+3)/(z/9+1)"),
+    ])
+    def test_kernel_on_the_unreduced_boundary(self, pulled, r, base):
+        # both routes integrate P0 at r^2; the torus rule on alpha's own
+        # boundary at n nodes is P0's rule at n/2 nodes, each node twice
+        got, cert = overflow._boundary_cross(parse_map(pulled), r,
+                                             QuadratureSettings(128, 1e-6, 8))
+        want, want_cert = overflow._boundary_cross(parse_map(base), r**2,
+                                                   QuadratureSettings(64, 1e-6, 8))
+        assert cert.grid == 2 * want_cert.grid
+        assert got == pytest.approx(want, rel=0, abs=1e-13)
+
+    def test_oracle_takes_the_fibers_of_the_base_map(self, monkeypatch):
+        # alpha = -3 + 3 z^2 = P0(z^2): the fibers solved are P0's at r^2, and
+        # the report keeps alpha's radius and e, and the tangency of alpha's
+        # fiber root -z, on the circle at every node
+        built = []
+        fibers = overflow._BoundaryFibers
+
+        def spy(map_, radius):
+            built.append((map_, radius))
+            return fibers(map_, radius)
+
+        monkeypatch.setattr(overflow, "_BoundaryFibers", spy)
+        report = overflow_definitional_oracle(parse_map("-3+3*z^2"), 2.163, FAST)
+        assert built == [(parse_map("-3+3*z"), 2.163**2)]
+        assert (report.radius, report.ramification_index) == (2.163, 2)
+        assert report.boundary_tangency
+        assert report.value == pytest.approx(0.0, abs=1e-12)
 
     def test_rotation_of_the_sphere(self):
         # R(w) = (3w/5 + 4/5)/(-4w/5 + 3/5) is a rotation of the Riemann sphere:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from overflow_lab.potential import INF, DiskPotential, capacitary_norm_P1
+from overflow_lab.potential import INF, DiskPotential
 from overflow_lab.quadrature import QuadratureSettings, torus_pair_log_integral
 
 
@@ -27,31 +27,6 @@ class TestDiskGreen:
         assert np.all(vals >= 0.0)
         outside = np.abs(z - (1 + 1j)) >= 0.75
         assert np.all(vals[outside] == 0.0)
-
-
-class TestDiagonalGreen:
-    """The capacitary norm that the projective-line diagonal Green function
-    -log|x0 y1 - x1 y0| + (1/2) log|x|^2 + (1/2) log|y|^2 induces on d/dz:
-    exp(-lim (g(w, w + h) + log|h|)) = 1 / (1 + |w|^2)."""
-
-    def test_norm_values(self):
-        assert capacitary_norm_P1(0.0) == 1.0
-        assert capacitary_norm_P1(1.0) == pytest.approx(0.5)
-
-    def test_norm_u2_invariance(self):
-        # rotation z -> (z - c)/(1 + conj(c) z) carries the chart frame with
-        # derivative (1+|c|^2)/(1+conj(c) z)^2; capacitary norms must match.
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            c = complex(rng.normal(), rng.normal()) * 0.5
-            w = complex(rng.normal(), rng.normal())
-            if 1 + c.conjugate() * w == 0:
-                continue
-            image = (w - c) / (1 + c.conjugate() * w)
-            frame = (1 + abs(c) ** 2) / (1 + c.conjugate() * w) ** 2
-            lhs = capacitary_norm_P1(w)
-            rhs = capacitary_norm_P1(image) * abs(frame)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_p1_kernel_unit_circle_double_integral():

@@ -500,9 +500,13 @@ class TestGraeffeKernel:
 
     CASES = [
         ("3-z-3*z^2-z^3-z^4+3*z^5", 1.787),  # a degree-5 excess-c pool map
+        # maps P(z^K), whose rows hold an orbit that merges: every row runs direct
         ("z^8", 1.5),
         ("7*z^8-z^4+2", 3.0),
         ("-2*z^8+z^4-3", 40.0),
+        # the two maps above as the routes integrate them, P at r^4
+        ("2-z+7*z^2", 81.0),
+        ("-3+z-2*z^2", 2560000.0),
         ("2-2*z+2*z^4-z^6-z^8", 1.871),  # clustered fibers
         ("1+z-2*z^3+z^7-3*z^11+2*z^16", 10.0),
         ("2-z+3*z^2-z^5+z^8", 100.0),
