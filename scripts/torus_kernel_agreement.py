@@ -4,8 +4,9 @@
 For each map and radius the explicit route's torus integral runs once as the
 CLI runs it, on P at radius r^K for a map P(z^K)
 (``overflow._power_reduction``), timed in process, counting the outer rows
-that the reciprocal check sends to the direct kernel
-(``quadrature._log_cross_sum``).  Then every ladder level up to the accepted
+handed to the direct kernel (``quadrature._log_cross_sum``) as they arrive:
+rows that fail the reciprocal check and the rows of levels that run direct
+whole.  Then every ladder level up to the accepted
 grid is evaluated again by both kernels on the same lattices, and the largest
 gap between the two levels is printed.
 
@@ -65,9 +66,6 @@ def _lattices(alpha, r, n):
     for ts in (quadrature._midpoints(n), quadrature._midpoints(m, 0.25)):
         p, q = alpha.num_den_at(r * np.exp(2j * np.pi * ts))
         out += [p, None if alpha.is_polynomial else q]
-    if alpha.real_coefficients:
-        out[0] = out[0][: n // 2]
-        out[1] = None if out[1] is None else out[1][: n // 2]
     return out
 
 
@@ -75,13 +73,12 @@ def check(expr, r, config):
     """One case: accepted grid, largest level gap, fallback rows, seconds."""
     alpha, _, r = overflow._power_reduction(parse_map(expr), r)
     settings = QuadratureSettings(*config) if config else quadrature.DEFAULT_SETTINGS
-    even = alpha.real_coefficients
     direct = quadrature._log_cross_sum
     redone = [0]
 
-    def counted(p1, q1, p2, q2, label, even_rows=False):
-        redone[0] += len(p1) * (2 if even_rows else 1)
-        return direct(p1, q1, p2, q2, label, even_rows)
+    def counted(p1, q1, p2, q2, label):
+        redone[0] += len(p1)
+        return direct(p1, q1, p2, q2, label)
 
     def boundary(ts):
         p, q = alpha.num_den_at(r * np.exp(2j * np.pi * ts))
@@ -90,7 +87,7 @@ def check(expr, r, config):
     quadrature._log_cross_sum = counted
     start = time.perf_counter()
     try:
-        _, cert = quadrature.torus_pair_log_integral(boundary, settings, even=even)
+        _, cert = quadrature.torus_pair_log_integral(boundary, settings)
         grid = cert.grid
     except NoConvergence:
         grid = None
@@ -102,8 +99,8 @@ def check(expr, r, config):
     while n <= last:
         p1, q1, p2, q2 = _lattices(alpha, r, n)
         scale = 0.5 / (n * len(p2))
-        fast = quadrature._graeffe_cross_sum(n, p1, q1, p2, q2, "agreement", even)
-        gap = max(gap, abs(fast - direct(p1, q1, p2, q2, "agreement", even)) * scale)
+        fast = quadrature._graeffe_cross_sum(p1, q1, p2, q2, "agreement")
+        gap = max(gap, abs(fast - direct(p1, q1, p2, q2, "agreement")) * scale)
         rows += n
         n *= 2
     return {"map": expr, "radius": r, "grid": grid, "gap": gap,

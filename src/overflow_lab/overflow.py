@@ -35,12 +35,13 @@ w = q/p as the one fiber branch at radius 1, and the log-spike correction at
 the poles of alpha.
 
 Both routes reject, before any integral runs, a map and radius whose boundary
-values cannot be squared in float64; the oracle also rejects one whose fiber
-roots, by Cauchy's bound, could overflow the root solver's residual scale.
-Both then integrate a map alpha = P(z^K) as P on the circle of radius r^K,
-which the circle of radius r covers K times (_power_reduction): the orbit
-zeta z, zeta^K = 1, of each boundary point never enters a kernel row or a
-fiber, and the reports keep alpha's radius and ramification index.
+values cannot be squared in float64.  Both then integrate a map
+alpha = P(z^K) as P on the circle of radius r^K, which the circle of radius r
+covers K times (_power_reduction): the orbit zeta z, zeta^K = 1, of each
+boundary point never enters a kernel row or a fiber, and the reports keep
+alpha's radius and ramification index.  The oracle rejects a P of degree
+beyond its bound, or whose fiber roots at r^K, by Cauchy's bound, could
+overflow the root solver's residual scale.
 
 The radius-sweep fit takes the excess values the sweep already reported, for
 either target.
@@ -189,16 +190,14 @@ def _boundary_cross(alpha: DiskMap, r: float,
     (p, q) = (num, den), so interior poles never enter.  The kernel takes it
     as log|q(t)| + log|q(s)| + log|f(t) - f(s)| with f = p/q, so a rational
     map and a polynomial (q = None, the plain log|p(t) - p(s)|) share one
-    difference loop.  Real coefficients conjugate the boundary values under
-    t -> 1 - t, which the kernel folds."""
+    difference loop."""
 
     def boundary(ts: np.ndarray):
         z = r * np.exp(2j * np.pi * ts)
         p, q = alpha.num_den_at(z)
         return (p, None) if alpha.is_polynomial else (p, q)
 
-    return torus_pair_log_integral(boundary, settings, label="excess kernel",
-                                   even=alpha.real_coefficients)
+    return torus_pair_log_integral(boundary, settings, label="excess kernel")
 
 
 def _explicit_excess(alpha: DiskMap, r: float, settings: QuadratureSettings,
@@ -627,27 +626,20 @@ def _lattice_kinks(deriv: np.ndarray, branches: np.ndarray, ts: np.ndarray,
     """Midpoint error of the mean over the n-node lattice of the fiber sum
     sum_w max(0, log(r/|w|)), from its crossings (see _kink_correction):
     ``branches`` holds the roots w over the nodes ``ts``, which are the whole
-    lattice or, for a real map, its first half, the mirrored half having the
-    conjugate fibers.  None when a crossing cannot be resolved, or when fewer
-    than 4 stencils span the lattice."""
+    lattice or, for a real map, its first half, completed here by the
+    conjugate nodes and fibers of the mirrored half.  None when a crossing
+    cannot be resolved, or when fewer than 4 stencils span the lattice."""
     if n < 4 * len(_STENCIL) and branches.shape[1]:
         return None
     z = r * np.exp(2j * np.pi * ts)
-    rows = len(z)
-    if rows == n:  # the periodic lattice, continued around the circle
-        def padded(a):
-            return np.concatenate([a[-_PAD:], a, a[:_PAD]])
+    if len(z) < n:
+        z, branches = (np.concatenate([a, a[::-1].conj()]) for a in (z, branches))
 
-        weights = np.zeros(rows + 2 * _PAD - 1)
-        weights[_PAD:_PAD + rows] = 1.0
-    else:  # the first half, continued by the mirrored one
-        def padded(a):
-            return np.concatenate([a[_PAD - 1::-1].conj(), a, a[:-_PAD - 1:-1].conj()])
+    def padded(a):  # the periodic lattice, continued around the circle
+        return np.concatenate([a[-_PAD:], a, a[:_PAD]])
 
-        # a cell and its mirror count twice, the two cells at the folds once
-        weights = np.zeros(rows + 2 * _PAD - 1)
-        weights[_PAD - 1:_PAD + rows] = 2.0
-        weights[[_PAD - 1, _PAD + rows - 1]] = 1.0
+    weights = np.zeros(n + 2 * _PAD - 1)
+    weights[_PAD:_PAD + n] = 1.0
     kinks = _kink_correction(deriv, padded(branches), padded(z), r, weights)
     return None if kinks is None else kinks / n
 
@@ -656,7 +648,8 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
                                  settings: QuadratureSettings = DEFAULT_SETTINGS) -> OverflowReport:
     """Excess from its definition: equilibrium potential against fiber divisors.
 
-    Both terms are taken on P at r^K for alpha = P(z^K) (_power_reduction).
+    Both terms are taken on P at r^K for alpha = P(z^K) (_power_reduction),
+    and so are the degree bound and the fiber-range guard.
     term1 sums log(r/|z|) over the nonzero roots of alpha - alpha(0) inside
     the open disk; term2 integrates the same fiber sum along boundary values,
     each level of its circle mean corrected for the kinks where a fiber root
@@ -673,14 +666,14 @@ def overflow_definitional_oracle(alpha: DiskMap, r: float,
     _require_nonconstant(alpha)
     if not alpha.is_polynomial:
         raise DomainError("definitional oracle requires a polynomial map")
-    if alpha.degree > ORACLE_DEGREE_BOUND:
-        raise UnsupportedDegree(
-            f"degree {alpha.degree} exceeds the oracle bound {ORACLE_DEGREE_BOUND}"
-        )
     _require_float_range(alpha, r)
-    _require_fiber_range(alpha, r)
-    e = alpha.ramification_index()
     base, k, radius = _power_reduction(alpha, r)
+    if base.degree > ORACLE_DEGREE_BOUND:
+        raise UnsupportedDegree(
+            f"degree {base.degree} exceeds the oracle bound {ORACLE_DEGREE_BOUND}"
+        )
+    _require_fiber_range(base, radius)
+    e = alpha.ramification_index()
 
     # term1: fiber of base(0), origin branch stripped exactly
     fibers = _BoundaryFibers(base, radius)

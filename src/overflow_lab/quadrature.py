@@ -20,24 +20,23 @@ P(y) = q(t) A(y) - p(t) B(y), whose coefficients A and B one FFT reads off the
 level's inner values of p and q; the product is one value of P's log2(m)-th
 Graeffe iterate, O(d^2 log m) per row with no root solved (Cerlienco, Mignotte
 & Piras, J. Symbolic Comput. 4, 1987).  The diagonal root is divided out
-exactly first.  Fiber roots of equal modulus whose powers meet under squaring
-lose the iterate's accuracy, so every row is run again as the reciprocal
-polynomial turned by a fraction of a node, and a row whose two sums disagree
-is summed directly, as is a level too small or of too high a degree for
-Graeffe to be cheaper.  The roots zeta e(t), zeta^K = 1, of a map P(z^K) are
-such a merging orbit, so the explicit route integrates P on radius r^K.
+exactly first.  When A and B are real the outer values are conjugate under
+t -> 1 - t, so the mirrored row is the conjugate polynomial and only half of
+the rows are built.  Fiber roots of equal modulus whose powers meet under
+squaring lose the iterate's accuracy, so every row is run again as the
+reciprocal polynomial turned by a fraction of a node, and a row whose two sums
+disagree is summed directly, as is a level too small or of too high a degree
+for Graeffe to be cheaper.  The roots zeta e(t), zeta^K = 1, of a map P(z^K)
+are such a merging orbit, so the explicit route integrates P on radius r^K.
 
 The direct sum takes the differences f(t) - f(s); a rational map f = p/q adds
 log|q(t)| + log|q(s)| as one sum of logs per lattice, and an f far from
-modulus 1 is first scaled by an exact power of two.  It walks the outer
-lattice in row blocks of about 2**16 pairs into three reused buffers, so the
-working set stays in cache, and takes one log per product of squared moduli.
-A map with real coefficients has boundary values conjugate under t -> 1 - t,
-so only half of the outer rows are walked, each multiplied by its mirror row
-(the conjugate fold); every block then multiplies its two halves together (the
-half fold).  A real map thus takes one log per four squared moduli and any
-other map one per two.  A block whose product overflows or underflows is
-summed again unfolded, one log per squared modulus.
+modulus 1 is first scaled by an exact power of two.  It walks the outer rows
+it is given in row blocks of about 2**16 pairs into two reused buffers, so the
+working set stays in cache, and multiplies each block's two halves together
+before taking logs (the half fold): one log per two squared moduli.  A block
+whose product overflows or underflows is summed again unfolded, one log per
+squared modulus.
 
 The Ahlfors-Shimizu characteristic T(r) has one boundary formula for every
 map, Jensen's formula for the lift (p, q): one circle mean of
@@ -182,11 +181,9 @@ def circle_mean(values: Callable[[np.ndarray], np.ndarray],
 #: linear cost; kept even so the lattices never collide.
 _INNER_REFINE = 8
 
-#: Pairs per row block of the direct torus sum.  Each reused float64 buffer then
-#: holds 512 KiB, or 256 KiB under the conjugate fold, where an element stands
-#: for two pairs, so the three of them stay in a per-core L2 cache; the
-#: outer lattice is walked in blocks of max(1, _BLOCK_ELEMENTS // m) rows, half
-#: as many under the conjugate fold.
+#: Pairs per row block of the direct torus sum.  Each of its two reused float64
+#: buffers then holds 512 KiB, so both stay in a per-core L2 cache; the outer
+#: rows are walked in blocks of max(1, _BLOCK_ELEMENTS // m).
 _BLOCK_ELEMENTS = 1 << 16
 
 #: log of the largest |f| = |p/q| on the lattices beyond which the direct sum
@@ -196,8 +193,7 @@ _RATIO_LOG_LIMIT = 64 * math.log(2.0)
 
 def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
                             settings: QuadratureSettings = DEFAULT_SETTINGS,
-                            label: str = "torus log integral",
-                            even: bool = False) -> Tuple[float, Certificate]:
+                            label: str = "torus log integral") -> Tuple[float, Certificate]:
     """Double integral of log|p(t) q(s) - q(t) p(s)| over the unit torus.
 
     ``boundary`` evaluates the homogeneous pair (p, q) along the circle
@@ -210,15 +206,9 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
     Richardson pair 2 I(N) - I(N/2) of the raw levels, which removes it; the
     first raw level has no pair and is not compared.  A raw level's inner
     sums are Graeffe's (_graeffe_cross_sum), with the direct sum for the rows
-    that fail its check; both evaluate the same rule.
-
-    ``even`` declares boundary values conjugate under t -> 1 - t, as those of
-    a map with real coefficients are.  The outer lattice of n nodes is
-    symmetric too (node k mirrors node n - 1 - k), and the kernel's modulus at
-    a mirrored node equals its modulus at node k against the conjugated inner
-    values, so each level sums the first n/2 outer rows only and takes the
-    mirrored rows along; ``boundary`` still sees the full lattices, and ladder
-    and certificate are unchanged.
+    that fail its check; both evaluate the same rule.  Where the level's
+    inner coefficients come out real, as a real map's do, Graeffe builds half
+    of the rows, so no caller declares the symmetry.
     """
 
     half = None  # the raw level on half as many nodes
@@ -228,10 +218,7 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
         m = n * _INNER_REFINE
         p1, q1 = boundary(_midpoints(n))
         p2, q2 = boundary(_midpoints(m, 0.25))
-        if even:
-            p1 = p1[: n // 2]
-            q1 = None if q1 is None else q1[: n // 2]
-        raw = 0.5 * _graeffe_cross_sum(n, p1, q1, p2, q2, label, even) / (n * m)
+        raw = 0.5 * _graeffe_cross_sum(p1, q1, p2, q2, label) / (n * m)
         coarse, half = half, raw
         if coarse is None:  # no pair yet; a non-finite level still raises at once
             return None if math.isfinite(raw) else raw
@@ -317,31 +304,44 @@ def _log_abs_at(iterate: np.ndarray, log_scale: np.ndarray, point: complex) -> n
     return log_scale + np.log(np.abs(np.sum(iterate * powers[:, None], axis=0)))
 
 
-def _graeffe_cross_sum(n: int, p1, q1, p2, q2, label: str, even: bool = False) -> float:
-    """_log_cross_sum on the lattices of a torus level on n outer nodes: p1
-    at the first len(p1) of t_i = (i + 1/2)/n, p2 at the m = 2^k roots of
-    y^m = -i, y_j = e((j + 3/4)/m).
+def _graeffe_cross_sum(p1, q1, p2, q2, label: str) -> float:
+    """_log_cross_sum on the lattices of a torus level: p1 at the n outer
+    nodes t_i = (i + 1/2)/n, n even, and p2 at the m = 2^k roots of
+    y^m = -i, y_j = e((j + 3/4)/m).  The rows _graeffe_rows leaves are
+    summed by _log_cross_sum on their own outer values."""
+    if q1 is not None and not (np.all(q1) and np.all(q2)):
+        raise NumericalError(f"{label}: lattice hit a pole")
+    ok, total = _graeffe_rows(p1, q1, p2, q2)
+    if not np.all(ok):
+        total += _log_cross_sum(p1[~ok], None if q1 is None else q1[~ok], p2, q2, label)
+    return total
+
+
+def _graeffe_rows(p1, q1, p2, q2) -> Tuple[np.ndarray, float]:
+    """(ok, sum): the outer rows whose Graeffe inner sums pass their check,
+    and _log_cross_sum's sum over those rows.
 
     Row i's sum of log|K| over the inner lattice is log|prod_j P_i(y_j)| for
     P_i(y) = q(t_i) A(y) - p(t_i) B(y), where A and B are p's and q's
     coefficients on the inner lattice (B = 1 for q = None).  The diagonal
     root y = e(t_i) is divided out of P_i, and its lattice term is exactly
     log|e(m t_i) + i| = (1/2) log 2; the rest is log|P_i's log2(m)-th
-    Graeffe iterate at -i|.  A mirrored row of ``even`` has the conjugate
-    coefficients when A and B are real, so it is the same iterate at i;
-    otherwise the conjugate outer values are rows of their own.  Each row is
-    checked against the reciprocal of P_i(y e(_CHECK_TURN / m)), which has
-    the same modulus at the turned nodes; a row whose two sums differ by more
-    than _CHECK_GAP m, or are not finite, is summed by _log_cross_sum, as is
-    the whole level when p2 or q2 is zero or not finite throughout or Graeffe
-    would cost more.
+    Graeffe iterate at -i|.  When A and B are real, as a real map's
+    coefficients are, row n - 1 - i has the conjugate outer values, so its
+    polynomial is the conjugate of P_i and its sum the same iterate at i:
+    only the first n/2 rows are built.  That reading needs a boundary of
+    degree below m, whose coefficients A and B then are; the cost cut-over
+    keeps Graeffe off every level that a map of degree up to
+    maps.MAX_DEGREE wraps.  Each row is checked against the reciprocal of
+    P_i(y e(_CHECK_TURN / m)), which has the same modulus at the turned
+    nodes, and is ok when its two sums are within _CHECK_GAP m.  No row is
+    ok when p2 or q2 vanishes throughout or is not finite, or when Graeffe
+    would cost more than the direct sum.
     """
-    m = len(p2)
-    if q1 is not None and not (np.all(q1) and np.all(q2)):
-        raise NumericalError(f"{label}: lattice hit a pole")
+    n, m = len(p1), len(p2)
     tops = [float(np.max(np.abs(v))) for v in (p2, q2) if v is not None]
     if not all(0.0 < top < math.inf for top in tops):
-        return _log_cross_sum(p1, q1, p2, q2, label, even)
+        return np.zeros(n, dtype=bool), 0.0
     # p and q scaled by powers of two to about modulus one: log|K| gains kp + kq
     kp, kq = math.frexp(tops[0])[1], 0
     a, f1 = _inner_coefficients(_scaled(p2, kp)), _scaled(p1, kp)
@@ -351,26 +351,21 @@ def _graeffe_cross_sum(n: int, p1, q1, p2, q2, label: str, even: bool = False) -
         b, g1 = _inner_coefficients(_scaled(q2, kq)), _scaled(q1, kq)
     deg = int(np.flatnonzero(a if b is None else (a != 0) | (b != 0))[-1])
     steps = m.bit_length() - 1
-    if len(p1) * (m - (deg + 1) ** 2 * steps) <= _GRAEFFE_LEVEL_PAIRS:
-        return _log_cross_sum(p1, q1, p2, q2, label, even)
+    half = not np.any(a.imag) and (b is None or not np.any(b.imag))
+    rows = n // 2 if half else n
+    if rows * (m - (deg + 1) ** 2 * steps) <= _GRAEFFE_LEVEL_PAIRS:
+        return np.zeros(n, dtype=bool), 0.0
 
-    shared = even and not np.any(a.imag) and (b is None or not np.any(b.imag))
-    outer_p, outer_q = p1, q1
-    roots = np.exp(1j * np.pi * (2 * np.arange(len(p1)) + 1) / n)
-    if even and not shared:
-        f1, outer_p, roots = (np.concatenate([v, np.conj(v)]) for v in (f1, outer_p, roots))
-        if q1 is not None:
-            g1, outer_q = (np.concatenate([v, np.conj(v)]) for v in (g1, outer_q))
-    points = (-1j, 1j) if shared else (-1j,)
     if b is None:
-        polys = np.repeat(a[: deg + 1, None], len(f1), axis=1)
-        polys[0] -= f1
+        polys = np.repeat(a[: deg + 1, None], rows, axis=1)
+        polys[0] -= f1[:rows]
     else:
-        polys = a[: deg + 1, None] * g1 - b[: deg + 1, None] * f1
+        polys = a[: deg + 1, None] * g1[:rows] - b[: deg + 1, None] * f1[:rows]
 
     # synthetic division by y - e(t_i), kept where the remainder vanishes
-    diagonal = np.zeros(len(f1), dtype=bool)
+    diagonal = np.zeros(rows, dtype=bool)
     if deg >= 1:
+        roots = np.exp(1j * np.pi * (2 * np.arange(rows) + 1) / n)
         quotient = np.zeros_like(polys)
         acc = polys[deg]
         for k in range(deg - 1, -1, -1):
@@ -383,40 +378,34 @@ def _graeffe_cross_sum(n: int, p1, q1, p2, q2, label: str, even: bool = False) -
     check = np.conj((polys * turn[:, None])[::-1])
     with np.errstate(all="ignore"):
         iterate, log_scale = _graeffe_iterate(np.concatenate([polys, check], axis=1), steps)
-        rows, back = len(f1), np.exp(-2j * np.pi * _CHECK_TURN)
+        back = np.exp(-2j * np.pi * _CHECK_TURN)
         sums = [(_log_abs_at(iterate[:, :rows], log_scale[:rows], point),
                  _log_abs_at(iterate[:, rows:], log_scale[rows:], point * back))
-                for point in points]
+                for point in ((-1j, 1j) if half else (-1j,))]
     shift = m * (kp + kq) * math.log(2.0) + diagonal * (0.5 * math.log(2.0))
-    total, redo_p, redo_q = 0.0, [], []
-    for mirrored, (direct, checked) in enumerate(sums):
-        ok = np.abs(direct - checked) <= _CHECK_GAP * m
-        total += 2.0 * float(np.sum(direct[ok] + shift[ok]))
-        redo_p.append(np.conj(outer_p[~ok]) if mirrored else outer_p[~ok])
-        if q1 is not None:
-            redo_q.append(np.conj(outer_q[~ok]) if mirrored else outer_q[~ok])
-    redo_p = np.concatenate(redo_p)
-    if len(redo_p):
-        total += _log_cross_sum(redo_p, np.concatenate(redo_q) if redo_q else None,
-                                p2, q2, label)
-    return total
+    direct, checked = sums[0]
+    if half:  # row n - 1 - i, the mirror of row i, is row i's iterate at i
+        direct, checked = (np.concatenate([at_minus_i, at_i[::-1]])
+                           for at_minus_i, at_i in zip(*sums))
+        shift = np.concatenate([shift, shift[::-1]])
+    ok = np.abs(direct - checked) <= _CHECK_GAP * m
+    return ok, 2.0 * float(np.sum(direct[ok] + shift[ok]))
 
 
-def _log_cross_sum(p1, q1, p2, q2, label: str, even: bool = False) -> float:
+def _log_cross_sum(p1, q1, p2, q2, label: str) -> float:
     """Sum of log|K|^2, K = p1 q2 - q1 p2, over the product lattice (q = None
-    means 1); with ``even`` the outer lattice also holds the conjugate of each
-    row given, and the sum covers those mirrored rows too.
+    means 1).
 
     A rational map has |K|^2 = |q1|^2 |q2|^2 |f1 - f2|^2, f = p/q: the q
-    factors are one sum of logs per lattice, doubled under ``even`` (a
-    mirrored row's |q| is its own), q exactly 0 raises, and f, divided by a
-    power of two when max|f| lies beyond 2**+-64, takes the difference loop
-    of a polynomial's values.  Row blocks are built in real arithmetic into
-    reused buffers and folded as the module docstring says.  A block whose
-    folded sum is not finite, or whose arithmetic overflowed or underflowed,
-    is rebuilt unfolded: an exactly zero squared modulus (a shared boundary
-    value, or a square that underflows) raises, and otherwise the block sums
-    the logs of its squared moduli.  Block sums combine pairwise.
+    factors are one sum of logs per lattice, q exactly 0 raises, and f,
+    divided by a power of two when max|f| lies beyond 2**+-64, takes the
+    difference loop of a polynomial's values.  Row blocks are built in real
+    arithmetic into reused buffers and half folded as the module docstring
+    says.  A block whose folded sum is not finite, or whose arithmetic
+    overflowed or underflowed, is rebuilt unfolded: an exactly zero squared
+    modulus (a shared boundary value, or a square that underflows) raises,
+    and otherwise the block sums the logs of its squared moduli.  Block sums
+    combine pairwise.
     """
     n, m = len(p1), len(p2)
     f1, f2, total = p1, p2, 0.0
@@ -433,29 +422,21 @@ def _log_cross_sum(p1, q1, p2, q2, label: str, even: bool = False) -> float:
         f1, f2 = (np.ldexp(np.ascontiguousarray(p, complex).view(float), -k).view(complex) / q
                   for p, q in ((p1, q1), (p2, q2)))
         q_sum = m * np.sum(log_q1) + n * np.sum(log_q2) + n * m * k * math.log(2.0)
-        total = float((4.0 if even else 2.0) * q_sum)
-    rows = max(1, _BLOCK_ELEMENTS // (2 * m if even else m))
+        total = float(2.0 * q_sum)
+    rows = max(1, _BLOCK_ELEMENTS // m)
     f1r, f1i = np.ascontiguousarray(f1.real), np.ascontiguousarray(f1.imag)
     f2r, f2i = np.ascontiguousarray(f2.real), np.ascontiguousarray(f2.imag)
-    bufs = [np.empty((rows, m)) for _ in range(3)]
+    bufs = [np.empty((rows, m)) for _ in range(2)]
 
-    def squared_moduli(lo: int, hi: int) -> Tuple[np.ndarray, ...]:
-        """|f1(t) - f2(s)|^2 for the outer rows lo:hi and, with ``even``,
-        |f1(t) - conj f2(s)|^2: the imaginary part is then a_i + f2i and the
-        real part is shared."""
-        a_r, a_i = f1r[lo:hi, None], f1i[lo:hi, None]
-        d2, sq, sq_conj = (buf[: hi - lo] for buf in bufs)
-        np.subtract(a_r, f2r, out=d2)
-        d2 *= d2
-        np.subtract(a_i, f2i, out=sq)
+    def squared_moduli(lo: int, hi: int) -> np.ndarray:
+        """|f1(t) - f2(s)|^2 for the outer rows lo:hi."""
+        re, sq = (buf[: hi - lo] for buf in bufs)
+        np.subtract(f1r[lo:hi, None], f2r, out=re)
+        re *= re
+        np.subtract(f1i[lo:hi, None], f2i, out=sq)
         sq *= sq
-        sq += d2
-        if not even:
-            return (sq,)
-        np.add(a_i, f2i, out=sq_conj)
-        sq_conj *= sq_conj
-        sq_conj += d2
-        return sq, sq_conj
+        sq += re
+        return sq
 
     starts = range(0, n, rows)
     sums = np.empty(len(starts))
@@ -463,10 +444,7 @@ def _log_cross_sum(p1, q1, p2, q2, label: str, even: bool = False) -> float:
         hi = min(lo + rows, n)
         try:
             with np.errstate(over="raise", under="raise", divide="ignore"):
-                factors = squared_moduli(lo, hi)
-                prod = factors[0].reshape(-1)
-                for f in factors[1:]:
-                    prod *= f.reshape(-1)
+                prod = squared_moduli(lo, hi).reshape(-1)
                 if len(prod) % 2 == 0:
                     half = len(prod) // 2
                     prod = np.multiply(prod[:half], prod[half:], out=prod[:half])
@@ -474,32 +452,13 @@ def _log_cross_sum(p1, q1, p2, q2, label: str, even: bool = False) -> float:
         except FloatingPointError:
             sums[b] = math.nan
         if not math.isfinite(sums[b]):
-            factors = squared_moduli(lo, hi)
-            if any(np.any(f == 0.0) for f in factors):
+            sq = squared_moduli(lo, hi)
+            if np.any(sq == 0.0):
                 raise NumericalError(
                     f"{label}: lattice hit an exact coincidence of boundary values"
                 )
-            sums[b] = sum(np.sum(np.log(f)) for f in factors)
+            sums[b] = np.sum(np.log(sq))
     return total + float(np.sum(sums))
-
-
-# -- circle log means -------------------------------------------------------
-
-def circle_log_mean(alpha: DiskMap, c: complex, r: float,
-                    settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """Integral over t in [0,1) of log|alpha(r e^{2 pi i t}) - c|."""
-    c = complex(c)
-
-    def values(ts: np.ndarray) -> np.ndarray:
-        z = r * np.exp(2j * np.pi * ts)
-        p, q = alpha.num_den_at(z)
-        mod = np.abs(p - c * q)
-        if np.any(mod == 0.0):
-            raise NumericalError("circle_log_mean: value c attained on the grid")
-        return np.log(mod) - np.log(np.abs(q))
-
-    value, _ = circle_mean(values, settings, label="circle_log_mean")
-    return value
 
 
 # -- Gauss rule for the weight u log(1/u) on (0,1) --------------------------

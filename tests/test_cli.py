@@ -82,6 +82,16 @@ class TestOverflowCommand:
         assert entry["residual_within_achieved"] is True
         assert (entry["explicit"]["radius"], entry["explicit"]["ramification_index"]) == (3, 4)
 
+    def test_oracle_judges_the_reduced_map(self):
+        # 1 + z^5 + 3 z^15 = P(z^5) with P of degree 3, which is within the
+        # oracle's degree bound although alpha's degree 15 is not
+        code, out = run_cli(["overflow", "--map", "1+z^5+3*z^15", "--radius", "0.97",
+                             "--method", "both"])
+        assert code == 0
+        (entry,) = json.loads(out)["result"]["reports"]
+        assert entry["residual_within_achieved"] is True
+        assert entry["oracle"]["ramification_index"] == 5
+
     @pytest.mark.parametrize("expr,radius", [
         ("1+(1/(10^60))^3*z^16", "1e20"),  # r^16 overflows
         ("1+1e300*z^2", "1e-155"),  # r^2 is subnormal

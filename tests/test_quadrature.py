@@ -12,7 +12,6 @@ from overflow_lab.quadrature import (
     QuadratureSettings,
     _graeffe_cross_sum,
     _log_cross_sum,
-    circle_log_mean,
     circle_mean,
     gauss_log_rule,
     nevanlinna_T,
@@ -33,30 +32,6 @@ def test_settings_up_to_the_lattice_ceiling_are_admitted(grid, depth):
 def test_settings_past_the_lattice_ceiling_are_refused(grid, depth):
     with pytest.raises(DomainError, match="finest lattice"):
         QuadratureSettings(base_grid=grid, max_depth=depth)
-
-
-class TestCircleLogMean:
-    def test_jensen_inside(self):
-        assert circle_log_mean(IDENTITY, 0.0, 2.0) == pytest.approx(math.log(2), abs=1e-8)
-
-    def test_jensen_outside(self):
-        assert circle_log_mean(IDENTITY, 3.0, 1.0) == pytest.approx(math.log(3), abs=1e-8)
-
-    def test_square_at_zero(self):
-        zsq = DiskMap((0, 0, 1))
-        assert circle_log_mean(zsq, 0.0, 1.0) == pytest.approx(0.0, abs=1e-8)
-
-    def test_random_jensen_corpus(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            r = float(rng.uniform(0.2, 3.0))
-            c = complex(rng.normal(), rng.normal())
-            ratio = abs(c) / r
-            if 0.99 <= ratio <= 1.01:
-                continue
-            expected = math.log(max(r, abs(c)))
-            got = circle_log_mean(IDENTITY, c, r)
-            assert got == pytest.approx(expected, abs=1e-8)
 
 
 def _on_circle(r, p, q=None):
@@ -245,49 +220,51 @@ class TestLogCrossSumKernel:
         with pytest.raises(NumericalError, match="exact coincidence"):
             _log_cross_sum(p1, q1, p2, q2, "kernel")
 
-    @pytest.mark.parametrize("even", [False, True])
+    # mirrored: the outer rows come in conjugate pairs, as a real map's do
+    @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize("near", ["outer", "inner"])
-    def test_pole_near_the_lattice(self, near, even):
+    def test_pole_near_the_lattice(self, near, mirrored):
         # q = z - z0 with z0 a relative 1e-6 off a lattice node, so |q| is
         # about 1.3e-6 there and f = p/q about 1e6
         n, m = 64, 512
         z1 = 1.3 * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
         z2 = 1.3 * np.exp(2j * np.pi * (np.arange(m) + 0.75) / m)
         z0 = z1[5] * (1 + 1e-6) if near == "outer" else z2[40] * (1 - 1e-6)
-        walked = n // 2 if even else n
-        p1, q1 = z1[:walked] ** 2 + 0.5, z1[:walked] - z0
+        if mirrored:
+            z1 = _mirrored(z1[: n // 2])
+        p1, q1 = z1**2 + 0.5, z1 - z0
         p2, q2 = z2**2 + 0.5, z2 - z0
         assert min(np.min(np.abs(q1)), np.min(np.abs(q2))) < 2e-6
-        outer = _mirrored if even else (lambda half: half)
-        want = _naive_log_cross_sum(outer(p1), outer(q1), p2, q2)
-        got = _log_cross_sum(p1, q1, p2, q2, "kernel", even)
-        assert got == pytest.approx(want, rel=1e-12)
+        want = _naive_log_cross_sum(p1, q1, p2, q2)
+        assert _log_cross_sum(p1, q1, p2, q2, "kernel") == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize("p_scale,q_scale", [(1e5, 1e-150), (1e-5, 1e150), (1.0, 1e-30)])
-    def test_ratio_far_from_modulus_one(self, p_scale, q_scale, even):
+    def test_ratio_far_from_modulus_one(self, p_scale, q_scale, mirrored):
         # f = p/q is about 1e155, 1e-155 and 1e30: its squared differences
         # leave the float range, or the fold's products do, unless f is scaled
         n, m = 64, 512
         z1 = 1.5 * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
         z2 = 1.5 * np.exp(2j * np.pi * (np.arange(m) + 0.75) / m)
-        walked = n // 2 if even else n
-        p1, q1 = p_scale * z1[:walked], q_scale * (2 + z1[:walked])
+        if mirrored:
+            z1 = _mirrored(z1[: n // 2])
+        p1, q1 = p_scale * z1, q_scale * (2 + z1)
         p2, q2 = p_scale * z2, q_scale * (2 + z2)
-        outer = _mirrored if even else (lambda half: half)
-        want = _naive_log_cross_sum(outer(p1), outer(q1), p2, q2)
-        got = _log_cross_sum(p1, q1, p2, q2, "kernel", even)
+        want = _naive_log_cross_sum(p1, q1, p2, q2)
+        got = _log_cross_sum(p1, q1, p2, q2, "kernel")
         # each of the n m terms is about +-700, so bound the error per pair:
         # unscaled, the subnormal squares of the 1e-155 case lose 3e-12
         assert got == pytest.approx(want, rel=0, abs=5e-13 * n * m)
 
-    @pytest.mark.parametrize("even", [False, True])
-    def test_pole_on_the_lattice_raises(self, even):
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_pole_on_the_lattice_raises(self, mirrored):
         # |p1 q2 - q1 p2| stays finite there, but f = p/q does not
         p1, q1 = np.array([1.0 + 1.0j, 2.0 + 0.0j]), np.array([1.0 + 0.0j, 0.0j])
         p2, q2 = np.array([3.0 + 1.0j, 1.0j]), np.ones(2, dtype=complex)
+        if mirrored:
+            p1, q1 = _mirrored(p1), _mirrored(q1)
         with pytest.raises(NumericalError, match="lattice hit a pole"):
-            _log_cross_sum(p1, q1, p2, q2, "kernel", even)
+            _log_cross_sum(p1, q1, p2, q2, "kernel")
 
     def test_underflowing_square_raises(self):
         p1 = np.array([1.0 + 1.0j, 1e-300 + 0.0j])
@@ -308,75 +285,84 @@ def _mirrored(half):
 
 
 class TestConjugateFoldKernel:
-    """``even`` folds each given outer row with its conjugate mirror row."""
+    """Outer lattices whose rows come in conjugate pairs, as a real map's do.
+    Graeffe folds each mirrored row onto its row's iterate, and every row it
+    leaves reaches the direct sum with its own values."""
 
-    # (walked rows, m): a ragged last block; one-row blocks; and an odd m
-    # whose single block of 5 rows has an odd size, so no half fold runs
+    # (row pairs, m): a ragged last block; one-row blocks of an odd size, so
+    # no half fold runs; and a single block of 10 rows
     SHAPES = [(100, 1000), (3, _BLOCK_ELEMENTS // 2 + 3), (5, 1001)]
 
     @pytest.mark.parametrize("n,m", SHAPES)
     @pytest.mark.parametrize("cross", [False, True])
     def test_matches_naive_complex_reference(self, n, m, cross):
-        rows = max(1, _BLOCK_ELEMENTS // (2 * m))
-        assert n % rows != 0 or rows == 1
         rng = np.random.default_rng(n + m)
-        p1, p2 = _points(rng, n), _points(rng, m)
-        q1, q2 = (_points(rng, n, 1.0), _points(rng, m, 1.0)) if cross else (None, None)
-        got = _log_cross_sum(p1, q1, p2, q2, "kernel", even=True)
-        want = _naive_log_cross_sum(_mirrored(p1), _mirrored(q1), p2, q2)
-        assert got == pytest.approx(want, rel=1e-12)
-        assert _log_cross_sum(p1, q1, p2, q2, "kernel", even=True) == got
+        p1, p2 = _mirrored(_points(rng, n)), _points(rng, m)
+        q1, q2 = (_mirrored(_points(rng, n, 1.0)), _points(rng, m, 1.0)) if cross else (None, None)
+        got = _log_cross_sum(p1, q1, p2, q2, "kernel")
+        assert got == pytest.approx(_naive_log_cross_sum(p1, q1, p2, q2), rel=1e-12)
 
     @pytest.mark.parametrize("p,q", [
         (lambda z: z**3 - 0.7 * z + 0.2, None),
         (lambda z: z**2 + 0.5, lambda z: 1.0 - 0.4 * z),
     ], ids=["polynomial", "rational"])
-    def test_torus_rule_matches_the_unfolded_rule(self, p, q):
-        lengths = {True: [], False: []}
+    def test_torus_rule_matches_the_unfolded_rule(self, p, q, graeffe_rows):
+        # a unit factor c leaves |p(t) q(s) - q(t) p(s)| as it is, but makes
+        # the inner coefficients complex, so Graeffe builds every row
+        lengths, columns = {True: [], False: []}, {}
 
-        def rule(even):
-            inner = _on_circle(1.3, p, q)
+        def rule(folded):
+            c = 1.0 if folded else np.exp(0.3j)
+            inner = _on_circle(1.3, lambda z: c * p(z), None if q is None else lambda z: c * q(z))
 
             def boundary(ts):
-                lengths[even].append(len(ts))
+                lengths[folded].append(len(ts))
                 return inner(ts)
 
-            return torus_pair_log_integral(boundary, even=even)
+            start = len(graeffe_rows)
+            result = torus_pair_log_integral(boundary)
+            columns[folded] = graeffe_rows[start:]
+            return result
 
         folded, folded_cert = rule(True)
         full, full_cert = rule(False)
         assert abs(folded - full) <= 1e-13
         assert folded_cert.grid == full_cert.grid
         assert lengths[True] == lengths[False]
+        assert columns[True] and [2 * k for k in columns[True]] == columns[False]
 
     @pytest.mark.parametrize("cross", [False, True])
     def test_coincidence_with_a_mirrored_row_raises(self, cross):
-        rng = np.random.default_rng(11)
-        m = 1000
-        p1, p2 = _points(rng, 70), _points(rng, m)
-        p2[17] = np.conj(p1[66])  # met only by row 66's mirror, in the last block
-        q1 = q2 = None
+        # a real map's level, with row n - 1 - k moved onto an inner value and
+        # row k onto its conjugate, which meets none: Graeffe folds the two
+        # rows, the mirrored row fails its check and the direct sum meets it
+        n, k = 256, 200
+        alpha = parse_map("(2+z^2)/(1+z/3)" if cross else "3-z+2*z^2-z^3")
+        p1, q1, p2, q2 = _level(alpha, 1.2, n)
+        p1[k], p1[n - 1 - k] = np.conj(p2[17]), p2[17]
         if cross:
-            q1, q2 = np.ones(70, dtype=complex), np.ones(m, dtype=complex)
-        _log_cross_sum(p1, q1, p2, q2, "kernel")
+            q1[k], q1[n - 1 - k] = np.conj(q2[17]), q2[17]
+        _log_cross_sum(np.delete(p1, n - 1 - k), None if q1 is None else np.delete(q1, n - 1 - k),
+                       p2, q2, "kernel")
         with pytest.raises(NumericalError, match="exact coincidence"):
-            _log_cross_sum(p1, q1, p2, q2, "kernel", even=True)
+            _graeffe_cross_sum(p1, q1, p2, q2, "kernel")
 
-    @pytest.mark.parametrize("scale", [1e100, 1e-40, 1e-100],
+    @pytest.mark.parametrize("scale", [1e100, 1e-78, 1e-100],
                              ids=["overflow", "subnormal", "underflow"])
     @pytest.mark.parametrize("cross", [False, True])
     def test_out_of_range_fold_takes_the_unfolded_sum(self, scale, cross):
         # every squared modulus is near scale**2, which float64 holds, while a
-        # product of four of them overflows, lands among the subnormals (where
+        # product of two of them overflows, lands among the subnormals (where
         # it keeps only a few digits), or underflows to zero
         rng = np.random.default_rng(3)
-        p1, p2 = scale * _points(rng, 4, 1.0), scale * _points(rng, 6, 1.0)
+        p1, p2 = _mirrored(scale * _points(rng, 4, 1.0)), scale * _points(rng, 6, 1.0)
         q1 = q2 = None
         if cross:
-            q1, q2 = 1.0 + 0.1 * _points(rng, 4, 1.0), 1.0 + 0.1 * _points(rng, 6, 1.0)
-        want = _naive_log_cross_sum(_mirrored(p1), _mirrored(q1), p2, q2)
+            q1 = _mirrored(1.0 + 0.1 * _points(rng, 4, 1.0))
+            q2 = 1.0 + 0.1 * _points(rng, 6, 1.0)
+        want = _naive_log_cross_sum(p1, q1, p2, q2)
         assert math.isfinite(want)
-        got = _log_cross_sum(p1, q1, p2, q2, "kernel", even=True)
+        got = _log_cross_sum(p1, q1, p2, q2, "kernel")
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -470,28 +456,40 @@ def test_area_no_convergence_names_the_last_level():
 
 
 def _level(alpha, r, n):
-    """The outer and inner values of the torus level on n outer nodes, the
-    outer half only for a map with real coefficients."""
+    """The outer and inner values of the torus level on n outer nodes."""
     m = n * quadrature._INNER_REFINE
     values = []
     for ts in (quadrature._midpoints(n), quadrature._midpoints(m, 0.25)):
         p, q = alpha.num_den_at(r * np.exp(2j * np.pi * ts))
         values += [p, None if alpha.is_polynomial else q]
-    if alpha.real_coefficients:
-        values[:2] = [None if v is None else v[: n // 2] for v in values[:2]]
     return values
 
 
 @pytest.fixture
 def direct_rows(monkeypatch):
-    """Rows handed to _log_cross_sum, one (rows, even) pair per call."""
+    """Outer values handed to _log_cross_sum, one array per call."""
     calls = []
 
-    def spy(p1, q1, p2, q2, label, even=False):
-        calls.append((len(p1), even))
-        return _log_cross_sum(p1, q1, p2, q2, label, even)
+    def spy(p1, q1, p2, q2, label):
+        calls.append(p1)
+        return _log_cross_sum(p1, q1, p2, q2, label)
 
     monkeypatch.setattr(quadrature, "_log_cross_sum", spy)
+    return calls
+
+
+@pytest.fixture
+def graeffe_rows(monkeypatch):
+    """Row polynomials of each _graeffe_iterate call, its check columns not
+    counted."""
+    calls = []
+    iterate = quadrature._graeffe_iterate
+
+    def spy(polys, steps):
+        calls.append(polys.shape[1] // 2)
+        return iterate(polys, steps)
+
+    monkeypatch.setattr(quadrature, "_graeffe_iterate", spy)
     return calls
 
 
@@ -518,12 +516,10 @@ class TestGraeffeKernel:
     def test_every_level_matches_the_direct_sum(self, expr, r, n, monkeypatch):
         # at any level size: the cost cut-over would send small levels direct
         monkeypatch.setattr(quadrature, "_GRAEFFE_LEVEL_PAIRS", -math.inf)
-        alpha = parse_map(expr)
-        p1, q1, p2, q2 = _level(alpha, r, n)
-        even = alpha.real_coefficients
+        p1, q1, p2, q2 = _level(parse_map(expr), r, n)
         scale = 0.5 / (n * len(p2))
-        got = _graeffe_cross_sum(n, p1, q1, p2, q2, "kernel", even) * scale
-        assert got == pytest.approx(_log_cross_sum(p1, q1, p2, q2, "kernel", even) * scale,
+        got = _graeffe_cross_sum(p1, q1, p2, q2, "kernel") * scale
+        assert got == pytest.approx(_log_cross_sum(p1, q1, p2, q2, "kernel") * scale,
                                     rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
@@ -534,14 +530,28 @@ class TestGraeffeKernel:
     ], ids=["degree 64", "complex", "complex rational"])
     def test_coarse_lattices_and_complex_maps(self, alpha, n, monkeypatch, direct_rows):
         # m = 8n is at most the degree 64: the inner coefficients are the
-        # map's reduced mod y^m + i; a complex map has no mirrored rows
+        # map's reduced mod y^m + i
         monkeypatch.setattr(quadrature, "_GRAEFFE_LEVEL_PAIRS", -math.inf)
         p1, q1, p2, q2 = _level(alpha, 1.01, n)
         scale = 0.5 / (n * len(p2))
-        got = _graeffe_cross_sum(n, p1, q1, p2, q2, "kernel", alpha.real_coefficients)
-        want = _log_cross_sum(p1, q1, p2, q2, "kernel", alpha.real_coefficients)
+        got = _graeffe_cross_sum(p1, q1, p2, q2, "kernel")
+        want = _log_cross_sum(p1, q1, p2, q2, "kernel")
         assert got * scale == pytest.approx(want * scale, rel=0, abs=1e-12)
         assert direct_rows == []  # every row passed its check
+
+    @pytest.mark.parametrize("alpha,r,n,built", [
+        (parse_map("3-z-3*z^2-z^3-z^4+3*z^5"), 1.787, 256, 128),
+        (parse_map("(2+z^2)/(3*z^2+z-(1/2))"), 0.8, 256, 128),
+        # A and B complex: a complex map, and a real map of degree 64 whose
+        # coefficients reduced mod y^64 + i are not real
+        (DiskMap((2 + 1j, -1, 3)), 1.5, 256, 256),
+        (parse_map("2+z-z^33+z^64"), 1.01, 8, 8),
+    ], ids=["real", "real rational", "complex", "degree 64"])
+    def test_real_inner_coefficients_build_half_of_the_rows(self, alpha, r, n, built,
+                                                            monkeypatch, graeffe_rows):
+        monkeypatch.setattr(quadrature, "_GRAEFFE_LEVEL_PAIRS", -math.inf)
+        _graeffe_cross_sum(*_level(alpha, r, n), "kernel")
+        assert graeffe_rows == [built]
 
     def test_degree_five_pool_map_needs_no_direct_row(self, direct_rows):
         alpha = parse_map("3-z-3*z^2-z^3-z^4+3*z^5")
@@ -553,10 +563,23 @@ class TestGraeffeKernel:
         # 16th roots of unity and merge under squaring; the check catches them
         n = 1024
         p1, q1, p2, q2 = _level(parse_map("1+z-2*z^3+z^7-3*z^11+2*z^16"), 10.0, n)
-        got = _graeffe_cross_sum(n, p1, q1, p2, q2, "kernel", True)
-        assert direct_rows and all(not even for _, even in direct_rows)
-        assert got == pytest.approx(_log_cross_sum(p1, q1, p2, q2, "kernel", True),
+        got = _graeffe_cross_sum(p1, q1, p2, q2, "kernel")
+        assert len(direct_rows) == 1 and len(direct_rows[0])
+        assert got == pytest.approx(_log_cross_sum(p1, q1, p2, q2, "kernel"),
                                     rel=0, abs=1e-12 * n * len(p2))
+
+    def test_failed_mirrored_rows_reach_the_direct_sum_as_they_are(self, direct_rows):
+        # Graeffe builds the first n/2 rows of this real map; the rows it
+        # hands on from the mirrored half carry their own outer values, which
+        # differ in the last bits from the conjugates of their mirrors
+        n = 1024
+        p1, *_ = lattices = _level(parse_map("1+z-2*z^3+z^7-3*z^11+2*z^16"), 10.0, n)
+        _graeffe_cross_sum(*lattices, "kernel")
+        (passed,) = direct_rows
+        rows = np.flatnonzero(np.isin(p1, passed))
+        assert len(rows) == len(passed)
+        mirrored = rows[rows >= n // 2]
+        assert len(mirrored) and np.any(p1[mirrored] != np.conj(p1[n - 1 - mirrored]))
 
     def test_each_level_evaluates_the_boundary_twice(self):
         lengths = []
@@ -566,7 +589,7 @@ class TestGraeffeKernel:
             z = 1.787 * np.exp(2j * np.pi * ts)
             return 3 - z - 3 * z**2 - z**3 - z**4 + 3 * z**5, None
 
-        _, cert = torus_pair_log_integral(boundary, even=True)
+        _, cert = torus_pair_log_integral(boundary)
         levels = [256 * 2**k for k in range(len(lengths) // 2)]
         assert lengths == [size for n in levels for size in (n, 8 * n)]
         assert levels[-1] == cert.grid
@@ -579,8 +602,7 @@ class TestGraeffeKernel:
     def test_the_rule_is_unchanged(self, expr, r, settings, monkeypatch):
         alpha = parse_map(expr)
         got, cert = overflow._boundary_cross(alpha, r, settings)
-        monkeypatch.setattr(quadrature, "_graeffe_cross_sum",
-                            lambda n, *lattices: _log_cross_sum(*lattices))
+        monkeypatch.setattr(quadrature, "_graeffe_cross_sum", _log_cross_sum)
         want, want_cert = overflow._boundary_cross(alpha, r, settings)
         assert cert.grid == want_cert.grid
         assert got == pytest.approx(want, rel=0, abs=1e-12)
