@@ -4,11 +4,11 @@
 For each map and radius the explicit route's torus integral runs once as the
 CLI runs it, on P at radius r^K for a map P(z^K)
 (``overflow._power_reduction``), timed in process, counting the outer rows
-handed to the direct kernel (``quadrature._log_cross_sum``) as they arrive:
-rows that fail the reciprocal check and the rows of levels that run direct
-whole.  Then every ladder level up to the accepted
-grid is evaluated again by both kernels on the same lattices, and the largest
-gap between the two levels is printed.
+handed to the direct kernel (``quadrature._log_cross_sum``) as they arrive,
+and the seconds spent there: rows that fail the reciprocal check and the
+rows of levels that run direct whole.  Then every ladder level up to the
+accepted grid is evaluated again by both kernels on the same lattices, and
+the largest gap between the two levels is printed.
 
 Sets: ``pool``, the maps and radii of perfbench's ``excess-c`` pool;
 ``adversarial``, rotation orders, large radii, clustered fibers, high degree,
@@ -70,15 +70,20 @@ def _lattices(alpha, r, n):
 
 
 def check(expr, r, config):
-    """One case: accepted grid, largest level gap, fallback rows, seconds."""
+    """One case: accepted grid, largest level gap, fallback rows, and the
+    seconds in all and in the direct kernel."""
     alpha, _, r = overflow._power_reduction(parse_map(expr), r)
     settings = QuadratureSettings(*config) if config else quadrature.DEFAULT_SETTINGS
     direct = quadrature._log_cross_sum
-    redone = [0]
+    redone, direct_s = [0], [0.0]
 
     def counted(p1, q1, p2, q2, label):
         redone[0] += len(p1)
-        return direct(p1, q1, p2, q2, label)
+        start = time.perf_counter()
+        try:
+            return direct(p1, q1, p2, q2, label)
+        finally:
+            direct_s[0] += time.perf_counter() - start
 
     def boundary(ts):
         p, q = alpha.num_den_at(r * np.exp(2j * np.pi * ts))
@@ -104,7 +109,8 @@ def check(expr, r, config):
         rows += n
         n *= 2
     return {"map": expr, "radius": r, "grid": grid, "gap": gap,
-            "fallback_rows": redone[0], "rows": rows, "seconds": seconds}
+            "fallback_rows": redone[0], "rows": rows, "seconds": seconds,
+            "direct_s": direct_s[0]}
 
 
 def main() -> int:
@@ -120,7 +126,7 @@ def main() -> int:
         config = (int(grid), float(tol), int(depth))
     sets = {"pool": pool_cases(), "adversarial": ADVERSARIAL}
     names = list(sets) if args.set == "all" else [args.set]
-    worst, redone, rows, seconds = 0.0, 0, 0, 0.0
+    worst, redone, rows, seconds, direct_s = 0.0, 0, 0, 0.0, 0.0
     for name in names:
         for expr, r, own in sets[name][: args.limit]:
             res = check(expr, r, config or own)
@@ -128,11 +134,12 @@ def main() -> int:
             redone += res["fallback_rows"]
             rows += res["rows"]
             seconds += res["seconds"]
+            direct_s += res["direct_s"]
             print(f"{name:11s} {expr:32s} r={r:<8g} grid={res['grid']!s:6s} "
                   f"gap={res['gap']:.2e} fallback={res['fallback_rows']}/{res['rows']} "
-                  f"{res['seconds']:.3f}s")
+                  f"{res['seconds']:.3f}s direct {res['direct_s']:.3f}s")
     print(json.dumps({"largest_gap": worst, "fallback_rows": redone, "rows": rows,
-                      "seconds": round(seconds, 3)}))
+                      "seconds": round(seconds, 3), "direct_s": round(direct_s, 3)}))
     return 0 if math.isfinite(worst) else 1
 
 

@@ -37,7 +37,8 @@ the poles of alpha.
 Both routes reject, before any integral runs, a map and radius whose boundary
 values cannot be squared in float64.  Both then integrate a map
 alpha = P(z^K) as P on the circle of radius r^K, which the circle of radius r
-covers K times (_power_reduction): the orbit zeta z, zeta^K = 1, of each
+covers K times (_power_reduction), with a polynomial's constant term, which
+cancels in both, dropped: the orbit zeta z, zeta^K = 1, of each
 boundary point never enters a kernel row or a fiber, and the reports keep
 alpha's radius and ramification index.  The oracle rejects a P of degree
 beyond its bound, or whose fiber roots at r^K, by Cauchy's bound, could
@@ -75,9 +76,6 @@ from .quadrature import (
     nevanlinna_T,
     torus_pair_log_integral,
 )
-
-#: Reports are nonnegative up to this slack; larger violations indicate a bug.
-REPORT_NONNEGATIVITY_SLACK = 1e-5
 
 #: Root moduli this close to the boundary circle poison the definitional oracle.
 BOUNDARY_TANGENCY_TOL = 1e-6
@@ -162,24 +160,29 @@ def _require_float_range(alpha: DiskMap, r: float) -> None:
 
 def _power_reduction(alpha: DiskMap, r: float) -> Tuple[DiskMap, int, float]:
     """(P, K, r^K) for alpha(z) = P(z^K) with K the largest such power, the
-    gcd of the exponents of the nonconstant terms of num and den.
+    gcd of the exponents of the nonconstant terms of num and den, and a
+    polynomial P without its constant term.
 
     The circle of radius r covers that of radius r^K K times, so alpha's
     cross integral, term1 and fiber mean at r are P's at r^K, and alpha's e
     is K times P's with the same jet: both routes integrate P at r^K.  A
-    DomainError when r^K is not a normal float64.
+    polynomial's constant term cancels in every kernel difference p(t) - p(s)
+    and every fiber row alpha - w, where a large one would round the rest
+    away, so it is dropped.  A DomainError when r^K is not a normal float64.
     """
     k = math.gcd(*(j for coeffs in (alpha.num, alpha.den)
                    for j, c in enumerate(coeffs) if j and c != 0))
-    if k == 1:
-        return alpha, 1, r
-    try:
-        radius = r ** k
-    except OverflowError:
-        radius = math.inf
-    if not sys.float_info.min <= radius < math.inf:
-        raise DomainError(f"radius {r!r} to the power {k} leaves the float64 range")
-    return DiskMap(alpha.num[::k], alpha.den[::k]), k, radius
+    radius = r
+    if k > 1:
+        try:
+            radius = r ** k
+        except OverflowError:
+            radius = math.inf
+        if not sys.float_info.min <= radius < math.inf:
+            raise DomainError(f"radius {r!r} to the power {k} leaves the float64 range")
+    if alpha.is_polynomial:
+        return DiskMap((0,) + alpha.num[k::k]), k, radius
+    return (alpha if k == 1 else DiskMap(alpha.num[::k], alpha.den[::k])), k, radius
 
 
 # -- explicit route -----------------------------------------------------------
@@ -461,12 +464,13 @@ _PAD = int(_STENCIL[-1])
 
 
 def _kink_correction(deriv: np.ndarray, roots: np.ndarray, z: np.ndarray,
-                     r: float, weights: np.ndarray) -> Optional[float]:
+                     r: float) -> Optional[float]:
     """Midpoint error, times the node count, of the fiber sum
     sum_w max(0, g(w)), g = log(r/|w|), from its crossings: roots (rows x
-    branches) over consecutive lattice nodes z, and the weight of the cell
-    from each row to the next (0 for the padding, whose rows only serve as
-    stencil nodes); None when a crossing cannot be resolved.
+    branches) over consecutive lattice nodes z, padded by _PAD rows on each
+    side, whose rows only serve as stencil nodes; the cells from each
+    unpadded row to the next are counted.  None when a crossing cannot be
+    resolved.
 
     Lyness and Ninham (Math. Comp. 21, 1967): a periodic integrand whose
     derivatives jump by [f^(n)] at c has midpoint error
@@ -495,11 +499,10 @@ def _kink_correction(deriv: np.ndarray, roots: np.ndarray, z: np.ndarray,
     inner = slice(1, -1)
     near = step[inner] + step[cells[:-2], prv[cells[:-2], np.arange(m)]] + step[cells[2:], nxt[inner]]
     examined = ((g[1:-2] > 0) != (ahead[inner] > 0)) | (np.abs(g[1:-2]) <= near)
-    examined &= weights[1:-1, None] > 0
-    row, branch = np.nonzero(examined)
+    row, branch = np.nonzero(examined[_PAD - 1:len(roots) - _PAD - 1])
     if len(row) == 0:
         return 0.0
-    row += 1
+    row += _PAD
     # the branch through each examined (row, root) at the stencil's rows
     branches = {0: branch}
     for k in range(1, _STENCIL[-1] + 1):
@@ -533,7 +536,7 @@ def _kink_correction(deriv: np.ndarray, roots: np.ndarray, z: np.ndarray,
         step = np.divide(value, slope, out=np.zeros_like(value), where=slope != 0)
         x = np.clip(x - step, lo, hi)
     jumps = np.sum(c * (np.vander(x, degree + 2, increasing=True) @ _JUMP_WEIGHTS.T), axis=1)
-    return float(np.sum(weights[row[cell]] * np.where(rising, jumps, -jumps)))
+    return float(np.sum(np.where(rising, jumps, -jumps)))
 
 
 def _log_spike_error(spikes: np.ndarray, n: int) -> float:
@@ -551,10 +554,9 @@ def _log_spike_error(spikes: np.ndarray, n: int) -> float:
 
 
 def _origin_fiber(alpha: DiskMap) -> np.ndarray:
-    """The nonzero roots of alpha - alpha(0): its e-fold root 0 is stripped
-    exactly, by dividing out z^e."""
-    shifted = [c - (alpha.num[0] if k == 0 else 0) for k, c in enumerate(alpha.num)]
-    quotient = shifted[alpha.ramification_index():]
+    """The nonzero roots of alpha - alpha(0): its e-fold root 0 and its
+    constant term are stripped exactly, by dividing out z^e."""
+    quotient = alpha.num[alpha.ramification_index():]
     if len(quotient) == 1:
         return np.empty(0, dtype=complex)
     return _batched_roots(np.array([[complex(c) for c in reversed(quotient)]]))[0]
@@ -638,9 +640,7 @@ def _lattice_kinks(deriv: np.ndarray, branches: np.ndarray, ts: np.ndarray,
     def padded(a):  # the periodic lattice, continued around the circle
         return np.concatenate([a[-_PAD:], a, a[:_PAD]])
 
-    weights = np.zeros(n + 2 * _PAD - 1)
-    weights[_PAD:_PAD + n] = 1.0
-    kinks = _kink_correction(deriv, padded(branches), padded(z), r, weights)
+    kinks = _kink_correction(deriv, padded(branches), padded(z), r)
     return None if kinks is None else kinks / n
 
 

@@ -33,10 +33,7 @@ The direct sum takes the differences f(t) - f(s); a rational map f = p/q adds
 log|q(t)| + log|q(s)| as one sum of logs per lattice, and an f far from
 modulus 1 is first scaled by an exact power of two.  It walks the outer rows
 it is given in row blocks of about 2**16 pairs into two reused buffers, so the
-working set stays in cache, and multiplies each block's two halves together
-before taking logs (the half fold): one log per two squared moduli.  A block
-whose product overflows or underflows is summed again unfolded, one log per
-squared modulus.
+working set stays in cache, and takes one log per squared modulus.
 
 The Ahlfors-Shimizu characteristic T(r) has one boundary formula for every
 map, Jensen's formula for the lift (p, q): one circle mean of
@@ -399,13 +396,12 @@ def _log_cross_sum(p1, q1, p2, q2, label: str) -> float:
     A rational map has |K|^2 = |q1|^2 |q2|^2 |f1 - f2|^2, f = p/q: the q
     factors are one sum of logs per lattice, q exactly 0 raises, and f,
     divided by a power of two when max|f| lies beyond 2**+-64, takes the
-    difference loop of a polynomial's values.  Row blocks are built in real
-    arithmetic into reused buffers and half folded as the module docstring
-    says.  A block whose folded sum is not finite, or whose arithmetic
-    overflowed or underflowed, is rebuilt unfolded: an exactly zero squared
-    modulus (a shared boundary value, or a square that underflows) raises,
-    and otherwise the block sums the logs of its squared moduli.  Block sums
-    combine pairwise.
+    difference loop of a polynomial's values.  Each row block puts its
+    squared moduli |f1 - f2|^2 into two reused buffers, built in real
+    arithmetic, and adds the sum of their logs.  A block whose sum is -inf
+    holds an exactly zero squared modulus (a shared boundary value, or a
+    square that underflows) and raises; an overflowing square makes the sum
+    inf.  Block sums combine pairwise.
     """
     n, m = len(p1), len(p2)
     f1, f2, total = p1, p2, 0.0
@@ -415,49 +411,31 @@ def _log_cross_sum(p1, q1, p2, q2, label: str) -> float:
         log_q1, log_q2 = np.log(np.abs(q1)), np.log(np.abs(q2))
         with np.errstate(divide="ignore"):  # log 0 = -inf where p vanishes
             top = max(np.max(np.log(np.abs(p1)) - log_q1), np.max(np.log(np.abs(p2)) - log_q2))
-        # f = (p 2^-k) / q, 2^k about max|f|, keeps |f1 - f2|^2 and the fold's
-        # products in the float range; the sum gets back 2 k log 2 per pair,
-        # and log|q|^2 = 2 log|q| once per row and once per column
+        # f = (p 2^-k) / q, 2^k about max|f|, keeps |f1 - f2|^2 in the float
+        # range; the sum gets back 2 k log 2 per pair, and log|q|^2 = 2 log|q|
+        # once per row and once per column
         k = int(round(top / math.log(2.0))) if _RATIO_LOG_LIMIT < abs(top) < math.inf else 0
-        f1, f2 = (np.ldexp(np.ascontiguousarray(p, complex).view(float), -k).view(complex) / q
-                  for p, q in ((p1, q1), (p2, q2)))
+        f1, f2 = (_scaled(p, k) / q for p, q in ((p1, q1), (p2, q2)))
         q_sum = m * np.sum(log_q1) + n * np.sum(log_q2) + n * m * k * math.log(2.0)
         total = float(2.0 * q_sum)
     rows = max(1, _BLOCK_ELEMENTS // m)
     f1r, f1i = np.ascontiguousarray(f1.real), np.ascontiguousarray(f1.imag)
     f2r, f2i = np.ascontiguousarray(f2.real), np.ascontiguousarray(f2.imag)
     bufs = [np.empty((rows, m)) for _ in range(2)]
-
-    def squared_moduli(lo: int, hi: int) -> np.ndarray:
-        """|f1(t) - f2(s)|^2 for the outer rows lo:hi."""
+    starts = range(0, n, rows)
+    sums = np.empty(len(starts))
+    for b, lo in enumerate(starts):
+        hi = min(lo + rows, n)
         re, sq = (buf[: hi - lo] for buf in bufs)
         np.subtract(f1r[lo:hi, None], f2r, out=re)
         re *= re
         np.subtract(f1i[lo:hi, None], f2i, out=sq)
         sq *= sq
         sq += re
-        return sq
-
-    starts = range(0, n, rows)
-    sums = np.empty(len(starts))
-    for b, lo in enumerate(starts):
-        hi = min(lo + rows, n)
-        try:
-            with np.errstate(over="raise", under="raise", divide="ignore"):
-                prod = squared_moduli(lo, hi).reshape(-1)
-                if len(prod) % 2 == 0:
-                    half = len(prod) // 2
-                    prod = np.multiply(prod[:half], prod[half:], out=prod[:half])
-                sums[b] = np.sum(np.log(prod, out=prod))
-        except FloatingPointError:
-            sums[b] = math.nan
-        if not math.isfinite(sums[b]):
-            sq = squared_moduli(lo, hi)
-            if np.any(sq == 0.0):
-                raise NumericalError(
-                    f"{label}: lattice hit an exact coincidence of boundary values"
-                )
-            sums[b] = np.sum(np.log(sq))
+        with np.errstate(divide="ignore"):
+            sums[b] = np.sum(np.log(sq, out=sq))
+        if sums[b] == -math.inf:
+            raise NumericalError(f"{label}: lattice hit an exact coincidence of boundary values")
     return total + float(np.sum(sums))
 
 

@@ -92,6 +92,28 @@ class TestOverflowCommand:
         assert entry["residual_within_achieved"] is True
         assert entry["oracle"]["ramification_index"] == 5
 
+    @pytest.mark.parametrize("expr,free", [
+        ("1e20+z", "z"), ("1e12+z", "z"), ("1e10+z+z^2", "z+z^2"), ("1e14+z+z^2", "z+z^2"),
+    ])
+    def test_large_constant_term_cancels(self, expr, free):
+        # the constant cancels in every kernel difference and fiber row; kept,
+        # 1e20+z read -log 2, 1e12+z read -1.1e-6 off, 1e10+z+z^2's oracle
+        # read 5.1e-8 off with achieved 2.7e-8, and 1e14+z+z^2 exited 3
+        def entry(map_):
+            code, out = run_cli(["overflow", "--map", map_, "--radius", "1",
+                                 "--method", "both"])
+            assert code == 0
+            (report,) = json.loads(out)["result"]["reports"]
+            return report
+
+        got, want = entry(expr), entry(free)
+        for route in ("explicit", "oracle"):
+            # within the route's own certificate, which is within its tol
+            achieved = got[route]["certificate"]["achieved"]
+            assert achieved <= got[route]["certificate"]["tol"]
+            assert abs(got[route]["value"] - want[route]["value"]) <= achieved
+        assert got["residual_within_achieved"] is True
+
     @pytest.mark.parametrize("expr,radius", [
         ("1+(1/(10^60))^3*z^16", "1e20"),  # r^16 overflows
         ("1+1e300*z^2", "1e-155"),  # r^2 is subnormal

@@ -241,8 +241,9 @@ class TestLogCrossSumKernel:
     @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize("p_scale,q_scale", [(1e5, 1e-150), (1e-5, 1e150), (1.0, 1e-30)])
     def test_ratio_far_from_modulus_one(self, p_scale, q_scale, mirrored):
-        # f = p/q is about 1e155, 1e-155 and 1e30: its squared differences
-        # leave the float range, or the fold's products do, unless f is scaled
+        # f = p/q is about 1e155, 1e-155 and 1e30: unless f is scaled, its
+        # squared differences overflow in the first case and lose digits
+        # among the subnormals in the second; the third is scaled too
         n, m = 64, 512
         z1 = 1.5 * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
         z2 = 1.5 * np.exp(2j * np.pi * (np.arange(m) + 0.75) / m)
@@ -289,8 +290,8 @@ class TestConjugateFoldKernel:
     Graeffe folds each mirrored row onto its row's iterate, and every row it
     leaves reaches the direct sum with its own values."""
 
-    # (row pairs, m): a ragged last block; one-row blocks of an odd size, so
-    # no half fold runs; and a single block of 10 rows
+    # (row pairs, m): a ragged last block; one-row blocks of an odd size; and
+    # a single block of 10 rows
     SHAPES = [(100, 1000), (3, _BLOCK_ELEMENTS // 2 + 3), (5, 1001)]
 
     @pytest.mark.parametrize("n,m", SHAPES)
@@ -350,10 +351,11 @@ class TestConjugateFoldKernel:
     @pytest.mark.parametrize("scale", [1e100, 1e-78, 1e-100],
                              ids=["overflow", "subnormal", "underflow"])
     @pytest.mark.parametrize("cross", [False, True])
-    def test_out_of_range_fold_takes_the_unfolded_sum(self, scale, cross):
+    def test_squares_near_the_float_limits(self, scale, cross):
         # every squared modulus is near scale**2, which float64 holds, while a
-        # product of two of them overflows, lands among the subnormals (where
-        # it keeps only a few digits), or underflows to zero
+        # product of two of them (the ids) would overflow, land among the
+        # subnormals (where it keeps only a few digits), or underflow to zero:
+        # one log per squared modulus keeps them all
         rng = np.random.default_rng(3)
         p1, p2 = _mirrored(scale * _points(rng, 4, 1.0)), scale * _points(rng, 6, 1.0)
         q1 = q2 = None

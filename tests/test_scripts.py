@@ -50,3 +50,4 @@ def test_torus_kernel_agreement_on_two_maps(tmp_path):
     summary = json.loads(summary)
     assert summary["largest_gap"] <= 1e-12
     assert summary["fallback_rows"] == 0 and summary["rows"] > 0
+    assert 0.0 <= summary["direct_s"] <= summary["seconds"]
