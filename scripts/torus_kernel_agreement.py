@@ -12,7 +12,8 @@ the largest gap between the two levels is printed.
 
 Sets: ``pool``, the maps and radii of perfbench's ``excess-c`` pool;
 ``adversarial``, rotation orders, large radii, clustered fibers, high degree,
-a rational map and a degree-64 map on a coarse lattice.
+a degree-64 map on a coarse lattice and two rational maps, one of them with
+the value 1e12 at 0.
 
     python3 scripts/torus_kernel_agreement.py --set all
     python3 scripts/torus_kernel_agreement.py --set pool --config 64,1e-5,9
@@ -51,6 +52,7 @@ ADVERSARIAL = [
     ("(2+z^2)/(3*z^2+z-(1/2))", 0.8, None),
     ("1+z^5+3*z^15", 0.97, (64, 1e-8, 12)),
     ("2+z-z^33+z^64", 1.01, (2, 1e-5, 10)),
+    ("(3*10^12+(10^12+3)*z)/(3+z)", 1.0, None),
 ]
 
 
@@ -64,8 +66,7 @@ def _lattices(alpha, r, n):
     m = n * quadrature._INNER_REFINE
     out = []
     for ts in (quadrature._midpoints(n), quadrature._midpoints(m, 0.25)):
-        p, q = alpha.num_den_at(r * np.exp(2j * np.pi * ts))
-        out += [p, None if alpha.is_polynomial else q]
+        out += alpha.num_den_at(r * np.exp(2j * np.pi * ts))
     return out
 
 
@@ -86,8 +87,7 @@ def check(expr, r, config):
             direct_s[0] += time.perf_counter() - start
 
     def boundary(ts):
-        p, q = alpha.num_den_at(r * np.exp(2j * np.pi * ts))
-        return p, None if alpha.is_polynomial else q
+        return alpha.num_den_at(r * np.exp(2j * np.pi * ts))
 
     quadrature._log_cross_sum = counted
     start = time.perf_counter()

@@ -518,6 +518,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         text = _report(args)
+        if args.output:
+            try:
+                Path(args.output).write_text(text)
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot write the report to {args.output}: {exc.strerror or exc}"
+                ) from None
+            text = ""
     except NumericalError as exc:
         sys.stdout.write(canonical_json(
             {"error": {"type": type(exc).__name__, "message": str(exc)}}
@@ -528,10 +536,7 @@ def main(argv=None) -> int:
             {"error": {"type": type(exc).__name__, "message": str(exc)}}
         ))
         return 2
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return 0
 
 

@@ -37,10 +37,11 @@ the poles of alpha.
 Both routes reject, before any integral runs, a map and radius whose boundary
 values cannot be squared in float64.  Both then integrate a map
 alpha = P(z^K) as P on the circle of radius r^K, which the circle of radius r
-covers K times (_power_reduction), with a polynomial's constant term, which
-cancels in both, dropped: the orbit zeta z, zeta^K = 1, of each
-boundary point never enters a kernel row or a fiber, and the reports keep
-alpha's radius and ramification index.  The oracle rejects a P of degree
+covers K times (_power_reduction), with alpha(0) q taken from P's numerator
+p, which cancels in both, unless that makes p larger on the circle, as near
+a pole by 0: the orbit zeta z, zeta^K = 1, of each boundary point never
+enters a kernel row or a fiber, and the reports keep alpha's radius and
+ramification index.  The oracle rejects a P of degree
 beyond its bound, or whose fiber roots at r^K, by Cauchy's bound, could
 overflow the root solver's residual scale.
 
@@ -139,8 +140,9 @@ def _require_float_range(alpha: DiskMap, r: float) -> None:
     scale of that difference near the diagonal) may fall below the smallest
     normal float; |jet| itself, whose log the excess takes, must be a normal
     float.  The bounds are formed in logs, so the check itself stays finite.
-    The torus kernel forms log|q| and f = p/q rescaled by a power of two, so
-    the size of f needs no bound of its own.
+    The torus kernel forms log|q| and f = p/q rescaled by a power of two for
+    every map, a polynomial's q = 1 included, so the size of f needs no bound
+    of its own.
     """
     if not (math.isfinite(r) and r > 0):
         raise DomainError(f"radius must be positive and finite, got {r!r}")
@@ -160,15 +162,20 @@ def _require_float_range(alpha: DiskMap, r: float) -> None:
 
 def _power_reduction(alpha: DiskMap, r: float) -> Tuple[DiskMap, int, float]:
     """(P, K, r^K) for alpha(z) = P(z^K) with K the largest such power, the
-    gcd of the exponents of the nonconstant terms of num and den, and a
-    polynomial P without its constant term.
+    gcd of the exponents of the nonconstant terms of num and den, and P's
+    numerator p less alpha(0) q where that leaves it no larger.
 
     The circle of radius r covers that of radius r^K K times, so alpha's
     cross integral, term1 and fiber mean at r are P's at r^K, and alpha's e
-    is K times P's with the same jet: both routes integrate P at r^K.  A
-    polynomial's constant term cancels in every kernel difference p(t) - p(s)
-    and every fiber row alpha - w, where a large one would round the rest
-    away, so it is dropped.  A DomainError when r^K is not a normal float64.
+    is K times P's with the same jet: both routes integrate P at r^K.  The
+    pair (p - c q, q) has the kernel p(t) q(s) - q(t) p(s) of (p, q) for any
+    constant c, and a polynomial's fiber rows alpha - w only move by c.  With
+    c = alpha(0) = p(0)/q(0), exact for exact coefficients, the numerator's
+    constant term is 0, so a large alpha(0) no longer rounds the rest of
+    f = p/q away.  That numerator is kept when its sum of |c_k| r^k at r^K is
+    no larger than p's, as it always is for a polynomial (q = 1); near a pole
+    by 0, where alpha(0) is large but f on the circle is not, p stays.  A
+    DomainError when r^K is not a normal float64.
     """
     k = math.gcd(*(j for coeffs in (alpha.num, alpha.den)
                    for j, c in enumerate(coeffs) if j and c != 0))
@@ -180,9 +187,14 @@ def _power_reduction(alpha: DiskMap, r: float) -> Tuple[DiskMap, int, float]:
             radius = math.inf
         if not sys.float_info.min <= radius < math.inf:
             raise DomainError(f"radius {r!r} to the power {k} leaves the float64 range")
-    if alpha.is_polynomial:
-        return DiskMap((0,) + alpha.num[k::k]), k, radius
-    return (alpha if k == 1 else DiskMap(alpha.num[::k], alpha.den[::k])), k, radius
+    num, den = alpha.num[::k], alpha.den[::k]
+    at_zero = num[0] / den[0]
+    shifted = [0] + list(num[1:]) + [0] * (len(den) - len(num))
+    for j, c in enumerate(den[1:], 1):
+        shifted[j] -= at_zero * c
+    if _log_size(shifted, math.log(radius)) <= _log_size(num, math.log(radius)):
+        num = shifted
+    return DiskMap(num, den), k, radius
 
 
 # -- explicit route -----------------------------------------------------------
@@ -190,15 +202,11 @@ def _power_reduction(alpha: DiskMap, r: float) -> Tuple[DiskMap, int, float]:
 def _boundary_cross(alpha: DiskMap, r: float,
                     settings: QuadratureSettings) -> Tuple[float, Certificate]:
     """Double integral of log|p(t) q(s) - q(t) p(s)| over the circle of radius r,
-    (p, q) = (num, den), so interior poles never enter.  The kernel takes it
-    as log|q(t)| + log|q(s)| + log|f(t) - f(s)| with f = p/q, so a rational
-    map and a polynomial (q = None, the plain log|p(t) - p(s)|) share one
-    difference loop."""
+    (p, q) = (num, den), so interior poles never enter; a polynomial has
+    q = 1."""
 
     def boundary(ts: np.ndarray):
-        z = r * np.exp(2j * np.pi * ts)
-        p, q = alpha.num_den_at(z)
-        return (p, None) if alpha.is_polynomial else (p, q)
+        return alpha.num_den_at(r * np.exp(2j * np.pi * ts))
 
     return torus_pair_log_integral(boundary, settings, label="excess kernel")
 

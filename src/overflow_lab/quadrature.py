@@ -20,20 +20,20 @@ P(y) = q(t) A(y) - p(t) B(y), whose coefficients A and B one FFT reads off the
 level's inner values of p and q; the product is one value of P's log2(m)-th
 Graeffe iterate, O(d^2 log m) per row with no root solved (Cerlienco, Mignotte
 & Piras, J. Symbolic Comput. 4, 1987).  The diagonal root is divided out
-exactly first.  When A and B are real the outer values are conjugate under
-t -> 1 - t, so the mirrored row is the conjugate polynomial and only half of
-the rows are built.  Fiber roots of equal modulus whose powers meet under
-squaring lose the iterate's accuracy, so every row is run again as the
-reciprocal polynomial turned by a fraction of a node, and a row whose two sums
-disagree is summed directly, as is a level too small or of too high a degree
-for Graeffe to be cheaper.  The roots zeta e(t), zeta^K = 1, of a map P(z^K)
-are such a merging orbit, so the explicit route integrates P on radius r^K.
+exactly first.  Every map is the pair (p, q), a polynomial with q = 1, and
+every row is built and evaluated at -i.  Fiber roots of equal modulus whose
+powers meet under squaring lose the iterate's accuracy, so every row is run
+again as the reciprocal polynomial turned by a fraction of a node, and a row
+whose two sums disagree is summed directly, as is a level too small or of too
+high a degree for Graeffe to be cheaper.  The roots zeta e(t), zeta^K = 1, of
+a map P(z^K) are such a merging orbit, so the explicit route integrates P on
+radius r^K.
 
-The direct sum takes the differences f(t) - f(s); a rational map f = p/q adds
-log|q(t)| + log|q(s)| as one sum of logs per lattice, and an f far from
-modulus 1 is first scaled by an exact power of two.  It walks the outer rows
-it is given in row blocks of about 2**16 pairs into two reused buffers, so the
-working set stays in cache, and takes one log per squared modulus.
+The direct sum takes log|q(t)| + log|q(s)| as one sum of logs per lattice and
+the differences f(t) - f(s) of f = p/q, first scaled by an exact power of two
+when f is far from modulus 1.  It walks the outer rows it is given in row
+blocks of about 2**16 pairs into two reused buffers, so the working set stays
+in cache, and takes one log per squared modulus.
 
 The Ahlfors-Shimizu characteristic T(r) has one boundary formula for every
 map, Jensen's formula for the lift (p, q): one circle mean of
@@ -203,20 +203,18 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
     Richardson pair 2 I(N) - I(N/2) of the raw levels, which removes it; the
     first raw level has no pair and is not compared.  A raw level's inner
     sums are Graeffe's (_graeffe_cross_sum), with the direct sum for the rows
-    that fail its check; both evaluate the same rule.  Where the level's
-    inner coefficients come out real, as a real map's do, Graeffe builds half
-    of the rows, so no caller declares the symmetry.
+    that fail its check; both evaluate the same rule.
     """
 
-    half = None  # the raw level on half as many nodes
+    previous = None  # the raw level on half as many nodes
 
     def estimate(n: int) -> Optional[float]:
-        nonlocal half
+        nonlocal previous
         m = n * _INNER_REFINE
         p1, q1 = boundary(_midpoints(n))
         p2, q2 = boundary(_midpoints(m, 0.25))
         raw = 0.5 * _graeffe_cross_sum(p1, q1, p2, q2, label) / (n * m)
-        coarse, half = half, raw
+        coarse, previous = previous, raw
         if coarse is None:  # no pair yet; a non-finite level still raises at once
             return None if math.isfinite(raw) else raw
         return 2.0 * raw - coarse
@@ -306,11 +304,11 @@ def _graeffe_cross_sum(p1, q1, p2, q2, label: str) -> float:
     nodes t_i = (i + 1/2)/n, n even, and p2 at the m = 2^k roots of
     y^m = -i, y_j = e((j + 3/4)/m).  The rows _graeffe_rows leaves are
     summed by _log_cross_sum on their own outer values."""
-    if q1 is not None and not (np.all(q1) and np.all(q2)):
+    if not (np.all(q1) and np.all(q2)):
         raise NumericalError(f"{label}: lattice hit a pole")
     ok, total = _graeffe_rows(p1, q1, p2, q2)
     if not np.all(ok):
-        total += _log_cross_sum(p1[~ok], None if q1 is None else q1[~ok], p2, q2, label)
+        total += _log_cross_sum(p1[~ok], q1[~ok], p2, q2, label)
     return total
 
 
@@ -320,49 +318,34 @@ def _graeffe_rows(p1, q1, p2, q2) -> Tuple[np.ndarray, float]:
 
     Row i's sum of log|K| over the inner lattice is log|prod_j P_i(y_j)| for
     P_i(y) = q(t_i) A(y) - p(t_i) B(y), where A and B are p's and q's
-    coefficients on the inner lattice (B = 1 for q = None).  The diagonal
-    root y = e(t_i) is divided out of P_i, and its lattice term is exactly
+    coefficients on the inner lattice.  The diagonal root y = e(t_i) is
+    divided out of P_i, and its lattice term is exactly
     log|e(m t_i) + i| = (1/2) log 2; the rest is log|P_i's log2(m)-th
-    Graeffe iterate at -i|.  When A and B are real, as a real map's
-    coefficients are, row n - 1 - i has the conjugate outer values, so its
-    polynomial is the conjugate of P_i and its sum the same iterate at i:
-    only the first n/2 rows are built.  That reading needs a boundary of
-    degree below m, whose coefficients A and B then are; the cost cut-over
-    keeps Graeffe off every level that a map of degree up to
-    maps.MAX_DEGREE wraps.  Each row is checked against the reciprocal of
+    Graeffe iterate at -i|.  Each row is checked against the reciprocal of
     P_i(y e(_CHECK_TURN / m)), which has the same modulus at the turned
     nodes, and is ok when its two sums are within _CHECK_GAP m.  No row is
     ok when p2 or q2 vanishes throughout or is not finite, or when Graeffe
     would cost more than the direct sum.
     """
     n, m = len(p1), len(p2)
-    tops = [float(np.max(np.abs(v))) for v in (p2, q2) if v is not None]
+    tops = [float(np.max(np.abs(v))) for v in (p2, q2)]
     if not all(0.0 < top < math.inf for top in tops):
         return np.zeros(n, dtype=bool), 0.0
-    # p and q scaled by powers of two to about modulus one: log|K| gains kp + kq
-    kp, kq = math.frexp(tops[0])[1], 0
+    # p and q scaled by powers of two to a largest modulus in [1, 2), so a
+    # polynomial's q = 1 stays as it is: log|K| gains kp + kq
+    kp, kq = (math.frexp(top)[1] - 1 for top in tops)
     a, f1 = _inner_coefficients(_scaled(p2, kp)), _scaled(p1, kp)
-    b = g1 = None
-    if q1 is not None:
-        kq = math.frexp(tops[1])[1]
-        b, g1 = _inner_coefficients(_scaled(q2, kq)), _scaled(q1, kq)
-    deg = int(np.flatnonzero(a if b is None else (a != 0) | (b != 0))[-1])
+    b, g1 = _inner_coefficients(_scaled(q2, kq)), _scaled(q1, kq)
+    deg = int(np.flatnonzero((a != 0) | (b != 0))[-1])
     steps = m.bit_length() - 1
-    half = not np.any(a.imag) and (b is None or not np.any(b.imag))
-    rows = n // 2 if half else n
-    if rows * (m - (deg + 1) ** 2 * steps) <= _GRAEFFE_LEVEL_PAIRS:
+    if n * (m - (deg + 1) ** 2 * steps) <= _GRAEFFE_LEVEL_PAIRS:
         return np.zeros(n, dtype=bool), 0.0
-
-    if b is None:
-        polys = np.repeat(a[: deg + 1, None], rows, axis=1)
-        polys[0] -= f1[:rows]
-    else:
-        polys = a[: deg + 1, None] * g1[:rows] - b[: deg + 1, None] * f1[:rows]
+    polys = a[: deg + 1, None] * g1 - b[: deg + 1, None] * f1
 
     # synthetic division by y - e(t_i), kept where the remainder vanishes
-    diagonal = np.zeros(rows, dtype=bool)
+    diagonal = np.zeros(n, dtype=bool)
     if deg >= 1:
-        roots = np.exp(1j * np.pi * (2 * np.arange(rows) + 1) / n)
+        roots = np.exp(1j * np.pi * (2 * np.arange(n) + 1) / n)
         quotient = np.zeros_like(polys)
         acc = polys[deg]
         for k in range(deg - 1, -1, -1):
@@ -375,49 +358,43 @@ def _graeffe_rows(p1, q1, p2, q2) -> Tuple[np.ndarray, float]:
     check = np.conj((polys * turn[:, None])[::-1])
     with np.errstate(all="ignore"):
         iterate, log_scale = _graeffe_iterate(np.concatenate([polys, check], axis=1), steps)
-        back = np.exp(-2j * np.pi * _CHECK_TURN)
-        sums = [(_log_abs_at(iterate[:, :rows], log_scale[:rows], point),
-                 _log_abs_at(iterate[:, rows:], log_scale[rows:], point * back))
-                for point in ((-1j, 1j) if half else (-1j,))]
+        direct = _log_abs_at(iterate[:, :n], log_scale[:n], -1j)
+        checked = _log_abs_at(iterate[:, n:], log_scale[n:],
+                              -1j * np.exp(-2j * np.pi * _CHECK_TURN))
+        ok = np.abs(direct - checked) <= _CHECK_GAP * m
     shift = m * (kp + kq) * math.log(2.0) + diagonal * (0.5 * math.log(2.0))
-    direct, checked = sums[0]
-    if half:  # row n - 1 - i, the mirror of row i, is row i's iterate at i
-        direct, checked = (np.concatenate([at_minus_i, at_i[::-1]])
-                           for at_minus_i, at_i in zip(*sums))
-        shift = np.concatenate([shift, shift[::-1]])
-    ok = np.abs(direct - checked) <= _CHECK_GAP * m
     return ok, 2.0 * float(np.sum(direct[ok] + shift[ok]))
 
 
 def _log_cross_sum(p1, q1, p2, q2, label: str) -> float:
-    """Sum of log|K|^2, K = p1 q2 - q1 p2, over the product lattice (q = None
-    means 1).
+    """Sum of log|K|^2, K = p1 q2 - q1 p2, over the product lattice.
 
-    A rational map has |K|^2 = |q1|^2 |q2|^2 |f1 - f2|^2, f = p/q: the q
-    factors are one sum of logs per lattice, q exactly 0 raises, and f,
-    divided by a power of two when max|f| lies beyond 2**+-64, takes the
-    difference loop of a polynomial's values.  Each row block puts its
-    squared moduli |f1 - f2|^2 into two reused buffers, built in real
-    arithmetic, and adds the sum of their logs.  A block whose sum is -inf
-    holds an exactly zero squared modulus (a shared boundary value, or a
-    square that underflows) and raises; an overflowing square makes the sum
-    inf.  Block sums combine pairwise.
+    |K|^2 = |q1|^2 |q2|^2 |f1 - f2|^2 with f = p/q: the q factors are one sum
+    of logs per lattice, q exactly 0 raises, and f is divided by a power of
+    two near the geometric mean of its largest and smallest nonzero modulus
+    when max|f| lies beyond 2**+-64.  Each row block puts its squared
+    moduli |f1 - f2|^2 into two reused buffers, built in real arithmetic,
+    and adds the sum of their logs.  A block whose sum is -inf holds an
+    exactly zero squared modulus (a shared boundary value, or a square that
+    underflows) and raises.  Block sums combine pairwise.
     """
     n, m = len(p1), len(p2)
-    f1, f2, total = p1, p2, 0.0
-    if q1 is not None:
-        if not (np.all(q1) and np.all(q2)):
-            raise NumericalError(f"{label}: lattice hit a pole")
-        log_q1, log_q2 = np.log(np.abs(q1)), np.log(np.abs(q2))
-        with np.errstate(divide="ignore"):  # log 0 = -inf where p vanishes
-            top = max(np.max(np.log(np.abs(p1)) - log_q1), np.max(np.log(np.abs(p2)) - log_q2))
-        # f = (p 2^-k) / q, 2^k about max|f|, keeps |f1 - f2|^2 in the float
-        # range; the sum gets back 2 k log 2 per pair, and log|q|^2 = 2 log|q|
-        # once per row and once per column
-        k = int(round(top / math.log(2.0))) if _RATIO_LOG_LIMIT < abs(top) < math.inf else 0
-        f1, f2 = (_scaled(p, k) / q for p, q in ((p1, q1), (p2, q2)))
-        q_sum = m * np.sum(log_q1) + n * np.sum(log_q2) + n * m * k * math.log(2.0)
-        total = float(2.0 * q_sum)
+    if not (np.all(q1) and np.all(q2)):
+        raise NumericalError(f"{label}: lattice hit a pole")
+    log_q1, log_q2 = np.log(np.abs(q1)), np.log(np.abs(q2))
+    with np.errstate(divide="ignore"):  # log 0 = -inf where p vanishes
+        log_f = np.concatenate([np.log(np.abs(p1)) - log_q1, np.log(np.abs(p2)) - log_q2])
+    top = np.max(log_f)
+    bottom = np.min(log_f[log_f > -math.inf], initial=top)
+    # f = (p 2^-k) / q with 2^k near the geometric mean of the largest and
+    # smallest nonzero |f|, so that the squares |f1 - f2|^2 of values that
+    # span up to about 2**1000 stay in the float range; the sum gets back
+    # 2 k log 2 per pair, and log|q|^2 = 2 log|q| once per row and column
+    k = (int(round(0.5 * (top + bottom) / math.log(2.0)))
+         if _RATIO_LOG_LIMIT < abs(top) < math.inf else 0)
+    f1, f2 = (_scaled(p, k) / q for p, q in ((p1, q1), (p2, q2)))
+    q_sum = m * np.sum(log_q1) + n * np.sum(log_q2) + n * m * k * math.log(2.0)
+    total = float(2.0 * q_sum)
     rows = max(1, _BLOCK_ELEMENTS // m)
     f1r, f1i = np.ascontiguousarray(f1.real), np.ascontiguousarray(f1.imag)
     f2r, f2i = np.ascontiguousarray(f2.real), np.ascontiguousarray(f2.imag)

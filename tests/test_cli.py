@@ -114,6 +114,32 @@ class TestOverflowCommand:
             assert abs(got[route]["value"] - want[route]["value"]) <= achieved
         assert got["residual_within_achieved"] is True
 
+    @pytest.mark.parametrize("expr", [
+        "(3*10^20+(10^20+3)*z)/(3+z)", "(3*10^12+(10^12+3)*z)/(3+z)",
+    ])
+    def test_value_at_zero_of_a_rational_map_cancels(self, expr):
+        # p - alpha(0) q = 3 z, so (p, q) has the kernel of 3 z/(3 + z); with
+        # p kept, f = p/q near alpha(0) rounded it away: the first map exited
+        # 3 and the second read 2.3e-5 off with achieved 7.9e-7 at grid 4096
+        def explicit(map_):
+            code, out = run_cli(["overflow", "--map", map_, "--radius", "1", "--target", "P1"])
+            assert code == 0
+            (report,) = json.loads(out)["result"]["reports"]
+            return report["explicit"]
+
+        got, want = explicit(expr), explicit("3*z/(3+z)")
+        assert abs(got["value"] - want["value"]) <= got["certificate"]["achieved"]
+
+    @pytest.mark.parametrize("radius", ["0.5", "1", "3"])
+    def test_pole_near_zero_keeps_the_numerator(self, radius):
+        # a Moebius map, excess 0, with alpha(0) = 1e10: p - alpha(0) q is
+        # about 1e10 on the circle where p is about 1, so p stays
+        code, out = run_cli(["overflow", "--map", "(1+z)/(1/10^10+z)", "--radius", radius,
+                             "--target", "P1"])
+        assert code == 0
+        (report,) = json.loads(out)["result"]["reports"]
+        assert abs(report["explicit"]["value"]) <= 1e-12
+
     @pytest.mark.parametrize("expr,radius", [
         ("1+(1/(10^60))^3*z^16", "1e20"),  # r^16 overflows
         ("1+1e300*z^2", "1e-155"),  # r^2 is subnormal
@@ -679,6 +705,14 @@ class TestDeterminismAndRoundTrip:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["result"]["value"] == 1
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_output_that_cannot_be_written(self, tmp_path, where):
+        target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+        code, out = run_cli(["--output", str(target), "overflow", "--map=z", "--radius", "1"])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "ConfigError" and str(target) in err["message"]
 
 
 _README = Path(__file__).resolve().parents[1] / "README.md"

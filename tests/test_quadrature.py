@@ -34,12 +34,12 @@ def test_settings_past_the_lattice_ceiling_are_refused(grid, depth):
         QuadratureSettings(base_grid=grid, max_depth=depth)
 
 
-def _on_circle(r, p, q=None):
+def _on_circle(r, p, q=np.ones_like):
     """Boundary callable of the homogeneous pair (p, q) on the circle of radius r."""
 
     def boundary(ts):
         z = r * np.exp(2j * np.pi * ts)
-        return p(z), None if q is None else q(z)
+        return p(z), q(z)
 
     return boundary
 
@@ -81,7 +81,7 @@ class TestLadderFailsFast:
 
         def boundary(ts):  # values that overflowed to infinity
             grids.append(len(ts))
-            return np.full(len(ts), np.inf, dtype=complex), None
+            return np.full(len(ts), np.inf, dtype=complex), np.ones(len(ts), dtype=complex)
 
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="not finite"):
             torus_pair_log_integral(boundary, QuadratureSettings(base_grid=16))
@@ -91,7 +91,7 @@ class TestLadderFailsFast:
         # the Graeffe rows are scaled by powers of two, so squared moduli of
         # 1e400 never form: log|1e200 (z - w)| integrates to 200 log 10
         def boundary(ts):
-            return 1e200 * np.exp(2j * np.pi * ts), None
+            return 1e200 * np.exp(2j * np.pi * ts), np.ones(len(ts), dtype=complex)
 
         got, _ = torus_pair_log_integral(boundary)
         assert got == pytest.approx(200 * math.log(10), abs=1e-9)
@@ -180,11 +180,13 @@ def _points(rng, k, scale=10.0):
 
 
 def _naive_log_cross_sum(p1, q1, p2, q2):
-    if q1 is None:
-        cross = p1[:, None] - p2[None, :]
-    else:
-        cross = p1[:, None] * q2[None, :] - q1[:, None] * p2[None, :]
+    cross = p1[:, None] * q2[None, :] - q1[:, None] * p2[None, :]
     return float(np.sum(np.log(np.abs(cross) ** 2)))
+
+
+def _ones(*arrays):
+    """q = 1 on each lattice, the pair of a polynomial."""
+    return tuple(np.ones(len(a), dtype=complex) for a in arrays)
 
 
 class TestLogCrossSumKernel:
@@ -199,7 +201,7 @@ class TestLogCrossSumKernel:
             assert n % (_BLOCK_ELEMENTS // m) != 0
         rng = np.random.default_rng(n + m)
         p1, p2 = _points(rng, n), _points(rng, m)
-        q1, q2 = (_points(rng, n, 1.0), _points(rng, m, 1.0)) if cross else (None, None)
+        q1, q2 = (_points(rng, n, 1.0), _points(rng, m, 1.0)) if cross else _ones(p1, p2)
         got = _log_cross_sum(p1, q1, p2, q2, "kernel")
         assert got == pytest.approx(_naive_log_cross_sum(p1, q1, p2, q2), rel=1e-12)
         assert _log_cross_sum(p1, q1, p2, q2, "kernel") == got
@@ -211,9 +213,8 @@ class TestLogCrossSumKernel:
         n = 3 * (_BLOCK_ELEMENTS // m)
         p1, p2 = _points(rng, n), _points(rng, m)
         p1[n - 2] = p2[17]  # in the last block
-        q1 = q2 = None
+        q1, q2 = _ones(p1, p2)
         if cross:
-            q1, q2 = np.ones(n, dtype=complex), np.ones(m, dtype=complex)
             # (2x)/2 == x exactly, so f = p/q meets p2[17] too
             p1[n - 2] *= 2.0
             q1[n - 2] = 2.0
@@ -271,24 +272,29 @@ class TestLogCrossSumKernel:
         p1 = np.array([1.0 + 1.0j, 1e-300 + 0.0j])
         p2 = np.array([0.0j, 5.0 + 0.0j])
         with pytest.raises(NumericalError, match="exact coincidence"):
-            _log_cross_sum(p1, None, p2, None, "kernel")
+            _log_cross_sum(p1, *_ones(p1), p2, *_ones(p2), "kernel")
 
     def test_overflowing_square_is_not_a_coincidence(self):
+        # unscaled, |1e200 - 0|^2 overflows; scaled to the largest |f|,
+        # |1 - 0|^2 underflows; scaled to the geometric mean of the largest
+        # and smallest |f|, every square is finite and the sum is its
+        # log-domain value
         p1 = np.array([1e200 + 0.0j, 1.0 + 0.0j])
         p2 = np.array([0.0j, 5.0 + 0.0j])
-        with np.errstate(over="ignore"):
-            assert _log_cross_sum(p1, None, p2, None, "kernel") == math.inf
+        want = sum(2.0 * math.log(abs(a - b)) for a in p1 for b in p2)
+        got = _log_cross_sum(p1, *_ones(p1), p2, *_ones(p2), "kernel")
+        assert got == pytest.approx(want, rel=1e-15)
 
 
 def _mirrored(half):
     """Outer lattice whose node n - 1 - k carries the conjugate of node k."""
-    return None if half is None else np.concatenate([half, np.conj(half[::-1])])
+    return np.concatenate([half, np.conj(half[::-1])])
 
 
 class TestConjugateFoldKernel:
     """Outer lattices whose rows come in conjugate pairs, as a real map's do.
-    Graeffe folds each mirrored row onto its row's iterate, and every row it
-    leaves reaches the direct sum with its own values."""
+    No kernel folds them: Graeffe builds and checks every row, and every row
+    it leaves reaches the direct sum with its own values."""
 
     # (row pairs, m): a ragged last block; one-row blocks of an odd size; and
     # a single block of 10 rows
@@ -299,22 +305,22 @@ class TestConjugateFoldKernel:
     def test_matches_naive_complex_reference(self, n, m, cross):
         rng = np.random.default_rng(n + m)
         p1, p2 = _mirrored(_points(rng, n)), _points(rng, m)
-        q1, q2 = (_mirrored(_points(rng, n, 1.0)), _points(rng, m, 1.0)) if cross else (None, None)
+        q1, q2 = (_mirrored(_points(rng, n, 1.0)), _points(rng, m, 1.0)) if cross else _ones(p1, p2)
         got = _log_cross_sum(p1, q1, p2, q2, "kernel")
         assert got == pytest.approx(_naive_log_cross_sum(p1, q1, p2, q2), rel=1e-12)
 
     @pytest.mark.parametrize("p,q", [
-        (lambda z: z**3 - 0.7 * z + 0.2, None),
+        (lambda z: z**3 - 0.7 * z + 0.2, np.ones_like),
         (lambda z: z**2 + 0.5, lambda z: 1.0 - 0.4 * z),
     ], ids=["polynomial", "rational"])
     def test_torus_rule_matches_the_unfolded_rule(self, p, q, graeffe_rows):
         # a unit factor c leaves |p(t) q(s) - q(t) p(s)| as it is, but makes
-        # the inner coefficients complex, so Graeffe builds every row
+        # the inner coefficients complex; Graeffe builds every row either way
         lengths, columns = {True: [], False: []}, {}
 
         def rule(folded):
             c = 1.0 if folded else np.exp(0.3j)
-            inner = _on_circle(1.3, lambda z: c * p(z), None if q is None else lambda z: c * q(z))
+            inner = _on_circle(1.3, lambda z: c * p(z), lambda z: c * q(z))
 
             def boundary(ts):
                 lengths[folded].append(len(ts))
@@ -330,20 +336,20 @@ class TestConjugateFoldKernel:
         assert abs(folded - full) <= 1e-13
         assert folded_cert.grid == full_cert.grid
         assert lengths[True] == lengths[False]
-        assert columns[True] and [2 * k for k in columns[True]] == columns[False]
+        assert columns[True] and columns[True] == columns[False]
 
     @pytest.mark.parametrize("cross", [False, True])
     def test_coincidence_with_a_mirrored_row_raises(self, cross):
         # a real map's level, with row n - 1 - k moved onto an inner value and
-        # row k onto its conjugate, which meets none: Graeffe folds the two
-        # rows, the mirrored row fails its check and the direct sum meets it
+        # row k onto its conjugate, which meets none: Graeffe builds both
+        # rows, the moved row fails its check and the direct sum meets it
         n, k = 256, 200
         alpha = parse_map("(2+z^2)/(1+z/3)" if cross else "3-z+2*z^2-z^3")
         p1, q1, p2, q2 = _level(alpha, 1.2, n)
         p1[k], p1[n - 1 - k] = np.conj(p2[17]), p2[17]
         if cross:
             q1[k], q1[n - 1 - k] = np.conj(q2[17]), q2[17]
-        _log_cross_sum(np.delete(p1, n - 1 - k), None if q1 is None else np.delete(q1, n - 1 - k),
+        _log_cross_sum(np.delete(p1, n - 1 - k), np.delete(q1, n - 1 - k),
                        p2, q2, "kernel")
         with pytest.raises(NumericalError, match="exact coincidence"):
             _graeffe_cross_sum(p1, q1, p2, q2, "kernel")
@@ -358,7 +364,7 @@ class TestConjugateFoldKernel:
         # one log per squared modulus keeps them all
         rng = np.random.default_rng(3)
         p1, p2 = _mirrored(scale * _points(rng, 4, 1.0)), scale * _points(rng, 6, 1.0)
-        q1 = q2 = None
+        q1, q2 = _ones(p1, p2)
         if cross:
             q1 = _mirrored(1.0 + 0.1 * _points(rng, 4, 1.0))
             q2 = 1.0 + 0.1 * _points(rng, 6, 1.0)
@@ -463,7 +469,7 @@ def _level(alpha, r, n):
     values = []
     for ts in (quadrature._midpoints(n), quadrature._midpoints(m, 0.25)):
         p, q = alpha.num_den_at(r * np.exp(2j * np.pi * ts))
-        values += [p, None if alpha.is_polynomial else q]
+        values += [p, q]
     return values
 
 
@@ -541,19 +547,30 @@ class TestGraeffeKernel:
         assert got * scale == pytest.approx(want * scale, rel=0, abs=1e-12)
         assert direct_rows == []  # every row passed its check
 
-    @pytest.mark.parametrize("alpha,r,n,built", [
-        (parse_map("3-z-3*z^2-z^3-z^4+3*z^5"), 1.787, 256, 128),
-        (parse_map("(2+z^2)/(3*z^2+z-(1/2))"), 0.8, 256, 128),
+    @pytest.mark.parametrize("alpha,r,n", [
+        (parse_map("3-z-3*z^2-z^3-z^4+3*z^5"), 1.787, 256),
+        (parse_map("(2+z^2)/(3*z^2+z-(1/2))"), 0.8, 256),
         # A and B complex: a complex map, and a real map of degree 64 whose
         # coefficients reduced mod y^64 + i are not real
-        (DiskMap((2 + 1j, -1, 3)), 1.5, 256, 256),
-        (parse_map("2+z-z^33+z^64"), 1.01, 8, 8),
+        (DiskMap((2 + 1j, -1, 3)), 1.5, 256),
+        (parse_map("2+z-z^33+z^64"), 1.01, 8),
     ], ids=["real", "real rational", "complex", "degree 64"])
-    def test_real_inner_coefficients_build_half_of_the_rows(self, alpha, r, n, built,
-                                                            monkeypatch, graeffe_rows):
+    def test_every_row_is_built(self, alpha, r, n, monkeypatch, graeffe_rows):
         monkeypatch.setattr(quadrature, "_GRAEFFE_LEVEL_PAIRS", -math.inf)
         _graeffe_cross_sum(*_level(alpha, r, n), "kernel")
-        assert graeffe_rows == [built]
+        assert graeffe_rows == [n]
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_a_complex_boundary_that_wraps_to_real_coefficients(self, n, monkeypatch):
+        # at n = 2, m = 16, i z^16 reduced mod y^16 + i is the real r^16, so
+        # A comes out real while the outer values are not conjugate in pairs;
+        # at n = 4 and 8 the check sends some rows direct
+        monkeypatch.setattr(quadrature, "_GRAEFFE_LEVEL_PAIRS", -math.inf)
+        p1, q1, p2, q2 = _level(DiskMap((1, 1) + (0,) * 14 + (1j,)), 1.01, n)
+        scale = 0.5 / (n * len(p2))
+        got = _graeffe_cross_sum(p1, q1, p2, q2, "kernel")
+        want = _log_cross_sum(p1, q1, p2, q2, "kernel")
+        assert got * scale == pytest.approx(want * scale, rel=0, abs=1e-12)
 
     def test_degree_five_pool_map_needs_no_direct_row(self, direct_rows):
         alpha = parse_map("3-z-3*z^2-z^3-z^4+3*z^5")
@@ -571,9 +588,9 @@ class TestGraeffeKernel:
                                     rel=0, abs=1e-12 * n * len(p2))
 
     def test_failed_mirrored_rows_reach_the_direct_sum_as_they_are(self, direct_rows):
-        # Graeffe builds the first n/2 rows of this real map; the rows it
-        # hands on from the mirrored half carry their own outer values, which
-        # differ in the last bits from the conjugates of their mirrors
+        # Graeffe builds every row of this real map; the rows it hands on
+        # from the second half carry their own outer values, which differ in
+        # the last bits from the conjugates of their mirrors
         n = 1024
         p1, *_ = lattices = _level(parse_map("1+z-2*z^3+z^7-3*z^11+2*z^16"), 10.0, n)
         _graeffe_cross_sum(*lattices, "kernel")
@@ -589,7 +606,7 @@ class TestGraeffeKernel:
         def boundary(ts):
             lengths.append(len(ts))
             z = 1.787 * np.exp(2j * np.pi * ts)
-            return 3 - z - 3 * z**2 - z**3 - z**4 + 3 * z**5, None
+            return 3 - z - 3 * z**2 - z**3 - z**4 + 3 * z**5, np.ones_like(z)
 
         _, cert = torus_pair_log_integral(boundary)
         levels = [256 * 2**k for k in range(len(lengths) // 2)]

@@ -51,3 +51,16 @@ def test_torus_kernel_agreement_on_two_maps(tmp_path):
     assert summary["largest_gap"] <= 1e-12
     assert summary["fallback_rows"] == 0 and summary["rows"] > 0
     assert 0.0 <= summary["direct_s"] <= summary["seconds"]
+
+
+def test_overclaim_report_on_two_maps(tmp_path):
+    proc = _run_script("overclaim_report.py", "--limit", "2", "--settings", "defaults",
+                       cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    *rows, summary = proc.stdout.splitlines()
+    assert [row.split()[:2] for row in rows] == [["defaults", "explicit"], ["defaults", "oracle"]]
+    summary = json.loads(summary)
+    assert list(summary) == ["defaults"]
+    for counts in summary["defaults"].values():
+        assert counts["entries"] == 2 and counts["failed"] == 0
+        assert 0 <= counts["over_tol"] <= counts["over_achieved"] <= 2
