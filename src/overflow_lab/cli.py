@@ -184,6 +184,12 @@ def _seed(text: str) -> int:
 
 # -- subcommand handlers ----------------------------------------------------------
 
+#: Rounding allowed in a residual, in ulps of the larger value or of 1: each
+#: route's value is a sum of logarithms of order one or more, and carries a
+#: rounding error of a couple of their ulps that no certificate counts.
+_RESIDUAL_ULPS = 4
+
+
 def _cmd_overflow(args):
     from . import overflow
     from .maps import parse_map
@@ -209,9 +215,12 @@ def _cmd_overflow(args):
         if args.method == "both" and args.target == "C":
             explicit, oracle = entry["explicit"], entry["oracle"]
             entry["residual"] = abs(explicit.value - oracle.value)
-            # whether the two certificates account for the gap between the routes
+            # whether the two certificates, and the rounding of the two
+            # values, account for the gap between the routes
+            scale = max(1.0, abs(explicit.value), abs(oracle.value))
+            rounding = _RESIDUAL_ULPS * math.ulp(scale)
             entry["residual_within_achieved"] = entry["residual"] <= (
-                explicit.certificate.achieved + oracle.certificate.achieved)
+                explicit.certificate.achieved + oracle.certificate.achieved + rounding)
         per_radius.append(entry)
 
     if args.format == "csv":

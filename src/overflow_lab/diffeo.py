@@ -162,7 +162,7 @@ def _orbit_coordinates(phi: OrbitElement, points: np.ndarray) -> np.ndarray:
     acc = np.zeros((order + 1, batch))
     acc[0] = f[order]
     for k in range(order - 1, -1, -1):
-        acc = _batched_truncated_product(acc, g, order)
+        acc = _batched_truncated_product(acc, g, order, v_val=1)
         acc[0] += f[k]
     return acc[phi.e + 1 :].T
 
@@ -258,30 +258,48 @@ def sampled_jacobian_check(e: int, a: int, n: int, seed: int,
 # -- Monte-Carlo lattice-box bound ----------------------------------------------
 #
 # A batch of series is a 2-d array with one row per coefficient and one column
-# per series, so that each coefficient of the batch is a contiguous row.
+# per series, so that each coefficient of the batch is a contiguous row.  The
+# sampler never multiplies a row it knows is zero: a series' coefficients
+# below its valuation (inv^k vanishes below X^k), and an inverse's
+# coefficients once they are fixed.  Every coefficient still adds its nonzero
+# terms in the same order, so the floats, and the counts, are bit for bit
+# those of the full loops.
 
-def _batched_truncated_product(u: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
+def _batched_truncated_product(u: np.ndarray, v: np.ndarray, order: int,
+                               u_val: int = 0, v_val: int = 0) -> np.ndarray:
+    """Coefficients 0..order of u v, for u and v zero below u_val and v_val.
+
+    Coefficient k adds u_i v_(k-i) in the order of increasing i.
+    """
     out = np.zeros((order + 1, u.shape[1]))
-    for i in range(min(u.shape[0], order + 1)):
+    for i in range(u_val, min(u.shape[0], order + 1 - v_val)):
         top = min(v.shape[0], order + 1 - i)
-        for j in range(top):
-            out[i + j] += u[i] * v[j]
+        out[i + v_val : i + top] += u[i] * v[v_val:top]
     return out
 
 
 def _batched_inverse(g: np.ndarray, order: int) -> np.ndarray:
-    """Compositional inverses of a batch of X + sum a_j X^j, to the order."""
+    """Compositional inverses of a batch of X + sum a_j X^j, to the order.
+
+    The inverse is the fixed point of inv = X - sum_j g_j inv^j.  Coefficient
+    k of inv^j, j >= 2, needs only coefficients of inv below k, so coefficient
+    k is fixed in pass k - 1 of the iteration from inv = X, and is computed
+    once here, from the same products added in the same order.
+    """
+    top = g.shape[0] - 1
     inv = np.zeros((order + 1, g.shape[1]))
     inv[1] = 1.0
-    for _ in range(order):
-        powers = inv
-        correction = np.zeros_like(inv)
-        for j in range(2, g.shape[0]):
-            powers = _batched_truncated_product(powers, inv, order)
-            correction += g[j] * powers
-        new = -correction
-        new[1] += 1.0
-        inv = new
+    # pows[j] = inv^j (j >= 1), filled one coefficient at a time
+    pows = [None, inv] + [np.zeros_like(inv) for _ in range(2, top + 1)]
+    for k in range(2, order + 1):
+        # inv^j = inv^(j-1) inv, whose terms start at i = j - 1
+        for i in range(1, k):
+            for j in range(2, min(i + 1, top) + 1):
+                pows[j][k] += pows[j - 1][i] * inv[k - i]
+        correction = np.zeros(g.shape[1])
+        for j in range(2, min(k, top) + 1):
+            correction += g[j] * pows[j][k]
+        inv[k] = -correction
     return inv
 
 
@@ -383,11 +401,11 @@ def measure_bound_mc(e: int, a: int, rho: float, box_radius: float, n: int,
         inv = _batched_inverse(g, order)
         # powers of the inverse: inv^e .. inv^{e+n}
         power = inv
-        for _ in range(e - 1):
-            power = _batched_truncated_product(power, inv, order)
+        for k in range(1, e):
+            power = _batched_truncated_product(power, inv, order, k, 1)
         powers = [power]
-        for _ in range(n):
-            powers.append(_batched_truncated_product(powers[-1], inv, order))
+        for k in range(e, e + n):
+            powers.append(_batched_truncated_product(powers[-1], inv, order, k, 1))
         hits += int(np.sum(_box_hits(a, e, span, powers, box)))
 
     estimate = hits / samples

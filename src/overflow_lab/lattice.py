@@ -2,7 +2,9 @@
 
 All arithmetic is exact: matrices are cleared to integers and eliminated
 fraction-free (Bareiss) in one pass that yields both the leading principal
-minors and, with the right-hand side appended, the solution.  Negative
+minors and, with the right-hand side appended, the solution.  Pairings of a
+divisor against the lattice sum integer numerators over one common
+denominator, so only their results are Fractions.  Negative
 definiteness (alternating leading principal minors), equilibrium solutions
 and the comparison identities all hold as equalities of rationals, never up
 to rounding.
@@ -11,6 +13,7 @@ to rounding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -18,8 +21,18 @@ from typing import List, Sequence, Tuple
 from .errors import CandidateNotCNB, DomainError, NotNegativeDefinite
 
 
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _to_fraction_matrix(rows: Sequence[Sequence]) -> Tuple[Tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(map(_fraction, row)) for row in rows)
+
+
+def _numerators(xs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer numerators of rationals over their least common denominator."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 @dataclass(frozen=True)
@@ -38,8 +51,8 @@ class IntersectionLattice:
     def __post_init__(self):
         m = len(self.labels)
         object.__setattr__(self, "matrix", _to_fraction_matrix(self.matrix))
-        object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
-        object.__setattr__(self, "cc", Fraction(self.cc))
+        object.__setattr__(self, "c", tuple(map(_fraction, self.c)))
+        object.__setattr__(self, "cc", _fraction(self.cc))
         if len(self.matrix) != m or any(len(row) != m for row in self.matrix):
             raise DomainError("matrix shape does not match the labels")
         if len(self.c) != m:
@@ -64,8 +77,8 @@ def _bareiss(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction] = ())
     pivots and s (Bareiss, Math. Comp. 22, 1968).
     """
     rows = [list(row) + ([rhs[i]] if rhs else []) for i, row in enumerate(matrix)]
-    scale = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
-    a = [[int(Fraction(x) * scale) for x in row] for row in rows]
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     width = len(a[0]) if a else 0
     pivots: List[int] = []
     prev = 1
@@ -157,14 +170,22 @@ class CNBReport:
     component_degrees: Tuple[Fraction, ...]
 
 
+def _pairing(lattice: IntersectionLattice, v: Sequence[Fraction]):
+    """M v and v . M v, summed on the integer numerators of v and M."""
+    if len(v) != lattice.size:
+        raise DomainError("coefficient vector length mismatch")
+    vn, dv = _numerators(v)
+    mn, dm = _numerators([x for row in lattice.matrix for x in row])
+    m = lattice.size
+    mv = [sum(map(operator.mul, mn[i * m : (i + 1) * m], vn)) for i in range(m)]
+    den = dm * dv
+    return [Fraction(x, den) for x in mv], Fraction(sum(map(operator.mul, vn, mv)), den * dv)
+
+
 def divisor_self_intersection(lattice: IntersectionLattice,
                               v: Sequence[Fraction]) -> Fraction:
     v = [Fraction(x) for x in v]
-    quad = sum(
-        v[i] * v[j] * lattice.matrix[i][j]
-        for i in range(lattice.size)
-        for j in range(lattice.size)
-    )
+    _, quad = _pairing(lattice, v)
     lin = sum(ci * vi for ci, vi in zip(lattice.c, v))
     return lattice.cc + 2 * lin + quad
 
@@ -180,13 +201,11 @@ def is_CNB(lattice: IntersectionLattice, v: Sequence[Fraction]) -> CNBReport:
         raise DomainError("coefficient vector length mismatch")
     if any(x < 0 for x in v):
         raise DomainError("candidate coefficients must be nonnegative")
-    component = tuple(
-        lattice.c[i]
-        + sum(lattice.matrix[i][j] * v[j] for j in range(lattice.size))
-        for i in range(lattice.size)
-    )
-    section_degree = lattice.cc + sum(ci * vi for ci, vi in zip(lattice.c, v))
-    dd = divisor_self_intersection(lattice, v)
+    mv, quad = _pairing(lattice, v)
+    component = tuple(ci + x for ci, x in zip(lattice.c, mv))
+    lin = sum(ci * vi for ci, vi in zip(lattice.c, v))
+    section_degree = lattice.cc + lin
+    dd = lattice.cc + 2 * lin + quad
     holds = all(x >= 0 for x in component) and section_degree >= 0 and dd > 0
     return CNBReport(holds=holds, dd=dd, component_degrees=component)
 
@@ -242,11 +261,7 @@ def denough_compare(lattice: IntersectionLattice,
     delta = [a - b for a, b in zip(v_eq, v_cand)]
     dd_eq = divisor_self_intersection(lattice, v_eq)
     dd_cand = report.dd
-    quad = sum(
-        delta[i] * delta[j] * lattice.matrix[i][j]
-        for i in range(lattice.size)
-        for j in range(lattice.size)
-    )
+    _, quad = _pairing(lattice, delta)
     section_eq = lattice.cc + sum(ci * vi for ci, vi in zip(lattice.c, v_eq))
     section_cand = lattice.cc + sum(ci * vi for ci, vi in zip(lattice.c, v_cand))
     return ComparisonReport(

@@ -249,9 +249,14 @@ def _inner_coefficients(values: np.ndarray) -> np.ndarray:
     """Coefficients A_0..A_{m-1} of the polynomial taking ``values`` at the
     inner nodes y_j = e((j + 3/4)/m), the roots of y^m = -i: the boundary
     polynomial reduced mod y^m + i, exact for any degree.  Real and imaginary
-    parts below _COEFF_FLOOR of the largest modulus are set to zero."""
+    parts below _COEFF_FLOOR of the largest modulus are set to zero.  Constant
+    values, a polynomial's q, are their own constant coefficient."""
     m = len(values)
-    a = np.fft.fft(values) / m * np.exp(-1.5j * np.pi * np.arange(m) / m)
+    if np.all(values == values[0]):
+        a = np.zeros(m, complex)
+        a[0] = values[0]
+    else:
+        a = np.fft.fft(values) / m * np.exp(-1.5j * np.pi * np.arange(m) / m)
     floor = _COEFF_FLOOR * np.max(np.abs(a))
     a.real[np.abs(a.real) < floor] = 0.0
     a.imag[np.abs(a.imag) < floor] = 0.0
@@ -283,7 +288,8 @@ def _graeffe_iterate(polys: np.ndarray, steps: int) -> Tuple[np.ndarray, np.ndar
     by a power of two before every step, and the log of what that took out."""
     log_scale = np.zeros(polys.shape[1])
     for step in range(steps + 1):
-        top = np.max(np.abs(polys.view(float)), axis=0).reshape(-1, 2).max(axis=1)
+        parts = np.max(np.abs(polys.view(float)), axis=0)
+        top = np.maximum(parts[0::2], parts[1::2])
         k = np.frexp(top)[1]
         polys = _scaled(polys, k)
         log_scale += k

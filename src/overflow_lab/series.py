@@ -1,12 +1,16 @@
 """Truncated formal power series over the rationals.
 
-A series is a finite vector of Fraction coefficients c_0..c_N, understood
-modulo X^{N+1}.  Arithmetic is exact, so every zero test is an equality.
-Values are immutable and safe to share between threads.
+A series holds its coefficients c_0..c_N, understood modulo X^{N+1}, as a
+tuple of Fractions.  Products, composition and inversion run on integer
+numerators over one common denominator and build Fractions only for their
+result, so the O(N^2) multiply-adds of a product need no gcd each.
+Arithmetic is exact, so every zero test is an equality.  Values are
+immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,6 +26,32 @@ def _normalize(coeffs: Iterable) -> tuple:
             raise DomainError(f"unsupported coefficient type {type(c).__name__}")
         out.append(c)
     return tuple(out)
+
+
+def _numerators(coeffs: Sequence[Fraction]):
+    """Integer numerators of the coefficients over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _product(a: list, b: list, n: int) -> list:
+    """Coefficients 0..n of the product of two integer coefficient lists.
+
+    Both lists reach X^n.  A zero coefficient of a, and every coefficient of
+    b below its valuation, is a known zero term and is never multiplied.
+    """
+    v = next((j for j in range(n + 1) if b[j]), n + 1)
+    b = b[v : n + 1]
+    out = [0] * (n + 1)
+    for i in range(n + 1 - v):
+        if a[i]:
+            ai, lo = a[i], i + v
+            out[lo:] = [o + ai * bj for o, bj in zip(out[lo:], b)]
+    return out
+
+
+def _from_numerators(nums: list, den: int) -> "TruncatedSeries":
+    return TruncatedSeries([Fraction(x, den) for x in nums])
 
 
 class TruncatedSeries:
@@ -90,13 +120,9 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([c * other for c in self.coeffs])
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, ci in enumerate(self.coeffs[: n + 1]):
-            if ci == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                out[i + j] += ci * other.coeffs[j]
-        return TruncatedSeries(out)
+        a, da = _numerators(self.coeffs[: n + 1])
+        b, db = _numerators(other.coeffs[: n + 1])
+        return _from_numerators(_product(a, b, n), da * db)
 
     __rmul__ = __mul__
 
@@ -121,38 +147,51 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     if g.coeffs[0] != 0:
         raise NonzeroConstantTerm(f"inner series has constant term {g.coeffs[0]}")
     n = min(f.order, g.order)
-    a, b = f.truncate(n), g.truncate(n)
-    # Horner in g: result = (..(f_N * g + f_{N-1}) * g + ...) + f_0
-    acc = TruncatedSeries([a.coeffs[n]]).truncate(n)
+    a, da = _numerators(f.coeffs[: n + 1])
+    b, db = _numerators(g.coeffs[: n + 1])
+    # Horner in g: result = (..(f_N * g + f_{N-1}) * g + ...) + f_0, on
+    # numerators: once f_k is added, acc / (da * scale) is the partial result
+    acc = [a[n]] + [0] * n
+    scale = 1
     for k in range(n - 1, -1, -1):
-        acc = acc * b
-        acc = TruncatedSeries(
-            [acc.coeffs[0] + a.coeffs[k]] + list(acc.coeffs[1:])
-        )
-    return acc
+        acc = _product(acc, b, n)
+        scale *= db
+        acc[0] += a[k] * scale
+    return _from_numerators(acc, da * scale)
 
 
 def compositional_inverse(g: TruncatedSeries) -> TruncatedSeries:
     """The series h with h(g(X)) = X mod X^{N+1}.
 
     Solved term by term: the coefficient of X^k in h(g) is triangular in the
-    unknowns with diagonal entry g_1^k, so the solve stays exact.
+    unknowns with diagonal entry g_1^k, so the solve stays exact.  It runs on
+    G = d g, d the common denominator of g, whose inverse y has
+    h_k = d^k y_k.  By Lagrange inversion G_1^(2k-1) y_k is an integer Y_k,
+    so the solve divides integers exactly and builds Fractions only for h.
     """
     if g.coeffs[0] != 0:
         raise NonzeroConstantTerm(f"series has constant term {g.coeffs[0]}")
     if g.order < 1 or g.coeffs[1] == 0:
         raise NotInvertible("linear coefficient vanishes")
     n = g.order
-    # g_pows[j] = g^j truncated at order n
-    g_pows = [TruncatedSeries([1]).truncate(n)]
-    for _ in range(n):
-        g_pows.append(g_pows[-1] * g)
-    h = [Fraction(0)] * (n + 1)
+    b, d = _numerators(g.coeffs)
+    # g_pows[j] = G^j truncated at order n; its diagonal entry G_1^j is known
+    g_pows = [None, b]
+    for _ in range(2, n):
+        g_pows.append(_product(g_pows[-1], b, n))
+    g1_pows = [1]
+    for _ in range(2 * n - 1):
+        g1_pows.append(g1_pows[-1] * b[1])
+    # sum_j y_j [X^k] G^j = [k == 1], times G_1^(2k-2), in the Y_j
+    y = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        acc = sum(y[j] * g_pows[j][k] * g1_pows[2 * (k - j) - 1] for j in range(1, k))
+        y[k] = -acc // g1_pows[k - 1]
+    h = [Fraction(0)]
+    d_pow = 1
     for k in range(1, n + 1):
-        acc = Fraction(1 if k == 1 else 0)
-        for j in range(1, k):
-            acc -= h[j] * g_pows[j].coeffs[k]
-        h[k] = acc / g_pows[k].coeffs[k]
+        d_pow *= d
+        h.append(Fraction(d_pow * y[k], g1_pows[2 * k - 1]))
     return TruncatedSeries(h)
 
 

@@ -51,7 +51,9 @@ class TestOverflowCommand:
         assert entry["residual"] <= 1e-4
         achieved = (entry["explicit"]["certificate"]["achieved"]
                     + entry["oracle"]["certificate"]["achieved"])
-        assert entry["residual_within_achieved"] is (entry["residual"] <= achieved)
+        values = (entry["explicit"]["value"], entry["oracle"]["value"])
+        rounding = 4 * math.ulp(max(1.0, *map(abs, values)))
+        assert entry["residual_within_achieved"] is (entry["residual"] <= achieved + rounding)
         assert report["settings"] == {"grid": 64, "tol": 1e-6, "depth": 9}
 
     def test_residual_beyond_both_certificates_is_reported(self):
@@ -64,6 +66,19 @@ class TestOverflowCommand:
         (entry,) = json.loads(out)["result"]["reports"]
         assert entry["residual"] > 1e-5
         assert entry["residual_within_achieved"] is False
+
+    def test_residual_of_rounding_alone_is_within_achieved(self):
+        # the excess is 0 here: the oracle reads 0 with achieved 0, and the
+        # explicit route -8.9e-16 with achieved 4.4e-16, four ulps of 1 and
+        # rounding of its sums of logarithms of order one
+        code, out = run_cli(["overflow", "--map=-3+3*z^2", "--radius", "2.163",
+                             "--method", "both"])
+        assert code == 0
+        (entry,) = json.loads(out)["result"]["reports"]
+        achieved = (entry["explicit"]["certificate"]["achieved"]
+                    + entry["oracle"]["certificate"]["achieved"])
+        assert achieved < entry["residual"] <= 4 * math.ulp(1.0)
+        assert entry["residual_within_achieved"] is True
 
     @pytest.mark.parametrize("config", ['{"grid": 64, "tol": 1e-8, "depth": 11}', None],
                              ids=["tight", "defaults"])

@@ -360,3 +360,75 @@ def _all_representatives(a, e, span, powers, box):
         trailing = np.abs(moved[e + 1 :])
         in_event |= np.all(trailing <= box[:, None], axis=0)
     return in_event
+
+
+# -- the sampler's skipped zeros against the full loops -----------------------
+
+def _ref_truncated_product(u, v, order):
+    out = np.zeros((order + 1, u.shape[1]))
+    for i in range(min(u.shape[0], order + 1)):
+        for j in range(min(v.shape[0], order + 1 - i)):
+            out[i + j] += u[i] * v[j]
+    return out
+
+
+def _ref_inverse(g, order):
+    """The fixed-point iteration inv <- X - sum_j g_j inv^j, run order times."""
+    inv = np.zeros((order + 1, g.shape[1]))
+    inv[1] = 1.0
+    for _ in range(order):
+        powers = inv
+        correction = np.zeros_like(inv)
+        for j in range(2, g.shape[0]):
+            powers = _ref_truncated_product(powers, inv, order)
+            correction += g[j] * powers
+        inv = -correction
+        inv[1] += 1.0
+    return inv
+
+
+def _batch(seed, rows, count, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(size=(rows, count))
+    if kind == "normal":
+        return rng.normal(scale=3.0, size=(rows, count))
+    return rng.integers(-4, 5, size=(rows, count)) / 4.0  # exact zeros and ties
+
+
+batch_kinds = st.sampled_from(["uniform", "normal", "quarters"])
+
+
+class TestSamplerAgainstFullLoops:
+    @given(seed=st.integers(0, 2**32 - 1), kind=batch_kinds,
+           u_rows=st.integers(1, 9), v_rows=st.integers(1, 9), order=st.integers(0, 9),
+           u_val=st.integers(0, 4), v_val=st.integers(0, 4), count=st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_truncated_product(self, seed, kind, u_rows, v_rows, order, u_val, v_val, count):
+        from overflow_lab.diffeo import _batched_truncated_product
+
+        u = _batch(seed, u_rows, count, kind)
+        v = _batch(seed + 1, v_rows, count, kind)
+        u[:u_val] = 0.0
+        v[:v_val] = 0.0
+        got = _batched_truncated_product(u, v, order, u_val, v_val)
+        assert np.array_equal(got, _ref_truncated_product(u, v, order))
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=batch_kinds,
+           n=st.integers(1, 4), e=st.integers(1, 4), count=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_and_its_powers(self, seed, kind, n, e, count):
+        from overflow_lab.diffeo import _batched_inverse, _batched_truncated_product
+
+        g = np.zeros((n + 2, count))
+        g[1] = 1.0
+        g[2:] = _batch(seed, n, count, kind)
+        order = e + n
+        inv = _batched_inverse(g, order)
+        assert np.array_equal(inv, _ref_inverse(g, order))
+        # inv^(k+1) as the sampler builds it, from inv^k's valuation k and inv's 1
+        power = want = inv
+        for k in range(1, e + n):
+            power = _batched_truncated_product(power, inv, order, k, 1)
+            want = _ref_truncated_product(want, inv, order)
+            assert np.array_equal(power, want)

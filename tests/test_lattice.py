@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overflow_lab.errors import CandidateNotCNB, DomainError, NotNegativeDefinite
 from overflow_lab.lattice import (
@@ -202,3 +204,90 @@ def test_divisor_self_intersection_quadratic():
     lat = blowup_chain_fixture(2, 1)
     assert divisor_self_intersection(lat, (F(0), F(0))) == F(1)
     assert divisor_self_intersection(lat, (F(2), F(1))) == F(3)
+
+
+# -- integer pairings against plain Fraction sums ------------------------------
+
+fractions_with_zeros = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=30),
+    st.builds(F, st.integers(-10**9, 10**9), st.sampled_from([1, 3, 8, 10**5])),
+)
+
+
+@st.composite
+def lattices_and_divisors(draw):
+    """Any symmetric rational pairing, section data and nonnegative v."""
+    size = draw(st.integers(0, 6))
+    m = [[F(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            m[i][j] = m[j][i] = draw(fractions_with_zeros)
+    c = [draw(fractions_with_zeros) for _ in range(size)]
+    v = [abs(draw(fractions_with_zeros)) for _ in range(size)]
+    labels = tuple(f"W{i}" for i in range(size))
+    lat = IntersectionLattice(labels, tuple(map(tuple, m)), tuple(c), draw(fractions_with_zeros))
+    return lat, v
+
+
+def _ref_self_intersection(lat, v):
+    quad = sum(v[i] * v[j] * lat.matrix[i][j]
+               for i in range(lat.size) for j in range(lat.size))
+    return lat.cc + 2 * sum(ci * vi for ci, vi in zip(lat.c, v)) + quad
+
+
+def _ref_determinant(rows):
+    """Fraction Gaussian elimination with row swaps."""
+    det = F(1)
+    rows = [list(r) for r in rows]
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for row in rows[k + 1:]:
+            factor = row[k] / rows[k][k]
+            for j in range(k, len(rows)):
+                row[j] -= factor * rows[k][j]
+    return det
+
+
+class TestAgainstFractionReference:
+    @given(case=lattices_and_divisors())
+    @settings(max_examples=100, deadline=None)
+    def test_divisor_self_intersection(self, case):
+        lat, v = case
+        got = divisor_self_intersection(lat, v)
+        assert type(got) is F and got == _ref_self_intersection(lat, v)
+
+    @given(case=lattices_and_divisors())
+    @settings(max_examples=100, deadline=None)
+    def test_is_CNB(self, case):
+        lat, v = case
+        component = tuple(lat.c[i] + sum(lat.matrix[i][j] * v[j] for j in range(lat.size))
+                          for i in range(lat.size))
+        section = lat.cc + sum(ci * vi for ci, vi in zip(lat.c, v))
+        dd = _ref_self_intersection(lat, v)
+        report = is_CNB(lat, v)
+        assert report.component_degrees == component
+        assert all(type(x) is F for x in report.component_degrees)
+        assert report.dd == dd
+        assert report.holds == (all(x >= 0 for x in component) and section >= 0 and dd > 0)
+
+    @given(case=lattices_and_divisors())
+    @settings(max_examples=100, deadline=None)
+    def test_leading_principal_minors(self, case):
+        lat, _ = case
+        want = []
+        for k in range(1, lat.size + 1):
+            want.append(_ref_determinant([list(row[:k]) for row in lat.matrix[:k]]))
+            if want[-1] == 0:
+                break
+        assert leading_principal_minors(lat.matrix) == want
+
+    def test_length_mismatch_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            divisor_self_intersection(blowup_chain_fixture(2, 1), (F(1),))

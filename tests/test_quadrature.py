@@ -625,3 +625,24 @@ class TestGraeffeKernel:
         want, want_cert = overflow._boundary_cross(alpha, r, settings)
         assert cert.grid == want_cert.grid
         assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1.0, 1.5 - 0.25j, -0.7j, 3.0 + 2.0j])
+    @pytest.mark.parametrize("m", [2, 16, 1024, 8192])
+    def test_constant_boundary_coefficients_are_the_transforms(self, c, m):
+        # a polynomial's q = 1 skips its transform; the transform gives the
+        # same floats, bit for bit
+        values = np.full(m, c, dtype=complex)
+        a = np.fft.fft(values) / m * np.exp(-1.5j * np.pi * np.arange(m) / m)
+        floor = quadrature._COEFF_FLOOR * np.max(np.abs(a))
+        a.real[np.abs(a.real) < floor] = 0.0
+        a.imag[np.abs(a.imag) < floor] = 0.0
+        got = quadrature._inner_coefficients(values)
+        assert got.tobytes() == a.tobytes()
+        assert got[0] == c and not np.any(got[1:])
+
+    def test_column_scale_is_the_larger_part(self):
+        polys = np.array([[3 - 1j, -0.5 + 8j, 0j], [1 + 2j, 0.25 - 0.75j, -1e-300j]])
+        iterate, log_scale = quadrature._graeffe_iterate(polys, 0)
+        # the scales 2^2, 2^4 and 2^-996 bring each column's largest part into [1/2, 1)
+        assert np.array_equal(log_scale, np.array([2.0, 4.0, -996.0]) * math.log(2.0))
+        assert np.array_equal(iterate, quadrature._scaled(polys, np.array([2, 4, -996])))

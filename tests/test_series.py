@@ -181,3 +181,92 @@ class TestBackendAndLiterals:
         s = S(0, 1)
         with pytest.raises(AttributeError):
             s.coeffs = (F(1),)
+
+
+# -- the integer layer against plain Fraction arithmetic ----------------------
+
+def _ref_mul(a, b):
+    """Coefficients of a b mod X^(n+1), n the common order, one Fraction at a time."""
+    n = min(len(a), len(b)) - 1
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _ref_compose(f, g):
+    n = min(len(f), len(g)) - 1
+    acc = [f[n]] + [F(0)] * n
+    for k in range(n - 1, -1, -1):
+        acc = _ref_mul(acc, g[: n + 1])
+        acc[0] += f[k]
+    return acc
+
+
+def _ref_inverse(g):
+    n = len(g) - 1
+    pows = [[F(1)] + [F(0)] * n]
+    for _ in range(n):
+        pows.append(_ref_mul(pows[-1], g))
+    h = [F(0)] * (n + 1)
+    for k in range(1, n + 1):
+        acc = F(1 if k == 1 else 0)
+        for j in range(1, k):
+            acc -= h[j] * pows[j][k]
+        h[k] = acc / pows[k][k]
+    return h
+
+
+# zero coefficients often, denominators that share factors and that do not
+mixed_fractions = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=36),
+    st.builds(F, st.integers(-10**12, 10**12), st.sampled_from([1, 7, 9, 10**6, 2**40])),
+)
+
+
+def coeff_lists(min_size=1, max_size=12):
+    """Coefficient lists, often with a run of leading zeros (a valuation)."""
+    return st.builds(
+        lambda zeros, tail: ([F(0)] * zeros + tail)[: max(max_size, min_size)],
+        st.integers(0, 8), st.lists(mixed_fractions, min_size=min_size, max_size=max_size),
+    )
+
+
+class TestAgainstFractionReference:
+    @given(a=coeff_lists(), b=coeff_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_product(self, a, b):
+        got = TruncatedSeries(a) * TruncatedSeries(b)
+        assert list(got.coeffs) == _ref_mul(a, b)
+        assert all(type(c) is F for c in got.coeffs)
+
+    @given(f=coeff_lists(), g=coeff_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_compose(self, f, g):
+        g = [F(0)] + g[1:]
+        got = compose(TruncatedSeries(f), TruncatedSeries(g))
+        assert list(got.coeffs) == _ref_compose(f, g)
+        assert all(type(c) is F for c in got.coeffs)
+
+    @given(g=coeff_lists(min_size=2), lead=mixed_fractions.filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_compositional_inverse(self, g, lead):
+        g = [F(0), lead] + g[2:]
+        got = compositional_inverse(TruncatedSeries(g))
+        assert list(got.coeffs) == _ref_inverse(g)
+        assert all(type(c) is F for c in got.coeffs)
+
+    @pytest.mark.parametrize("valuation", range(10))
+    def test_product_at_every_valuation(self, valuation):
+        a = [F(k - 4, k % 3 + 1) for k in range(10)]
+        b = [F(0)] * valuation + [F(3, 7), F(0), F(-5, 2)] + [F(1)] * 7
+        for x, y in ((a, b), (b, a), (b, b)):
+            got = TruncatedSeries(x) * TruncatedSeries(y)
+            assert list(got.coeffs) == _ref_mul(x, y)
+
+    def test_inverse_with_a_large_prime_lead_at_order_24(self):
+        # Lagrange inversion puts lead^(2k-1) in the denominator of h_k
+        g = [F(0), F(-101, 6)] + [F((-1) ** k * k, k + 2) for k in range(2, 25)]
+        assert list(compositional_inverse(TruncatedSeries(g)).coeffs) == _ref_inverse(g)
