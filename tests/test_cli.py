@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import json
@@ -824,6 +825,61 @@ def test_over_long_lattice_integer_exits_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["error"]["type"] == "ConfigError"
+
+
+_ENTRY_LITERALS = [
+    # integer literals, which int() reads without Fraction's regex
+    "0", "-3", "+5", "-0", "007", " 7 ", "\t-12\n", "1_000", "1_0_0", "٣", "　7",
+    "\x1c7", "9" * 4300, "1" * 4301, "0" * 4301,
+    # everything else, read by _rational alone
+    "3/2", " -6/4 ", "1/0", "0.25", "-.5", "1e3", "1E-2", "2.5e+1", "1e99999", "1e4301",
+    "", " ", "abc", "+-5", "- 5", "1__0", "_1", "1_", "0x10", "1 000", "7.", "inf", "nan",
+]
+
+
+def _assert_entry_reads_as_rational_does(literal, path):
+    from overflow_lab.cli import _load_lattice, _rational
+    from overflow_lab.errors import ConfigError
+
+    path.write_text(json.dumps({"labels": ["E"], "matrix": [[literal]], "c": [literal],
+                                "cc": literal}))
+    try:
+        expected = _rational(literal)
+    except argparse.ArgumentTypeError as exc:  # _load_lattice makes it a ConfigError
+        with pytest.raises(ConfigError) as caught:
+            _load_lattice(str(path))
+        assert str(caught.value) == f"bad lattice entry: {exc}"
+    else:
+        lattice = _load_lattice(str(path))
+        for value in (lattice.matrix[0][0], lattice.c[0], lattice.cc):
+            assert type(value) is Fraction and value == expected
+
+
+@pytest.mark.parametrize("literal", _ENTRY_LITERALS,
+                         ids=lambda x: ascii(x) if len(x) < 20 else f"{x[0]}*{len(x)}")
+def test_lattice_entry_literals_read_as_rational_does(literal, tmp_path):
+    _assert_entry_reads_as_rational_does(literal, tmp_path / "lattice.json")
+
+
+@pytest.mark.parametrize("literal", ["1" * 4301, "-" + "9" * 5000], ids=["4301", "-5000"])
+def test_lattice_entry_past_the_term_bound_without_a_digit_limit(literal, tmp_path):
+    # with the interpreter's digit limit off, int() reads any integer literal
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _assert_entry_reads_as_rational_does(literal, tmp_path / "lattice.json")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_lattice_entry_true_is_not_a_number(tmp_path):
+    from overflow_lab.cli import _load_lattice
+    from overflow_lab.errors import ConfigError
+
+    path = tmp_path / "lattice.json"
+    path.write_text('{"labels": ["E"], "matrix": [[true]], "c": ["1"], "cc": "0"}')
+    with pytest.raises(ConfigError, match="bad lattice entry: true is not a number"):
+        _load_lattice(str(path))
 
 
 # -- the argv contract of the overflow command --------------------------------
