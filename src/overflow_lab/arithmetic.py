@@ -29,7 +29,6 @@ bounds and the integer series) load none of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -40,6 +39,7 @@ from .errors import (
     NotInvertible,
     NotPseudoconcave,
 )
+from .records import Record
 from .series import (
     TruncatedSeries,
     compose,
@@ -61,8 +61,7 @@ def _or_default(settings: Optional[QuadratureSettings]) -> QuadratureSettings:
 
 # -- surfaces and morphisms ---------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceDescriptor:
+class SurfaceDescriptor(Record):
     """The pair (disk radius, gluing series); degrees are never cached."""
 
     radius: float
@@ -85,8 +84,7 @@ class SurfaceDescriptor:
         return self.normal_degree > 0
 
 
-@dataclass(frozen=True)
-class MorphismToLine:
+class MorphismToLine(Record):
     """Glued pair (alpha_hat, alpha_an) with its exact integrality certificate."""
 
     surface: SurfaceDescriptor
@@ -141,8 +139,7 @@ def arithmetic_excess(alpha_hat: TruncatedSeries) -> float:
 
 # -- self-intersections -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SelfIntersectionA1:
+class SelfIntersectionA1(Record):
     value: float
     normal_part: float      # e(alpha) * deg
     finite_excess: float
@@ -199,8 +196,7 @@ def self_intersection_direct_oracle(m: MorphismToLine,
     return oracle.value + _jet_term(m.alpha_an, r)
 
 
-@dataclass(frozen=True)
-class SelfIntersectionP1:
+class SelfIntersectionP1(Record):
     value: float
     height_part: float      # 2 ht(alpha(0))
     characteristic_part: float  # 2 T(r)
@@ -260,8 +256,7 @@ def D_invariant(m: MorphismToLine,
     return m.ramification + (finite + arch) / deg
 
 
-@dataclass(frozen=True)
-class HolonomyBound:
+class HolonomyBound(Record):
     degree_bound: int
     d_invariant: float
     cdt_bound: float
@@ -343,8 +338,7 @@ def dim_bound_CNB(n: int, cd, mu: int) -> int:
 
 # -- integer series with decaying composed coefficients ------------------------
 
-@dataclass(frozen=True)
-class GrelemResult:
+class GrelemResult(Record):
     alpha_hat: TruncatedSeries      # X^e + higher integer terms
     composed: TruncatedSeries       # alpha_hat o psi^{-1}, exact rationals
     lam: Fraction                   # psi'(0)

@@ -7,13 +7,13 @@ module alone lays out reports.  Each handler returns its inputs and result
 as {command, inputs, settings, result}: for exactly the subcommands that
 declare --config it loads the quadrature settings into ``args.settings``
 before the handler runs, and echoes them.  A result record
-(a dataclass) serializes as the object of its fields by name, a truncated
-series as its coefficient list, and the handlers build the few layouts that
-differ from a record's fields.  Exit codes: 0 success, 2 domain errors (bad
-inputs and option values, violated preconditions, a number too long to
-print), 3 numerical non-convergence.  The console command (``entrypoint``)
-runs with the cyclic garbage collector off and leaves by ``os._exit`` once
-both streams are flushed; ``main`` does neither.
+(``records.Record``) serializes as the object of its fields by name, a
+truncated series as its coefficient list, and the handlers build the few
+layouts that differ from a record's fields.  Exit codes: 0 success, 2 domain
+errors (bad inputs and option values, violated preconditions, a number too
+long to print), 3 numerical non-convergence.  The console command
+(``entrypoint``) runs with the cyclic garbage collector off and leaves by
+``os._exit`` once both streams are flushed; ``main`` does neither.
 
 Each handler imports the layers it uses, so a command loads only its own
 modules: ``equilibrium`` and ``blowup-chain`` never load numpy, and
@@ -77,14 +77,13 @@ def _canonical(obj) -> str:
         return "[" + ",".join(_canonical(v) for v in obj) + "]"
     if isinstance(obj, TruncatedSeries):
         return _canonical(obj.coeffs)
-    # a dataclass record, found without importing dataclasses (start-up cost)
-    if hasattr(type(obj), "__dataclass_fields__"):
+    if hasattr(type(obj), "_fields"):  # a records.Record (namedtuples are tuples)
         return _canonical(_fields(obj))
     raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
 def _fields(record) -> dict:
-    return {name: getattr(record, name) for name in type(record).__dataclass_fields__}
+    return {name: getattr(record, name) for name in record._fields}
 
 
 def canonical_json(obj) -> str:
@@ -425,7 +424,14 @@ def _cmd_measure_mc(args):
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors raise ConfigError, so they exit 2 with a JSON body like
-    every other bad input; ``--help`` still prints and exits 0."""
+    every other bad input; ``--help`` still prints and exits 0.  A subcommand
+    adds its own arguments (``add_arguments``) when it first parses."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        add_arguments = vars(self).pop("add_arguments", None)
+        if add_arguments is not None:
+            add_arguments(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -439,83 +445,82 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="write the report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("overflow", help="Archimedean excess of a disk map")
-    p.add_argument("--map", required=True, help='expression in z, e.g. "z^3+z"')
-    p.add_argument("--radius", required=True, help="radius or comma list of radii")
-    p.add_argument("--target", choices=["C", "P1"], default="C")
-    p.add_argument("--method", choices=["explicit", "oracle", "both"], default="explicit")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--config", help="quadrature settings JSON (grid, tol, depth)")
-    p.set_defaults(handler=_cmd_overflow)
+    def command(name, help, handler):
+        def register(add_arguments):
+            p = sub.add_parser(name, help=help)
+            p.set_defaults(handler=handler)
+            p.add_arguments = add_arguments
+        return register
 
-    def morphism_args(q):
-        q.add_argument("--psi", required=True, help='series literal, e.g. \'["0","1/3"]\'')
-        q.add_argument("--map", required=True)
-        q.add_argument("--radius", type=float, default=1.0, help="disk radius (default 1)")
-        q.add_argument("--order", type=int, default=24)
-        q.add_argument("--config")
+    @command("overflow", "Archimedean excess of a disk map", _cmd_overflow)
+    def _(p):
+        p.add_argument("--map", required=True, help='expression in z, e.g. "z^3+z"')
+        p.add_argument("--radius", required=True, help="radius or comma list of radii")
+        p.add_argument("--target", choices=["C", "P1"], default="C")
+        p.add_argument("--method", choices=["explicit", "oracle", "both"], default="explicit")
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--config", help="quadrature settings JSON (grid, tol, depth)")
 
-    p = sub.add_parser("selfint", help="self-intersection of the pushed divisor")
-    morphism_args(p)
-    p.add_argument("--target", choices=["A1", "P1"], default="A1")
-    p.set_defaults(handler=_cmd_selfint)
+    def morphism(p, target=True):
+        p.add_argument("--psi", required=True, help='series literal, e.g. \'["0","1/3"]\'')
+        p.add_argument("--map", required=True)
+        p.add_argument("--radius", type=float, default=1.0, help="disk radius (default 1)")
+        p.add_argument("--order", type=int, default=24)
+        p.add_argument("--config")
+        if target:
+            p.add_argument("--target", choices=["A1", "P1"], default="A1")
+    command("selfint", "self-intersection of the pushed divisor", _cmd_selfint)(morphism)
+    command("dinv", "capacity-normalized self-intersection", _cmd_dinv)(morphism)
+    command("holonomy-bound", "degree bound on the function field", _cmd_holonomy)(
+        lambda p: morphism(p, target=False))
 
-    p = sub.add_parser("dinv", help="capacity-normalized self-intersection")
-    morphism_args(p)
-    p.add_argument("--target", choices=["A1", "P1"], default="A1")
-    p.set_defaults(handler=_cmd_dinv)
+    @command("dimbound", "section-count bounds", _cmd_dimbound)
+    def _(p):
+        p.add_argument("--variant", choices=["C", "CNB"], default="C")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d", type=int)
+        p.add_argument("--cd", type=_rational, help="rational component degree, e.g. 3/2")
+        p.add_argument("--mu", type=int)
 
-    p = sub.add_parser("holonomy-bound", help="degree bound on the function field")
-    morphism_args(p)
-    p.set_defaults(handler=_cmd_holonomy)
+    @command("grelem", "integer series with decaying composition", _cmd_grelem)
+    def _(p):
+        p.add_argument("--psi", required=True)
+        p.add_argument("--e", type=int, default=1)
+        p.add_argument("--order", type=int, default=24)
 
-    p = sub.add_parser("dimbound", help="section-count bounds")
-    p.add_argument("--variant", choices=["C", "CNB"], default="C")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--cd", type=_rational, help="rational component degree, e.g. 3/2")
-    p.add_argument("--mu", type=int)
-    p.set_defaults(handler=_cmd_dimbound)
+    @command("equilibrium", "equilibrium divisor of a lattice file", _cmd_equilibrium)
+    def _(p):
+        p.add_argument("--lattice", required=True, help="JSON: labels, matrix, c, cc")
 
-    p = sub.add_parser("grelem", help="integer series with decaying composition")
-    p.add_argument("--psi", required=True)
-    p.add_argument("--e", type=int, default=1)
-    p.add_argument("--order", type=int, default=24)
-    p.set_defaults(handler=_cmd_grelem)
+    @command("blowup-chain", "chain fixture and its equilibrium", _cmd_blowup_chain)
+    def _(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--cc", type=_rational, default="0",
+                       help="section self-intersection (rational)")
 
-    p = sub.add_parser("equilibrium", help="equilibrium divisor of a lattice file")
-    p.add_argument("--lattice", required=True, help="JSON: labels, matrix, c, cc")
-    p.set_defaults(handler=_cmd_equilibrium)
+    @command("sample-diffeo", "seeded fundamental-domain sample", _cmd_sample_diffeo)
+    def _(p):
+        p.add_argument("--level", type=int, required=True)
+        p.add_argument("--seed", type=_seed, required=True)
 
-    p = sub.add_parser("blowup-chain", help="chain fixture and its equilibrium")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cc", type=_rational, default="0",
-                   help="section self-intersection (rational)")
-    p.set_defaults(handler=_cmd_blowup_chain)
+    @command("jacobian-check", "finite-difference orbit Jacobian", _cmd_jacobian_check)
+    def _(p):
+        p.add_argument("--e", type=int, required=True)
+        p.add_argument("--a", type=int, required=True)
+        p.add_argument("--level", type=int, required=True)
+        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--step", type=float, default=1e-3)
 
-    p = sub.add_parser("sample-diffeo", help="seeded fundamental-domain sample")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--seed", type=_seed, required=True)
-    p.set_defaults(handler=_cmd_sample_diffeo)
-
-    p = sub.add_parser("jacobian-check", help="finite-difference orbit Jacobian")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.set_defaults(handler=_cmd_jacobian_check)
-
-    p = sub.add_parser("measure-mc", help="orbit-box Monte Carlo vs counting bound")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--box-radius", type=float, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--shards", type=int, default=4)
-    p.set_defaults(handler=_cmd_measure_mc)
+    @command("measure-mc", "orbit-box Monte Carlo vs counting bound", _cmd_measure_mc)
+    def _(p):
+        p.add_argument("--e", type=int, required=True)
+        p.add_argument("--a", type=int, required=True)
+        p.add_argument("--rho", type=float, required=True)
+        p.add_argument("--box-radius", type=float, required=True)
+        p.add_argument("--level", type=int, required=True)
+        p.add_argument("--samples", type=int, default=100_000)
+        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--shards", type=int, default=4)
 
     return parser
 

@@ -15,7 +15,6 @@ lattice-point counting bound for how often an orbit meets a coefficient box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -28,13 +27,13 @@ from .errors import (
     NumericalError,
     StepTooSmall,
 )
+from .records import Record
 from .series import TruncatedSeries, compose, compositional_inverse
 
 ENUMERATION_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class TruncatedDiffeo:
+class TruncatedDiffeo(Record):
     """X plus higher terms, truncated at level n (coefficients a_2..a_{n+1}).
 
     Coefficients are stored as exact Fractions; a float converts exactly, so
@@ -74,8 +73,7 @@ def group_invert(x: TruncatedDiffeo) -> TruncatedDiffeo:
     return _from_series(compositional_inverse(x.as_series(x.level + 1)), x.level)
 
 
-@dataclass(frozen=True)
-class OrbitElement:
+class OrbitElement(Record):
     """Series a X^e + higher terms, truncated at level n beyond the lead."""
 
     e: int
@@ -187,8 +185,7 @@ def _jacobian_expected(e: int, a: int, n: int) -> float:
         raise DomainError("the Jacobian (e a)^n is outside the float64 range") from None
 
 
-@dataclass(frozen=True)
-class JacobianCheck:
+class JacobianCheck(Record):
     determinant: float
     expected: float
     relative_error: float
@@ -337,8 +334,7 @@ def _box_hits(a: int, e: int, span: int, powers: list, box: np.ndarray) -> np.nd
     return in_event
 
 
-@dataclass(frozen=True)
-class MeasureBoundReport:
+class MeasureBoundReport(Record):
     estimate: float
     stderr: float
     paper_bound: float

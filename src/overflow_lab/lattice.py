@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import CandidateNotCNB, DomainError, NotNegativeDefinite
+from .records import Record
 
 
 def _fraction(x) -> Fraction:
@@ -35,8 +35,7 @@ def _numerators(xs: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class IntersectionLattice(Record):
     """Labeled symmetric pairing of vertical components against a section.
 
     ``matrix`` holds the pairwise component intersections, ``c`` the section
@@ -140,8 +139,7 @@ def solve_exact(matrix: Sequence[Sequence[Fraction]],
 
 # -- equilibrium divisors ------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquilibriumDivisor:
+class EquilibriumDivisor(Record):
     coefficients: Tuple[Fraction, ...]
     dd: Fraction
     effective: bool
@@ -163,8 +161,7 @@ def equilibrium_divisor(lattice: IntersectionLattice) -> EquilibriumDivisor:
     return EquilibriumDivisor(tuple(v), dd, all(x >= 0 for x in v))
 
 
-@dataclass(frozen=True)
-class CNBReport:
+class CNBReport(Record):
     holds: bool
     dd: Fraction
     component_degrees: Tuple[Fraction, ...]
@@ -233,8 +230,7 @@ def blowup_chain_fixture(n: int, cc) -> IntersectionLattice:
 
 # -- extremality comparison ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     coefficient_gap: Tuple[Fraction, ...]   # equilibrium minus candidate
     coefficient_dominates: bool
     section_gap: Fraction                   # C.D - C.Dtilde

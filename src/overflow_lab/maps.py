@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Tuple
@@ -16,6 +15,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ConstantMap, DomainError, ParseError, PoleAtOrigin
+from .records import Record
 
 #: Zero threshold for float and complex coefficients; exact ones test exactly.
 _FLOAT_ZERO_TOL = 1e-12
@@ -129,8 +129,7 @@ def _is_real(c) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DiskMap:
+class DiskMap(Record):
     """A map z -> num(z)/den(z), analytic on the closed disk of interest.
 
     ``num`` and ``den`` are coprime coefficient tuples in increasing degree (an

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -77,6 +76,7 @@ from .quadrature import (
     nevanlinna_T,
     torus_pair_log_integral,
 )
+from .records import Record
 
 #: Root moduli this close to the boundary circle poison the definitional oracle.
 BOUNDARY_TANGENCY_TOL = 1e-6
@@ -85,8 +85,7 @@ ORACLE_DEGREE_BOUND = 8
 ROOT_RESIDUAL_TOL = 1e-10
 
 
-@dataclass
-class OverflowReport:
+class OverflowReport(Record, frozen=False):
     """A computed excess with its method tag and convergence evidence."""
 
     value: float
@@ -736,8 +735,7 @@ def log_plus_mean(alpha: DiskMap, r: float,
 
 # -- bound check and asymptotics ----------------------------------------------
 
-@dataclass
-class BoundCheck:
+class BoundCheck(Record, frozen=False):
     excess: float
     bound: float
     slack: float
@@ -760,8 +758,7 @@ def nevanlinna_bound_check(alpha: DiskMap, r: float,
                       characteristic=2.0 * t_char)
 
 
-@dataclass
-class AsymptoticFit:
+class AsymptoticFit(Record, frozen=False):
     slope: float
     intercept: float
     max_residual: float

@@ -14,17 +14,16 @@ quadrature rule can never silently consume the singular point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .records import Record
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class DiskPotential:
+class DiskPotential(Record):
     """Equilibrium potential g(z) = log+ (r / |z - a|) of a pointed disk.
 
     Nonnegative, zero outside the open disk, +inf at the center; its

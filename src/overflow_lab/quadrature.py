@@ -52,7 +52,6 @@ for fixed settings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
@@ -61,6 +60,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, NumericalError
 from .maps import DiskMap
+from .records import Record
 
 
 #: Finest lattice a ladder may reach, base_grid * 2**max_depth.  The settings
@@ -69,8 +69,7 @@ from .maps import DiskMap
 MAX_LATTICE = 1 << 24
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
+class QuadratureSettings(Record):
     """Grid controls shared by the circle and torus rules.
 
     ``base_grid`` is the coarsest lattice size (a power of two), doubling up
@@ -101,8 +100,7 @@ class QuadratureSettings:
 DEFAULT_SETTINGS = QuadratureSettings()
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Convergence evidence attached to an accepted estimate."""
 
     tol: float

@@ -109,13 +109,6 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         return TruncatedSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
-
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([c * other for c in self.coeffs])

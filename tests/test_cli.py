@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import io
 import json
 import math
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 import overflow_lab
 from overflow_lab.cli import canonical_json, main
 from overflow_lab.quadrature import Certificate
+from overflow_lab.records import Record
 from overflow_lab.series import TruncatedSeries
 
 
@@ -688,16 +688,15 @@ class TestDeterminismAndRoundTrip:
         assert out1 == out2
 
     def test_records_serialize_by_field_name(self):
-        @dataclasses.dataclass(frozen=True)
-        class Record:
+        class Example(Record):
             certificate: Certificate
             radii: tuple
             ratio: Fraction
             series: TruncatedSeries
             bound: object
 
-        record = Record(Certificate(1e-6, 0.25, 512), (0.5, 2),
-                        Fraction(-3, 4), TruncatedSeries([0, 1, Fraction(1, 2)]), None)
+        record = Example(Certificate(1e-6, 0.25, 512), (0.5, 2),
+                         Fraction(-3, 4), TruncatedSeries([0, 1, Fraction(1, 2)]), None)
         assert canonical_json(record) == (
             '{"bound":null,'
             '"certificate":{"achieved":0.25,"grid":512,"tol":9.9999999999999995e-07},'

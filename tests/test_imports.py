@@ -55,6 +55,7 @@ def test_exact_layers_stay_exact_and_numpy_free(name):
 REPO = Path(overflow_lab.__file__).resolve().parents[2]
 NUMERIC_LAYERS = {f"overflow_lab.{name}" for name in (
     "maps", "quadrature", "potential", "overflow", "arithmetic", "lattice", "diffeo")}
+LATTICE = REPO / "tests" / "golden" / "exact" / "lattice25.json"
 
 
 def _modules_after(code):
@@ -100,10 +101,9 @@ def test_importing_the_float_layers_calls_no_lapack():
 
 
 def test_lattice_commands_never_load_numpy():
-    lattice = REPO / "tests" / "golden" / "exact" / "lattice25.json"
     loaded = _modules_after(
         "from overflow_lab.cli import main\n"
-        f"assert main(['equilibrium', '--lattice', {str(lattice)!r}]) == 0\n"
+        f"assert main(['equilibrium', '--lattice', {str(LATTICE)!r}]) == 0\n"
         "assert main(['blowup-chain', '--n', '5', '--cc', '1/2']) == 0"
     )
     assert "overflow_lab.lattice" in loaded
@@ -122,6 +122,32 @@ def test_grelem_and_dimbound_never_load_numpy():
     assert "overflow_lab.arithmetic" in loaded
     assert "numpy" not in loaded
     assert not loaded & (NUMERIC_LAYERS - {"overflow_lab.arithmetic"})
+
+
+COMMANDS = {
+    "overflow": ["overflow", "--map", "z^2+z", "--radius", "1"],
+    "selfint": ["selfint", "--psi", '["0","1/3"]', "--map", "3*z"],
+    "equilibrium": ["equilibrium", "--lattice", str(LATTICE)],
+    "blowup-chain": ["blowup-chain", "--n", "5", "--cc", "1/2"],
+    "grelem": ["grelem", "--psi", "[0, 2, 1]", "--order", "6"],
+    "dimbound": ["dimbound", "--n", "7", "--d", "2"],
+    "measure-mc": ["measure-mc", "--e", "1", "--a", "2", "--rho", "2", "--box-radius", "1",
+                   "--level", "2", "--samples", "500"],
+}
+NUMPY_FREE = {"equilibrium", "blowup-chain", "grelem", "dimbound"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_commands_load_no_dataclasses(command):
+    # records are plain classes; the commands that never load numpy also
+    # never load inspect, which dataclasses would import
+    loaded = _modules_after(
+        "from overflow_lab.cli import main\n"
+        f"assert main({COMMANDS[command]!r}) == 0"
+    )
+    assert "dataclasses" not in loaded
+    if command in NUMPY_FREE:
+        assert "inspect" not in loaded and "numpy" not in loaded
 
 
 def test_overflow_command_loads_no_exact_layer(tmp_path):

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -579,8 +578,9 @@ class TestP1:
         for _ in range(4):
             alpha = random_polynomial(rng, max_degree=4)
             r = float(rng.uniform(0.5, 2.0))
-            p1 = dataclasses.asdict(overflow_to_P1(alpha, r, FAST))
-            c = dataclasses.asdict(overflow_to_C(alpha, r, FAST))
+            p1, c = overflow_to_P1(alpha, r, FAST), overflow_to_C(alpha, r, FAST)
+            p1, c = ({name: getattr(report, name) for name in report._fields}
+                     for report in (p1, c))
             assert p1.pop("target") == "P1" and c.pop("target") == "C"
             assert p1 == c
 

@@ -1,10 +1,14 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import overflow_lab
+from overflow_lab.quadrature import QuadratureSettings
 
 SCRIPTS = Path(overflow_lab.__file__).resolve().parents[2] / "scripts"
 
@@ -64,3 +68,31 @@ def test_overclaim_report_on_two_maps(tmp_path):
     for counts in summary["defaults"].values():
         assert counts["entries"] == 2 and counts["failed"] == 0
         assert 0 <= counts["over_tol"] <= counts["over_achieved"] <= 2
+
+
+#: Upper bounds on the overclaims of the 48 excess-c entries, (over_achieved,
+#: over_tol) per setting and route.  A change that lowers a count lowers its
+#: bound with it; none may rise.
+OVERCLAIM_BOUNDS = {
+    "defaults": {"explicit": (11, 4), "oracle": (0, 0)},
+    "criterion_7": {"explicit": (9, 2), "oracle": (0, 0)},
+}
+
+
+@pytest.mark.parametrize("setting", sorted(OVERCLAIM_BOUNDS))
+@pytest.mark.parametrize("route", ["explicit", "oracle"])
+def test_overclaims_do_not_rise(setting, route):
+    spec = importlib.util.spec_from_file_location("overclaim_report",
+                                                  SCRIPTS / "overclaim_report.py")
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    table = json.loads(report.TABLE.read_text())
+    entries = [e for e in table["entries"] if e["source"] == "excess-c"]
+    cfg = table["settings"][setting]
+    settings = QuadratureSettings(cfg["grid"], cfg["tol"], cfg["depth"])
+    counts = report.count(report.ROUTES[route], entries, settings)
+    over_achieved, over_tol = OVERCLAIM_BOUNDS[setting][route]
+    assert counts["entries"] == 48
+    assert counts["failed"] == 0
+    assert counts["over_achieved"] <= over_achieved, counts
+    assert counts["over_tol"] <= over_tol, counts
