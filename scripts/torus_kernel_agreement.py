@@ -5,10 +5,10 @@ For each map and radius the explicit route's torus integral runs once as the
 CLI runs it, on P at radius r^K for a map P(z^K)
 (``overflow._power_reduction``), timed in process, counting the outer rows
 handed to the direct kernel (``quadrature._log_cross_sum``) as they arrive,
-and the seconds spent there: rows that fail the reciprocal check and the
-rows of levels that run direct whole.  Then every ladder level up to the
-accepted grid is evaluated again by both kernels on the same lattices, and
-the largest gap between the two levels is printed.
+and the seconds spent there: rows that fail the reciprocal check, and every
+row of a level whose rows cost Graeffe at least their m pairs.  Then every
+ladder level up to the accepted grid is evaluated again by both kernels on
+the same lattices, and the largest gap between the two levels is printed.
 
 Sets: ``pool``, the maps and radii of perfbench's ``excess-c`` pool;
 ``adversarial``, rotation orders, large radii, clustered fibers, high degree,

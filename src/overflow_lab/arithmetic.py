@@ -52,13 +52,6 @@ if TYPE_CHECKING:
     from .quadrature import QuadratureSettings
 
 
-def _or_default(settings: Optional[QuadratureSettings]) -> QuadratureSettings:
-    """The quadrature settings to use; None means the package defaults."""
-    from .quadrature import DEFAULT_SETTINGS
-
-    return DEFAULT_SETTINGS if settings is None else settings
-
-
 # -- surfaces and morphisms ---------------------------------------------------
 
 class SurfaceDescriptor(Record):
@@ -154,8 +147,7 @@ def _jet_term(alpha: DiskMap, r: float) -> float:
 
 
 def self_intersection_A1(m: MorphismToLine,
-                         settings: Optional[QuadratureSettings] = None,
-                         ) -> SelfIntersectionA1:
+                         settings: QuadratureSettings) -> SelfIntersectionA1:
     """Three-part decomposition of the self-intersection over the affine line."""
     from .overflow import overflow_to_C
 
@@ -163,7 +155,7 @@ def self_intersection_A1(m: MorphismToLine,
     normal_part = e * m.surface.normal_degree
     finite = arithmetic_excess(m.alpha_hat)
     r = float(m.surface.radius)
-    arch = overflow_to_C(m.alpha_an, r, _or_default(settings))
+    arch = overflow_to_C(m.alpha_an, r, settings)
     # the disputed variant doubles the boundary double integral: excess plus jet term
     doubled = 2.0 * (arch.value + _jet_term(m.alpha_an, r))
     return SelfIntersectionA1(
@@ -176,8 +168,7 @@ def self_intersection_A1(m: MorphismToLine,
 
 
 def self_intersection_direct_oracle(m: MorphismToLine,
-                                    settings: Optional[QuadratureSettings] = None,
-                                    ) -> float:
+                                    settings: QuadratureSettings) -> float:
     """Self-intersection evaluated directly on the pushed-forward divisor.
 
     The degree part is the constant kappa of the direct image of the
@@ -192,7 +183,7 @@ def self_intersection_direct_oracle(m: MorphismToLine,
     from .overflow import overflow_definitional_oracle
 
     r = float(m.surface.radius)
-    oracle = overflow_definitional_oracle(m.alpha_an, r, _or_default(settings))
+    oracle = overflow_definitional_oracle(m.alpha_an, r, settings)
     return oracle.value + _jet_term(m.alpha_an, r)
 
 
@@ -212,14 +203,13 @@ def projective_height(x: Fraction) -> float:
 
 
 def self_intersection_P1(m: MorphismToLine,
-                         settings: Optional[QuadratureSettings] = None,
-                         ) -> SelfIntersectionP1:
+                         settings: QuadratureSettings) -> SelfIntersectionP1:
     """Self-intersection over the projective line: heights plus characteristic,
     less the kernel, which is the slack of the characteristic bound on the P1 excess."""
     from .overflow import nevanlinna_bound_check
 
     ht = projective_height(m.constant_term)
-    check = nevanlinna_bound_check(m.alpha_an, float(m.surface.radius), _or_default(settings))
+    check = nevanlinna_bound_check(m.alpha_an, float(m.surface.radius), settings)
     upper = 2.0 * ht + check.characteristic
     return SelfIntersectionP1(
         value=upper - check.slack,
@@ -232,8 +222,7 @@ def self_intersection_P1(m: MorphismToLine,
 
 # -- the capacity-normalized invariant and degree bounds -----------------------
 
-def D_invariant(m: MorphismToLine,
-                settings: Optional[QuadratureSettings] = None,
+def D_invariant(m: MorphismToLine, settings: QuadratureSettings,
                 target: str = "A1") -> float:
     """Self-intersection divided by the capacitary normal degree.
 
@@ -242,7 +231,6 @@ def D_invariant(m: MorphismToLine,
     """
     from .overflow import overflow_to_C, overflow_to_P1
 
-    settings = _or_default(settings)
     deg = m.surface.normal_degree
     if not (deg > 0):
         raise NotPseudoconcave(f"normal degree {deg} is not positive")
@@ -263,8 +251,7 @@ class HolonomyBound(Record):
 
 
 def holonomy_degree_bound(m: MorphismToLine,
-                          settings: Optional[QuadratureSettings] = None,
-                          ) -> HolonomyBound:
+                          settings: QuadratureSettings) -> HolonomyBound:
     """Cap on the degree of the function field over the subfield the map generates.
 
     The primary bound is the floor of the capacity-normalized invariant; the
@@ -275,7 +262,7 @@ def holonomy_degree_bound(m: MorphismToLine,
     from .overflow import log_plus_mean
 
     d_value = D_invariant(m, settings)
-    mean, _ = log_plus_mean(m.alpha_an, float(m.surface.radius), _or_default(settings))
+    mean, _ = log_plus_mean(m.alpha_an, float(m.surface.radius), settings)
     return HolonomyBound(
         degree_bound=math.floor(d_value + 1e-12),
         d_invariant=d_value,

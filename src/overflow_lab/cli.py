@@ -90,8 +90,12 @@ def canonical_json(obj) -> str:
     return _canonical(obj) + "\n"
 
 
-def report_csv(rows, columns=("x", "value", "method")) -> str:
-    lines = [",".join(columns)]
+#: Header of every CSV report, whose rows are (radius, value, method).
+_CSV_COLUMNS = ("x", "value", "method")
+
+
+def report_csv(rows) -> str:
+    lines = [",".join(_CSV_COLUMNS)]
     for row in rows:
         cells = []
         for cell in row:

@@ -334,6 +334,13 @@ def _box_hits(a: int, e: int, span: int, powers: list, box: np.ndarray) -> np.nd
     return in_event
 
 
+#: Elements of each coefficient array of the sampler, which draws and searches
+#: a shard's samples max(1, _BLOCK_ELEMENTS // (order + 1)) at a time, so its
+#: memory stays bounded whatever the shard's size.  The generator draws the
+#: blocks' rows in order, so the counts are those of one batch, bit for bit.
+_BLOCK_ELEMENTS = 1 << 18
+
+
 class MeasureBoundReport(Record):
     estimate: float
     stderr: float
@@ -386,23 +393,25 @@ def measure_bound_mc(e: int, a: int, rho: float, box_radius: float, n: int,
         ) from None
 
     hits = 0
+    block = max(1, _BLOCK_ELEMENTS // (order + 1))
     # shard k holds samples // shards samples, one more for k < samples % shards;
     # only the first min(shards, samples) hold any
     for shard in range(min(shards, samples)):
         count = samples // shards + (shard < samples % shards)
         rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
-        g = np.zeros((n + 2, count))
-        g[1] = 1.0
-        g[2:] = rng.uniform(size=(count, n)).T
-        inv = _batched_inverse(g, order)
-        # powers of the inverse: inv^e .. inv^{e+n}
-        power = inv
-        for k in range(1, e):
-            power = _batched_truncated_product(power, inv, order, k, 1)
-        powers = [power]
-        for k in range(e, e + n):
-            powers.append(_batched_truncated_product(powers[-1], inv, order, k, 1))
-        hits += int(np.sum(_box_hits(a, e, span, powers, box)))
+        for lo in range(0, count, block):
+            g = np.zeros((n + 2, min(block, count - lo)))
+            g[1] = 1.0
+            g[2:] = rng.uniform(size=(g.shape[1], n)).T
+            inv = _batched_inverse(g, order)
+            # powers of the inverse: inv^e .. inv^{e+n}
+            power = inv
+            for k in range(1, e):
+                power = _batched_truncated_product(power, inv, order, k, 1)
+            powers = [power]
+            for k in range(e, e + n):
+                powers.append(_batched_truncated_product(powers[-1], inv, order, k, 1))
+            hits += int(np.sum(_box_hits(a, e, span, powers, box)))
 
     estimate = hits / samples
     stderr = math.sqrt(max(estimate * (1 - estimate), 1e-300) / samples)

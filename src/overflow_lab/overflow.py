@@ -85,7 +85,7 @@ ORACLE_DEGREE_BOUND = 8
 ROOT_RESIDUAL_TOL = 1e-10
 
 
-class OverflowReport(Record, frozen=False):
+class OverflowReport(Record):
     """A computed excess with its method tag and convergence evidence."""
 
     value: float
@@ -735,7 +735,7 @@ def log_plus_mean(alpha: DiskMap, r: float,
 
 # -- bound check and asymptotics ----------------------------------------------
 
-class BoundCheck(Record, frozen=False):
+class BoundCheck(Record):
     excess: float
     bound: float
     slack: float
@@ -758,7 +758,7 @@ def nevanlinna_bound_check(alpha: DiskMap, r: float,
                       characteristic=2.0 * t_char)
 
 
-class AsymptoticFit(Record, frozen=False):
+class AsymptoticFit(Record):
     slope: float
     intercept: float
     max_residual: float

@@ -24,10 +24,10 @@ exactly first.  Every map is the pair (p, q), a polynomial with q = 1, and
 every row is built and evaluated at -i.  Fiber roots of equal modulus whose
 powers meet under squaring lose the iterate's accuracy, so every row is run
 again as the reciprocal polynomial turned by a fraction of a node, and a row
-whose two sums disagree is summed directly, as is a level too small or of too
-high a degree for Graeffe to be cheaper.  The roots zeta e(t), zeta^K = 1, of
-a map P(z^K) are such a merging orbit, so the explicit route integrates P on
-radius r^K.
+whose two sums disagree is summed directly, as is every row of a level whose
+degree makes a Graeffe row cost at least its m pairs.  The roots zeta e(t),
+zeta^K = 1, of a map P(z^K) are such a merging orbit, so the explicit route
+integrates P on radius r^K.
 
 The direct sum takes log|q(t)| + log|q(s)| as one sum of logs per lattice and
 the differences f(t) - f(s) of f = p/q, first scaled by an exact power of two
@@ -237,11 +237,6 @@ _CHECK_GAP = 1e-13
 #: circle is nearly its own reciprocal, and the two Graeffe passes round alike.
 _CHECK_TURN = 0.125
 
-#: A level's fixed cost in the Graeffe kernel, in pairs of the direct sum.  A
-#: level runs on _log_cross_sum unless its pairs, m per row, exceed Graeffe's
-#: products, (deg + 1)^2 per row and step, by more than this.
-_GRAEFFE_LEVEL_PAIRS = 1 << 17
-
 
 def _inner_coefficients(values: np.ndarray) -> np.ndarray:
     """Coefficients A_0..A_{m-1} of the polynomial taking ``values`` at the
@@ -328,8 +323,8 @@ def _graeffe_rows(p1, q1, p2, q2) -> Tuple[np.ndarray, float]:
     Graeffe iterate at -i|.  Each row is checked against the reciprocal of
     P_i(y e(_CHECK_TURN / m)), which has the same modulus at the turned
     nodes, and is ok when its two sums are within _CHECK_GAP m.  No row is
-    ok when p2 or q2 vanishes throughout or is not finite, or when Graeffe
-    would cost more than the direct sum.
+    ok when p2 or q2 vanishes throughout or is not finite, or when a row's
+    Graeffe products, (deg + 1)^2 per step, are at least its m pairs.
     """
     n, m = len(p1), len(p2)
     tops = [float(np.max(np.abs(v))) for v in (p2, q2)]
@@ -342,7 +337,7 @@ def _graeffe_rows(p1, q1, p2, q2) -> Tuple[np.ndarray, float]:
     b, g1 = _inner_coefficients(_scaled(q2, kq)), _scaled(q1, kq)
     deg = int(np.flatnonzero((a != 0) | (b != 0))[-1])
     steps = m.bit_length() - 1
-    if n * (m - (deg + 1) ** 2 * steps) <= _GRAEFFE_LEVEL_PAIRS:
+    if m <= (deg + 1) ** 2 * steps:  # a row costs Graeffe at least m pairs
         return np.zeros(n, dtype=bool), 0.0
     polys = a[: deg + 1, None] * g1 - b[: deg + 1, None] * f1
 

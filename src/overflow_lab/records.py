@@ -2,17 +2,13 @@
 attributes, in order (``_fields``), and a class attribute of the same name is a
 field's default.  Records take fields by position or by name, run
 ``__post_init__``, compare by class and field values, and are frozen and hash
-by them unless their class says ``frozen=False``.  Defining one runs no
-``exec`` and imports nothing."""
+by them.  Defining one runs no ``exec`` and imports nothing."""
 
 
 class Record:
-    def __init_subclass__(cls, frozen=True):
+    def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {key: vars(cls)[key] for key in cls._fields if key in vars(cls)}
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         values = dict(self._defaults, **dict(zip(self._fields, args)), **kwargs)

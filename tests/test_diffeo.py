@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overflow_lab.cli import canonical_json
 from overflow_lab.diffeo import (
     OrbitElement,
     TruncatedDiffeo,
@@ -260,6 +261,24 @@ class TestMeasureBound:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_shards_of_several_blocks_report_as_one_batch(self):
+        # two shards of 50001 samples, each drawn and searched in two blocks
+        got = measure_bound_mc(2, 3, 1.5, 1.0, 3, samples=100001, seed=11, shards=2)
+        assert canonical_json(got) == (
+            '{"estimate":0.035219647803521964,"paper_bound":0.20809835898999135,'
+            '"product_bound":0.061658773034071516,"samples":100001,"seed":11,"shards":2,'
+            '"stderr":0.00058291409678677014,"uninformative":false}\n')
+
+    def test_shard_memory_does_not_grow_with_its_samples(self):
+        # one batch of 600000 samples would hold 19 MB in each coefficient array
+        tracemalloc.start()
+        try:
+            measure_bound_mc(1, -2, 2.0, 1.0, 2, samples=600_000, seed=5, shards=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
 
     @pytest.mark.parametrize("e, a", [(0, 1), (-1, 1), (1, 0)])
     def test_degenerate_leading_term_raises(self, e, a):

@@ -501,6 +501,19 @@ def graeffe_rows(monkeypatch):
     return calls
 
 
+def _graeffe_admits(alpha, n):
+    """The kernel's level rule for a map of degree below m = 8n: Graeffe
+    builds the rows when each costs fewer products, (deg + 1)^2 in each of
+    log2(m) squarings, than its m pairs."""
+    m = quadrature._INNER_REFINE * n
+    return (alpha.degree + 1) ** 2 * (m.bit_length() - 1) < m
+
+
+def _whole_level(direct_rows, p1):
+    """Whether the direct sum got every outer row of the level, in one call."""
+    return len(direct_rows) == 1 and np.array_equal(direct_rows[0], p1)
+
+
 class TestGraeffeKernel:
     """The Graeffe inner sums against the direct sum on the same lattices."""
 
@@ -520,62 +533,81 @@ class TestGraeffeKernel:
     ]
 
     @pytest.mark.parametrize("expr,r", CASES)
-    @pytest.mark.parametrize("n", [16, 128, 1024])
-    def test_every_level_matches_the_direct_sum(self, expr, r, n, monkeypatch):
-        # at any level size: the cost cut-over would send small levels direct
-        monkeypatch.setattr(quadrature, "_GRAEFFE_LEVEL_PAIRS", -math.inf)
-        p1, q1, p2, q2 = _level(parse_map(expr), r, n)
+    @pytest.mark.parametrize("n", [16, 128, 512, 1024])
+    def test_every_level_matches_the_direct_sum(self, expr, r, n, graeffe_rows, direct_rows):
+        alpha = parse_map(expr)
+        p1, q1, p2, q2 = _level(alpha, r, n)
         scale = 0.5 / (n * len(p2))
         got = _graeffe_cross_sum(p1, q1, p2, q2, "kernel") * scale
-        assert got == pytest.approx(_log_cross_sum(p1, q1, p2, q2, "kernel") * scale,
-                                    rel=0, abs=1e-12)
+        if _graeffe_admits(alpha, n):
+            assert graeffe_rows == [n]
+            assert got == pytest.approx(_log_cross_sum(p1, q1, p2, q2, "kernel") * scale,
+                                        rel=0, abs=1e-12)
+        else:
+            assert graeffe_rows == [] and _whole_level(direct_rows, p1)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
-    @pytest.mark.parametrize("alpha", [
-        parse_map("2+z-z^33+z^64"),
-        DiskMap((-1, 2 - 1j, 0, 1 + 1j)),
-        DiskMap((1j, 2, 0.5 - 1j), (1, 0.3j)),
-    ], ids=["degree 64", "complex", "complex rational"])
-    def test_coarse_lattices_and_complex_maps(self, alpha, n, monkeypatch, direct_rows):
+    @pytest.mark.parametrize("alpha,graeffe_at", [
         # m = 8n is at most the degree 64: the inner coefficients are the
-        # map's reduced mod y^m + i
-        monkeypatch.setattr(quadrature, "_GRAEFFE_LEVEL_PAIRS", -math.inf)
+        # map's reduced mod y^m + i, of degree 1 at m = 32
+        (parse_map("2+z-z^33+z^64"), {4}),
+        (DiskMap((-1, 2 - 1j, 0, 1 + 1j)), set()),
+        (DiskMap((1j, 2, 0.5 - 1j), (1, 0.3j)), {8}),
+    ], ids=["degree 64", "complex", "complex rational"])
+    def test_coarse_lattices_and_complex_maps(self, alpha, graeffe_at, n, graeffe_rows,
+                                              direct_rows):
+        # a level whose rows cost Graeffe at least their m pairs runs direct
         p1, q1, p2, q2 = _level(alpha, 1.01, n)
         scale = 0.5 / (n * len(p2))
         got = _graeffe_cross_sum(p1, q1, p2, q2, "kernel")
-        want = _log_cross_sum(p1, q1, p2, q2, "kernel")
-        assert got * scale == pytest.approx(want * scale, rel=0, abs=1e-12)
-        assert direct_rows == []  # every row passed its check
+        if n in graeffe_at:
+            want = _log_cross_sum(p1, q1, p2, q2, "kernel")
+            assert got * scale == pytest.approx(want * scale, rel=0, abs=1e-12)
+            assert graeffe_rows == [n] and direct_rows == []  # every row passed its check
+        else:
+            assert graeffe_rows == [] and _whole_level(direct_rows, p1)
 
     @pytest.mark.parametrize("alpha,r,n", [
         (parse_map("3-z-3*z^2-z^3-z^4+3*z^5"), 1.787, 256),
         (parse_map("(2+z^2)/(3*z^2+z-(1/2))"), 0.8, 256),
         # A and B complex: a complex map, and a real map of degree 64 whose
-        # coefficients reduced mod y^64 + i are not real
+        # coefficients reduced mod y^32 + i are not real
         (DiskMap((2 + 1j, -1, 3)), 1.5, 256),
-        (parse_map("2+z-z^33+z^64"), 1.01, 8),
+        (parse_map("2+z-z^33+z^64"), 1.01, 4),
     ], ids=["real", "real rational", "complex", "degree 64"])
-    def test_every_row_is_built(self, alpha, r, n, monkeypatch, graeffe_rows):
-        monkeypatch.setattr(quadrature, "_GRAEFFE_LEVEL_PAIRS", -math.inf)
+    def test_every_row_is_built(self, alpha, r, n, graeffe_rows):
         _graeffe_cross_sum(*_level(alpha, r, n), "kernel")
         assert graeffe_rows == [n]
 
     @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_a_complex_boundary_that_wraps_to_real_coefficients(self, n, monkeypatch):
-        # at n = 2, m = 16, i z^16 reduced mod y^16 + i is the real r^16, so
-        # A comes out real while the outer values are not conjugate in pairs;
-        # at n = 4 and 8 the check sends some rows direct
-        monkeypatch.setattr(quadrature, "_GRAEFFE_LEVEL_PAIRS", -math.inf)
-        p1, q1, p2, q2 = _level(DiskMap((1, 1) + (0,) * 14 + (1j,)), 1.01, n)
-        scale = 0.5 / (n * len(p2))
-        got = _graeffe_cross_sum(p1, q1, p2, q2, "kernel")
-        want = _log_cross_sum(p1, q1, p2, q2, "kernel")
-        assert got * scale == pytest.approx(want * scale, rel=0, abs=1e-12)
+    def test_a_complex_boundary_that_wraps_to_real_coefficients(self, n, graeffe_rows,
+                                                                direct_rows):
+        # at n = 2, m = 16, i z^16 reduced mod y^16 + i is the real r^16, of
+        # degree 1, and at n = 4 and 8 the map has degree 16: each level's
+        # rows cost Graeffe at least their m pairs, so the level runs direct
+        p1, *_ = level = _level(DiskMap((1, 1) + (0,) * 14 + (1j,)), 1.01, n)
+        _graeffe_cross_sum(*level, "kernel")
+        assert graeffe_rows == [] and _whole_level(direct_rows, p1)
 
     def test_degree_five_pool_map_needs_no_direct_row(self, direct_rows):
         alpha = parse_map("3-z-3*z^2-z^3-z^4+3*z^5")
         overflow._boundary_cross(alpha, 1.787, quadrature.DEFAULT_SETTINGS)
         assert direct_rows == []
+
+    def test_a_low_degree_map_runs_every_level_on_graeffe(self, direct_rows, graeffe_rows):
+        # criterion 7's settings start at 64 x 512 pairs: a degree-2 row
+        # costs Graeffe 9 products in each of 9 squarings, fewer than its 512
+        alpha = parse_map("3*z-z^2")
+        overflow._boundary_cross(alpha, 1.262, QuadratureSettings(64, 1e-5, 9))
+        assert graeffe_rows and direct_rows == []
+
+    def test_a_high_degree_level_runs_direct(self, direct_rows, graeffe_rows):
+        # a degree-64 row costs Graeffe 65^2 products in each of 11 squarings,
+        # over twenty times the 2048 pairs of the first level's direct row
+        alpha = parse_map("z^64+z^3+2*z")
+        overflow._boundary_cross(alpha, 1.2, quadrature.DEFAULT_SETTINGS)
+        first = quadrature.DEFAULT_SETTINGS.base_grid
+        assert len(direct_rows[0]) == first and first not in graeffe_rows
 
     def test_merging_fiber_roots_fall_back_row_by_row(self, direct_rows):
         # at r = 10 the fiber roots of a degree-16 map lie near e(t) times the

@@ -7,7 +7,7 @@ from overflow_lab.diffeo import OrbitElement, TruncatedDiffeo
 from overflow_lab.errors import DomainError
 from overflow_lab.lattice import IntersectionLattice
 from overflow_lab.maps import DiskMap, parse_map
-from overflow_lab.overflow import OverflowReport
+from overflow_lab.overflow import AsymptoticFit, BoundCheck, OverflowReport
 from overflow_lab.potential import DiskPotential
 from overflow_lab.quadrature import Certificate, QuadratureSettings
 from overflow_lab.records import Record
@@ -68,13 +68,19 @@ class TestFrozen:
         assert {QuadratureSettings(), QuadratureSettings(256, 1e-6, 6)} == {QuadratureSettings()}
         assert len({Certificate(1e-6, 0.1, 64), Certificate(1e-6, 0.2, 64)}) == 2
 
-    def test_mutable_report_assignable_and_unhashable(self):
+    def test_reports_frozen_and_hashable(self):
         report = _report()
-        report.value = 2.5
-        report.boundary_tangency = True
-        assert (report.value, report.boundary_tangency) == (2.5, True)
-        with pytest.raises(TypeError):
-            hash(report)
+        with pytest.raises(AttributeError):
+            report.value = 2.5
+        with pytest.raises(AttributeError):
+            del report.boundary_tangency
+        assert (report.value, report.boundary_tangency) == (1.5, False)
+        assert hash(report) == hash(_report())
+        assert {_report(), _report(), _report(target="P1")} == {_report(), _report(target="P1")}
+        fit = AsymptoticFit(1.0, 0.0, 0.0, (1.0, 2.0), (0.0, 0.7))
+        check = BoundCheck(0.5, 1.0, 0.5, 2.0)
+        assert hash(fit) == hash(AsymptoticFit(1.0, 0.0, 0.0, (1.0, 2.0), (0.0, 0.7)))
+        assert hash(check) == hash(BoundCheck(0.5, 1.0, 0.5, 2.0))
 
     def test_normalised_fields(self):
         # __post_init__ may still rewrite a frozen record's fields
