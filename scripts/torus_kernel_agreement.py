@@ -4,11 +4,13 @@
 For each map and radius the explicit route's torus integral runs once as the
 CLI runs it, on P at radius r^K for a map P(z^K)
 (``overflow._power_reduction``), timed in process, counting the outer rows
-handed to the direct kernel (``quadrature._log_cross_sum``) as they arrive,
-and the seconds spent there: rows that fail the reciprocal check, and every
-row of a level whose rows cost Graeffe at least their m pairs.  Then every
-ladder level up to the accepted grid is evaluated again by both kernels on
-the same lattices, and the largest gap between the two levels is printed.
+summed from their roots (``quadrature._root_sums``: every row of a level
+where a row fails the reciprocal check) and those handed to the direct
+kernel (``quadrature._log_cross_sum``: rows whose roots fail their checks,
+and every row of a level whose rows cost Graeffe at least their m pairs),
+and the seconds spent in each.  Then every ladder level up to the accepted
+grid is evaluated again by both kernels on the same lattices, and the
+largest gap between the two levels is printed.
 
 Sets: ``pool``, the maps and radii of perfbench's ``excess-c`` pool;
 ``adversarial``, rotation orders, large radii, clustered fibers, high degree,
@@ -70,26 +72,34 @@ def _lattices(alpha, r, n):
     return out
 
 
-def check(expr, r, config):
-    """One case: accepted grid, largest level gap, fallback rows, and the
-    seconds in all and in the direct kernel."""
-    alpha, _, r = overflow._power_reduction(parse_map(expr), r)
-    settings = QuadratureSettings(*config) if config else quadrature.DEFAULT_SETTINGS
-    direct = quadrature._log_cross_sum
-    redone, direct_s = [0], [0.0]
+def _counted(name, tally):
+    """quadrature.<name> wrapped to add its rows and seconds to ``tally``."""
+    kernel = getattr(quadrature, name)
 
-    def counted(p1, q1, p2, q2, label):
-        redone[0] += len(p1)
+    def counted(rows, *args):
+        tally[0] += rows.shape[-1]
         start = time.perf_counter()
         try:
-            return direct(p1, q1, p2, q2, label)
+            return kernel(rows, *args)
         finally:
-            direct_s[0] += time.perf_counter() - start
+            tally[1] += time.perf_counter() - start
+
+    return counted
+
+
+def check(expr, r, config):
+    """One case: accepted grid, largest level gap, the rows summed from
+    roots and by the direct kernel, and the seconds in all and in each."""
+    alpha, _, r = overflow._power_reduction(parse_map(expr), r)
+    settings = QuadratureSettings(*config) if config else quadrature.DEFAULT_SETTINGS
+    direct, roots = quadrature._log_cross_sum, quadrature._root_sums
+    redone, rooted = [0, 0.0], [0, 0.0]
 
     def boundary(ts):
         return alpha.num_den_at(r * np.exp(2j * np.pi * ts))
 
-    quadrature._log_cross_sum = counted
+    quadrature._log_cross_sum = _counted("_log_cross_sum", redone)
+    quadrature._root_sums = _counted("_root_sums", rooted)
     start = time.perf_counter()
     try:
         _, cert = quadrature.torus_pair_log_integral(boundary, settings)
@@ -98,7 +108,7 @@ def check(expr, r, config):
         grid = None
     finally:
         seconds = time.perf_counter() - start
-        quadrature._log_cross_sum = direct
+        quadrature._log_cross_sum, quadrature._root_sums = direct, roots
     last = grid or settings.base_grid * 2**settings.max_depth
     gap, rows, n = 0.0, 0, settings.base_grid
     while n <= last:
@@ -109,8 +119,8 @@ def check(expr, r, config):
         rows += n
         n *= 2
     return {"map": expr, "radius": r, "grid": grid, "gap": gap,
-            "fallback_rows": redone[0], "rows": rows, "seconds": seconds,
-            "direct_s": direct_s[0]}
+            "fallback_rows": redone[0], "root_rows": rooted[0], "rows": rows,
+            "seconds": seconds, "direct_s": redone[1], "root_s": rooted[1]}
 
 
 def main() -> int:
@@ -126,20 +136,22 @@ def main() -> int:
         config = (int(grid), float(tol), int(depth))
     sets = {"pool": pool_cases(), "adversarial": ADVERSARIAL}
     names = list(sets) if args.set == "all" else [args.set]
-    worst, redone, rows, seconds, direct_s = 0.0, 0, 0, 0.0, 0.0
+    totals = dict.fromkeys(["fallback_rows", "root_rows", "rows", "seconds", "direct_s",
+                            "root_s"], 0)
+    worst = 0.0
     for name in names:
         for expr, r, own in sets[name][: args.limit]:
             res = check(expr, r, config or own)
             worst = max(worst, res["gap"])
-            redone += res["fallback_rows"]
-            rows += res["rows"]
-            seconds += res["seconds"]
-            direct_s += res["direct_s"]
+            for key in totals:
+                totals[key] += res[key]
             print(f"{name:11s} {expr:32s} r={r:<8g} grid={res['grid']!s:6s} "
                   f"gap={res['gap']:.2e} fallback={res['fallback_rows']}/{res['rows']} "
-                  f"{res['seconds']:.3f}s direct {res['direct_s']:.3f}s")
-    print(json.dumps({"largest_gap": worst, "fallback_rows": redone, "rows": rows,
-                      "seconds": round(seconds, 3), "direct_s": round(direct_s, 3)}))
+                  f"roots={res['root_rows']} {res['seconds']:.3f}s "
+                  f"direct {res['direct_s']:.3f}s roots {res['root_s']:.3f}s")
+    for key in ("seconds", "direct_s", "root_s"):
+        totals[key] = round(totals[key], 3)
+    print(json.dumps({"largest_gap": worst, **totals}))
     return 0 if math.isfinite(worst) else 1
 
 

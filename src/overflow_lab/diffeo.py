@@ -165,20 +165,22 @@ def _orbit_coordinates(phi: OrbitElement, points: np.ndarray) -> np.ndarray:
     return acc[phi.e + 1 :].T
 
 
-#: Largest leading exponent of the Jacobian check.  Its orbit coordinates
-#: take (e + n)^3 interpreted steps: e = 25, 50 and 100 at level 2 took 0.34,
-#: 0.70 and 2.9 s, and e = 64 at level 6 takes about a second.
-JACOBIAN_MAX_EXPONENT = 64
+#: Largest leading exponent of the Jacobian check and of the Monte-Carlo
+#: measure.  The check's orbit coordinates take (e + n)^3 interpreted steps:
+#: e = 25, 50 and 100 at level 2 took 0.34, 0.70 and 2.9 s, and e = 64 at
+#: level 6 takes about a second; the measure's e-fold power loop took 2.4 s
+#: at e = 200 on 1000 samples.
+MAX_LEADING_EXPONENT = 64
 
 
 def _jacobian_expected(e: int, a: int, n: int) -> float:
     """The closed form (e a)^n, once the inputs pass the checks that run
     before any sampling: a level in 0..6, a leading exponent in
-    1..JACOBIAN_MAX_EXPONENT and (e a)^n in the float range."""
+    1..MAX_LEADING_EXPONENT and (e a)^n in the float range."""
     if not 0 <= n <= 6:
         raise DomainError("finite-difference check needs a level in 0..6")
-    if not 1 <= e <= JACOBIAN_MAX_EXPONENT:
-        raise DomainError(f"leading exponent must be in 1..{JACOBIAN_MAX_EXPONENT}")
+    if not 1 <= e <= MAX_LEADING_EXPONENT:
+        raise DomainError(f"leading exponent must be in 1..{MAX_LEADING_EXPONENT}")
     try:
         return float((e * a) ** n)
     except OverflowError:
@@ -368,8 +370,9 @@ def measure_bound_mc(e: int, a: int, rho: float, box_radius: float, n: int,
     """
     if n < 1 or n > 4:
         raise DomainError("level must be between 1 and 4")
-    if e < 1 or a == 0:  # the representatives' span e |a| would be empty
-        raise DomainError(f"need leading exponent e >= 1 and coefficient a != 0, got {e}, {a}")
+    if not 1 <= e <= MAX_LEADING_EXPONENT or a == 0:  # e < 1 or a = 0: an empty span e |a|
+        raise DomainError(f"need leading exponent e in 1..{MAX_LEADING_EXPONENT} and "
+                          f"coefficient a != 0, got {e}, {a}")
     if samples < 1 or shards < 1:
         raise DomainError("need positive samples and shards")
     if not (math.isfinite(rho) and rho > 0):

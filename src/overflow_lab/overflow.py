@@ -73,7 +73,9 @@ from .quadrature import (
     Certificate,
     QuadratureSettings,
     circle_mean,
+    companion_roots,
     nevanlinna_T,
+    roots_rebuild,
     torus_pair_log_integral,
 )
 from .records import Record
@@ -272,16 +274,15 @@ def _batched_roots(poly_coeffs_desc: np.ndarray,
     if not np.all(np.isfinite(monic)):
         raise NumericalError("root batch not finite after monic normalization")
     if start is None:
-        roots = _companion_roots(monic)
+        roots = companion_roots(monic)
     else:
         roots, converged = _newton_roots(monic, start)
         with np.errstate(all="ignore"):
-            bound = ROOT_RESIDUAL_TOL * np.prod(1.0 + np.abs(roots), axis=1)
-            rebuilt = np.abs(_monic_from_roots(roots) - monic) <= bound[:, None]
+            rebuilt = roots_rebuild(monic, roots, ROOT_RESIDUAL_TOL)
         # the rebuild bound alone is looser than the residual contract
-        uncertified = ~(converged & np.all(np.isfinite(roots), axis=1) & np.all(rebuilt, axis=1))
+        uncertified = ~(converged & np.all(np.isfinite(roots), axis=1) & rebuilt)
         if np.any(uncertified):
-            roots[uncertified] = _companion_roots(monic[uncertified])
+            roots[uncertified] = companion_roots(monic[uncertified])
     scale = np.max(np.abs(monic), axis=1)[:, None] * np.maximum(1.0, np.abs(roots)) ** d
     if not np.all(np.abs(_polyval_batch(monic, roots)) <= ROOT_RESIDUAL_TOL * scale):
         raise RootConditioning("root residuals exceed the solver contract")
@@ -307,27 +308,6 @@ def _newton_roots(monic: np.ndarray, start: np.ndarray) -> Tuple[np.ndarray, np.
             if np.all(small):
                 break
     return z, np.all(small, axis=1)
-
-
-def _monic_from_roots(roots: np.ndarray) -> np.ndarray:
-    """Coefficients (desc order) of prod_k (z - roots[:, k]), row by row."""
-    batch, d = roots.shape
-    coeffs = np.zeros((batch, d + 1), dtype=complex)
-    coeffs[:, 0] = 1.0
-    for k in range(d):
-        coeffs[:, 1:k + 2] -= roots[:, k:k + 1] * coeffs[:, :k + 1]
-    return coeffs
-
-
-def _companion_roots(monic: np.ndarray) -> np.ndarray:
-    """Companion-matrix eigenvalues of a batch of monic rows: every cold row,
-    and the warm rows Newton's steps leave uncertified."""
-    batch, ncoef = monic.shape
-    d = ncoef - 1
-    comp = np.zeros((batch, d, d), dtype=complex)
-    comp[:, 1:, :-1] = np.broadcast_to(np.eye(d - 1), (batch, d - 1, d - 1))
-    comp[:, 0, :] = -monic[:, 1:]
-    return np.linalg.eigvals(comp)
 
 
 def _polyval_batch(coeffs_desc: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -23,17 +23,14 @@ Graeffe iterate, O(d^2 log m) per row with no root solved (Cerlienco, Mignotte
 exactly first.  Every map is the pair (p, q), a polynomial with q = 1, and
 every row is built and evaluated at -i.  Fiber roots of equal modulus whose
 powers meet under squaring lose the iterate's accuracy, so every row is run
-again as the reciprocal polynomial turned by a fraction of a node, and a row
-whose two sums disagree is summed directly, as is every row of a level whose
-degree makes a Graeffe row cost at least its m pairs.  The roots zeta e(t),
-zeta^K = 1, of a map P(z^K) are such a merging orbit, so the explicit route
-integrates P on radius r^K.
-
-The direct sum takes log|q(t)| + log|q(s)| as one sum of logs per lattice and
-the differences f(t) - f(s) of f = p/q, first scaled by an exact power of two
-when f is far from modulus 1.  It walks the outer rows it is given in row
-blocks of about 2**16 pairs into two reused buffers, so the working set stays
-in cache, and takes one log per squared modulus.
+again as the reciprocal polynomial turned by a fraction of a node.  A level
+with a row whose two sums disagree is summed from every row's roots instead,
+the same rule at O(d^3) per row.  The direct sum takes the rows whose roots
+fail their checks, and every row of a level whose degree makes a Graeffe row
+cost at least its m pairs.  The roots zeta e(t), zeta^K = 1, of a map
+P(z^K) are such a merging orbit, so the explicit route integrates P on
+radius r^K.  Past its FFT, a level holds only the coefficients up to the
+degree and one block of rows at a time.
 
 The Ahlfors-Shimizu characteristic T(r) has one boundary formula for every
 map, Jensen's formula for the lift (p, q): one circle mean of
@@ -200,8 +197,9 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
     proportional to one over the lattice size, so each ladder level is the
     Richardson pair 2 I(N) - I(N/2) of the raw levels, which removes it; the
     first raw level has no pair and is not compared.  A raw level's inner
-    sums are Graeffe's (_graeffe_cross_sum), with the direct sum for the rows
-    that fail its check; both evaluate the same rule.
+    sums are Graeffe's (_graeffe_cross_sum), or the roots' on a level where a
+    row fails Graeffe's check, with the direct sum for the rows neither
+    gives; all three evaluate the same rule.
     """
 
     previous = None  # the raw level on half as many nodes
@@ -225,11 +223,13 @@ def torus_pair_log_integral(boundary: Callable[[np.ndarray], Tuple[np.ndarray, n
 _COEFF_FLOOR = 1e-14
 
 #: A diagonal root is divided out of a row when the division leaves a
-#: remainder within this fraction of the row's coefficient 1-norm.
-_DEFLATION_REMAINDER = 1e-12
+#: remainder within this fraction of the row's coefficient 1-norm; a row's
+#: roots are taken when the coefficients rebuilt from them are within this
+#: fraction of prod(1 + |root|) and no root lies about as close to a node.
+_ROOT_RESIDUAL = 1e-12
 
 #: A row whose sums for its polynomial and for the check polynomial differ by
-#: more than this times m goes to _log_cross_sum.
+#: more than this times m fails its check.
 _CHECK_GAP = 1e-13
 
 #: The check polynomial is the reciprocal of the row turned by this fraction
@@ -238,22 +238,33 @@ _CHECK_GAP = 1e-13
 _CHECK_TURN = 0.125
 
 
-def _inner_coefficients(values: np.ndarray) -> np.ndarray:
-    """Coefficients A_0..A_{m-1} of the polynomial taking ``values`` at the
-    inner nodes y_j = e((j + 3/4)/m), the roots of y^m = -i: the boundary
-    polynomial reduced mod y^m + i, exact for any degree.  Real and imaginary
-    parts below _COEFF_FLOOR of the largest modulus are set to zero.  Constant
-    values, a polynomial's q, are their own constant coefficient."""
+def _inner_coefficients(values: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """Coefficients A_0..A_d, times 2**-k, of the polynomial taking
+    ``values`` at the inner nodes y_j = e((j + 3/4)/m), the roots of
+    y^m = -i: the boundary polynomial reduced mod y^m + i, exact for any
+    degree, up to its last nonzero coefficient.  Real and imaginary parts
+    below _COEFF_FLOOR of the largest modulus are set to zero.  Constant
+    values, a polynomial's q, are their own constant coefficient.  None when
+    the transform is not finite."""
     m = len(values)
     if np.all(values == values[0]):
-        a = np.zeros(m, complex)
-        a[0] = values[0]
+        head = np.array(values[:1], dtype=complex)
     else:
-        a = np.fft.fft(values) / m * np.exp(-1.5j * np.pi * np.arange(m) / m)
-    floor = _COEFF_FLOOR * np.max(np.abs(a))
-    a.real[np.abs(a.real) < floor] = 0.0
-    a.imag[np.abs(a.imag) < floor] = 0.0
-    return a
+        with np.errstate(all="ignore"):  # values near the float limit overflow it
+            a = np.fft.fft(values)
+        size = np.abs(a)
+        top = np.max(size)
+        if not top < math.inf:
+            return None
+        # the largest coefficient lies in the head, and the phase below moves
+        # a modulus only by rounding, so no part past the head reaches the floor
+        head = a[: np.flatnonzero(size >= 0.5 * _COEFF_FLOOR * top)[-1] + 1]
+        head /= m
+        head *= np.exp(-1.5j * np.pi * np.arange(len(head)) / m)
+    floor = _COEFF_FLOOR * np.max(np.abs(head))
+    head.real[np.abs(head.real) < floor] = 0.0
+    head.imag[np.abs(head.imag) < floor] = 0.0
+    return _scaled(head[: np.flatnonzero(head)[-1] + 1], k)
 
 
 def _scaled(values: np.ndarray, k) -> np.ndarray:
@@ -305,64 +316,136 @@ def _graeffe_cross_sum(p1, q1, p2, q2, label: str) -> float:
     summed by _log_cross_sum on their own outer values."""
     if not (np.all(q1) and np.all(q2)):
         raise NumericalError(f"{label}: lattice hit a pole")
-    ok, total = _graeffe_rows(p1, q1, p2, q2)
+    ok, sums = _graeffe_rows(p1, q1, p2, q2)
+    total = 2.0 * float(np.sum(sums[ok]))
     if not np.all(ok):
         total += _log_cross_sum(p1[~ok], q1[~ok], p2, q2, label)
     return total
 
 
-def _graeffe_rows(p1, q1, p2, q2) -> Tuple[np.ndarray, float]:
-    """(ok, sum): the outer rows whose Graeffe inner sums pass their check,
-    and _log_cross_sum's sum over those rows.
+def _graeffe_rows(p1, q1, p2, q2) -> Tuple[np.ndarray, np.ndarray]:
+    """(ok, sums): the outer rows summed here, and each row's sum of log|K|.
 
-    Row i's sum of log|K| over the inner lattice is log|prod_j P_i(y_j)| for
-    P_i(y) = q(t_i) A(y) - p(t_i) B(y), where A and B are p's and q's
-    coefficients on the inner lattice.  The diagonal root y = e(t_i) is
-    divided out of P_i, and its lattice term is exactly
-    log|e(m t_i) + i| = (1/2) log 2; the rest is log|P_i's log2(m)-th
-    Graeffe iterate at -i|.  Each row is checked against the reciprocal of
-    P_i(y e(_CHECK_TURN / m)), which has the same modulus at the turned
-    nodes, and is ok when its two sums are within _CHECK_GAP m.  No row is
-    ok when p2 or q2 vanishes throughout or is not finite, or when a row's
-    Graeffe products, (deg + 1)^2 per step, are at least its m pairs.
+    Row i's sum over the inner lattice is log|prod_j P_i(y_j)| for
+    P_i(y) = q(t_i) A(y) - p(t_i) B(y), A and B the heads of p's and q's
+    inner coefficients.  The diagonal root y = e(t_i) is divided out of P_i
+    first, and its lattice term is exactly log|e(m t_i) + i| = (1/2) log 2.
+    The rows run in column blocks on Graeffe (_graeffe_sums); once a row
+    fails its check, every row of the level is summed from its roots
+    (_root_sums) instead, and a row whose roots fail their checks is not
+    ok.  No row is ok when p2 or q2 vanishes throughout or is not finite, or
+    when a row's Graeffe products, (deg + 1)^2 per step, are at least its m
+    pairs.
     """
     n, m = len(p1), len(p2)
+    none = np.zeros(n, dtype=bool), np.zeros(n)
     tops = [float(np.max(np.abs(v))) for v in (p2, q2)]
     if not all(0.0 < top < math.inf for top in tops):
-        return np.zeros(n, dtype=bool), 0.0
+        return none
     # p and q scaled by powers of two to a largest modulus in [1, 2), so a
     # polynomial's q = 1 stays as it is: log|K| gains kp + kq
     kp, kq = (math.frexp(top)[1] - 1 for top in tops)
-    a, f1 = _inner_coefficients(_scaled(p2, kp)), _scaled(p1, kp)
-    b, g1 = _inner_coefficients(_scaled(q2, kq)), _scaled(q1, kq)
-    deg = int(np.flatnonzero((a != 0) | (b != 0))[-1])
-    steps = m.bit_length() - 1
+    a, b = _inner_coefficients(p2, kp), _inner_coefficients(q2, kq)
+    if a is None or b is None:
+        return none
+    deg, steps = max(len(a), len(b)) - 1, m.bit_length() - 1
     if m <= (deg + 1) ** 2 * steps:  # a row costs Graeffe at least m pairs
-        return np.zeros(n, dtype=bool), 0.0
-    polys = a[: deg + 1, None] * g1 - b[: deg + 1, None] * f1
+        return none
+    heads = np.zeros((2, deg + 1, 1), dtype=complex)
+    heads[0, : len(a), 0], heads[1, : len(b), 0] = a, b
+    f1, g1 = _scaled(p1, kp), _scaled(q1, kq)
+    nodes = np.exp(1j * np.pi * (2 * np.arange(n) + 1) / n)
+    # blocks of a power of two columns, whose rows and check rows take a
+    # quarter of a direct-sum buffer
+    width = max(2, 1 << (_BLOCK_ELEMENTS // (16 * (deg + 1))).bit_length() - 1)
+    ok, sums, diagonal = np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n, dtype=bool)
 
-    # synthetic division by y - e(t_i), kept where the remainder vanishes
-    diagonal = np.zeros(n, dtype=bool)
-    if deg >= 1:
-        roots = np.exp(1j * np.pi * (2 * np.arange(n) + 1) / n)
-        quotient = np.zeros_like(polys)
-        acc = polys[deg]
-        for k in range(deg - 1, -1, -1):
-            quotient[k] = acc
-            acc = polys[k] + roots * acc
-        diagonal = np.abs(acc) <= _DEFLATION_REMAINDER * np.sum(np.abs(polys), axis=0)
-        polys[:, diagonal] = quotient[:, diagonal]
+    def blocks():
+        for rows in (slice(lo, lo + width) for lo in range(0, n, width)):
+            polys = heads[0] * g1[rows] - heads[1] * f1[rows]
+            if deg >= 1:  # synthetic division, kept where the remainder vanishes
+                quotient, acc = np.zeros_like(polys), polys[deg]
+                for k in range(deg - 1, -1, -1):
+                    quotient[k], acc = acc, polys[k] + nodes[rows] * acc
+                diagonal[rows] = np.abs(acc) <= _ROOT_RESIDUAL * np.sum(np.abs(polys), axis=0)
+                polys[:, diagonal[rows]] = quotient[:, diagonal[rows]]
+            yield rows, polys
 
-    turn = np.exp(2j * np.pi * _CHECK_TURN * np.arange(deg + 1) / m)
+    for rows, polys in blocks():
+        ok[rows], sums[rows] = _graeffe_sums(polys, steps)
+        if not np.all(ok[rows]):  # the whole level from roots
+            for rows, polys in blocks():
+                ok[rows], sums[rows] = _root_sums(polys, steps)
+            break
+    shift = m * (kp + kq) * math.log(2.0) + diagonal * (0.5 * math.log(2.0))
+    return ok, sums + shift
+
+
+def _graeffe_sums(polys, steps: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(ok, sums): each column P's sum of log|P| over the m = 2^steps roots
+    of y^m = -i, its Graeffe iterate at -i, ok when that is within
+    _CHECK_GAP m of the sum for the reciprocal of P(y e(_CHECK_TURN / m)),
+    which has the same modulus at the turned nodes."""
+    m, n = 1 << steps, polys.shape[1]
+    turn = np.exp(2j * np.pi * _CHECK_TURN * np.arange(len(polys)) / m)
     check = np.conj((polys * turn[:, None])[::-1])
     with np.errstate(all="ignore"):
         iterate, log_scale = _graeffe_iterate(np.concatenate([polys, check], axis=1), steps)
         direct = _log_abs_at(iterate[:, :n], log_scale[:n], -1j)
         checked = _log_abs_at(iterate[:, n:], log_scale[n:],
                               -1j * np.exp(-2j * np.pi * _CHECK_TURN))
-        ok = np.abs(direct - checked) <= _CHECK_GAP * m
-    shift = m * (kp + kq) * math.log(2.0) + diagonal * (0.5 * math.log(2.0))
-    return ok, 2.0 * float(np.sum(direct[ok] + shift[ok]))
+        return np.abs(direct - checked) <= _CHECK_GAP * m, direct
+
+
+def _root_sums(polys, steps: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(ok, sums): each column P's sum of log|P| over the m = 2^steps roots
+    of y^m = -i from its leading coefficient and roots rho_k,
+    m log|lc| + sum_k log|rho_k^m + i|, with m log|rho| + log|1 + i rho^-m|
+    for |rho| > 1: the same rule at any m, in O(deg^3).  A column is ok when
+    its diagonal root was divided out, its roots rebuild its coefficients,
+    and none lies as close to a node, both within _ROOT_RESIDUAL."""
+    m, d = 1 << steps, max(len(polys) - 2, 0)
+    with np.errstate(all="ignore"):
+        monic = (polys[d::-1] / polys[d]).T
+        ok = (polys[-1] == 0) & np.all(np.isfinite(monic), axis=1)
+        roots = companion_roots(monic[ok])
+        size = np.abs(roots)
+        big = size > 1.0
+        # rho^m by squaring, or conj(rho)^-m, whose |w + i| is |1 + i rho^-m|
+        w = np.where(big, 1.0 / np.conj(roots), roots)
+        for _ in range(steps):
+            w *= w
+        gaps = np.abs(w + 1j)
+        sums = np.zeros(len(ok))
+        terms = np.log(gaps) + np.where(big, m * np.log(size), 0.0)
+        sums[ok] = m * np.log(np.abs(polys[d, ok])) + np.sum(terms, axis=1)
+        ok[ok] = (roots_rebuild(monic[ok], roots, _ROOT_RESIDUAL)
+                  & np.all(gaps > m * _ROOT_RESIDUAL, axis=1))
+    return ok & np.isfinite(sums), sums
+
+
+def companion_roots(monic: np.ndarray) -> np.ndarray:
+    """Companion-matrix eigenvalues of a batch of monic rows, leading
+    coefficient first (Edelman & Murakami, Math. Comp. 64, 1995): the one
+    root solver of the oracle and of the torus rows Graeffe rejects."""
+    batch, ncoef = monic.shape
+    d = ncoef - 1
+    comp = np.zeros((batch, d, d), dtype=complex)
+    comp.reshape(batch, d * d)[:, d::d + 1] = 1.0  # the subdiagonal
+    comp[:, :1, :] = -monic[:, None, 1:]
+    return np.linalg.eigvals(comp)
+
+
+def roots_rebuild(monic: np.ndarray, roots: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each row's monic coefficients, rebuilt from its roots, lie
+    within tol prod(1 + |root|) of ``monic``: the rounding of the product
+    expansion grows like that product."""
+    coeffs = np.zeros_like(monic)
+    coeffs[:, 0] = 1.0
+    for k in range(roots.shape[1]):
+        coeffs[:, 1:k + 2] -= roots[:, k:k + 1] * coeffs[:, :k + 1]
+    bound = tol * np.prod(1.0 + np.abs(roots), axis=1)
+    return np.all(np.abs(coeffs - monic) <= bound[:, None], axis=1)
 
 
 def _log_cross_sum(p1, q1, p2, q2, label: str) -> float:

@@ -368,6 +368,9 @@ class TestOverflowCommand:
         ["measure-mc", "--e", "0", "--a", "1", "--rho", "2", "--box-radius", "1", "--level", "2"],
         ["measure-mc", "--e", "-1", "--a", "1", "--rho", "2", "--box-radius", "1", "--level", "2"],
         ["measure-mc", "--e", "1", "--a", "0", "--rho", "2", "--box-radius", "1", "--level", "2"],
+        # a leading exponent beyond the Jacobian check's cap
+        ["measure-mc", "--e", "200", "--a", "1", "--rho", "2", "--box-radius", "1",
+         "--level", "1"],
         # a level numpy cannot sample, or that the check refuses
         ["jacobian-check", "--e", "1", "--a", "1", "--level", "-1"],
         ["jacobian-check", "--e", "1", "--a", "1", "--level", "7"],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from overflow_lab.cli import canonical_json
 from overflow_lab.diffeo import (
+    MAX_LEADING_EXPONENT,
     OrbitElement,
     TruncatedDiffeo,
     act,
@@ -285,6 +286,13 @@ class TestMeasureBound:
         # the search span e |a| would be empty, and the estimate a false 0
         with pytest.raises(DomainError, match="leading exponent"):
             measure_bound_mc(e, a, 2.0, 1.0, 2, samples=100, seed=1)
+
+    def test_leading_exponent_beyond_the_cap_raises(self):
+        # the Jacobian check's cap: e = 200 took 2.8 s and grew with e
+        got = measure_bound_mc(MAX_LEADING_EXPONENT, 1, 2.0, 1.0, 1, samples=10, seed=1)
+        assert got.samples == 10
+        with pytest.raises(DomainError, match="leading exponent"):
+            measure_bound_mc(MAX_LEADING_EXPONENT + 1, 1, 2.0, 1.0, 1, samples=10, seed=1)
 
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationTooLarge):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,17 @@ class TestLadderFailsFast:
 
         got, _ = torus_pair_log_integral(boundary)
         assert got == pytest.approx(200 * math.log(10), abs=1e-9)
+
+    def test_torus_values_whose_transform_overflows(self, recwarn):
+        # the inner coefficients are scaled after their transform, which
+        # overflows on values near the float limit: those levels run on the
+        # direct sum, quietly
+        def boundary(ts):
+            return 1e306 * np.exp(2j * np.pi * ts), np.ones(len(ts), dtype=complex)
+
+        got, _ = torus_pair_log_integral(boundary)
+        assert got == pytest.approx(306 * math.log(10), abs=1e-9)
+        assert not recwarn.list
 
     def test_area_non_finite_level(self, monkeypatch):
         grids = []
@@ -342,7 +354,8 @@ class TestConjugateFoldKernel:
     def test_coincidence_with_a_mirrored_row_raises(self, cross):
         # a real map's level, with row n - 1 - k moved onto an inner value and
         # row k onto its conjugate, which meets none: Graeffe builds both
-        # rows, the moved row fails its check and the direct sum meets it
+        # rows, the moved row fails its check, its root on the inner node
+        # sends it from the roots to the direct sum, and the direct sum meets it
         n, k = 256, 200
         alpha = parse_map("(2+z^2)/(1+z/3)" if cross else "3-z+2*z^2-z^3")
         p1, q1, p2, q2 = _level(alpha, 1.2, n)
@@ -486,19 +499,55 @@ def direct_rows(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def graeffe_rows(monkeypatch):
-    """Row polynomials of each _graeffe_iterate call, its check columns not
-    counted."""
-    calls = []
-    iterate = quadrature._graeffe_iterate
+def _rows_per_level(monkeypatch, name):
+    """Columns that quadrature.<name> gets on each level that reaches it,
+    over the level's column blocks."""
+    levels = []
+    rows, spied = quadrature._graeffe_rows, getattr(quadrature, name)
+
+    def level(*lattices):
+        levels.append(0)
+        try:
+            return rows(*lattices)
+        finally:
+            if not levels[-1]:
+                levels.pop()
 
     def spy(polys, steps):
-        calls.append(polys.shape[1] // 2)
-        return iterate(polys, steps)
+        levels[-1] += polys.shape[1]
+        return spied(polys, steps)
 
-    monkeypatch.setattr(quadrature, "_graeffe_iterate", spy)
-    return calls
+    monkeypatch.setattr(quadrature, "_graeffe_rows", level)
+    monkeypatch.setattr(quadrature, name, spy)
+    return levels
+
+
+@pytest.fixture
+def graeffe_rows(monkeypatch):
+    """Rows Graeffe builds on each level that builds any."""
+    return _rows_per_level(monkeypatch, "_graeffe_sums")
+
+
+@pytest.fixture
+def root_rows(monkeypatch):
+    """Rows summed from their roots on each level that sums any."""
+    return _rows_per_level(monkeypatch, "_root_sums")
+
+
+def test_the_kernel_keeps_no_inner_sized_array_past_its_coefficients():
+    # a grid-4096 ladder, m = 32768: the inner boundary values take 1 MiB and
+    # the boundary evaluation about 2.5 MB; the kernel adds coefficient heads
+    # and blocks of rows, where whole inner coefficients, a polynomial's
+    # q = 1 as m zeros and unblocked Graeffe rows peaked at 5.0 MB
+    alpha = parse_map("3+z-z^2+z^3")
+    tracemalloc.start()
+    try:
+        report = overflow.overflow_to_C(alpha, 0.714)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.certificate.grid == 4096
+    assert peak < 3_000_000
 
 
 def _graeffe_admits(alpha, n):
@@ -519,7 +568,8 @@ class TestGraeffeKernel:
 
     CASES = [
         ("3-z-3*z^2-z^3-z^4+3*z^5", 1.787),  # a degree-5 excess-c pool map
-        # maps P(z^K), whose rows hold an orbit that merges: every row runs direct
+        # maps P(z^K), whose rows hold an orbit that merges: every row fails
+        # the check and is summed from its roots
         ("z^8", 1.5),
         ("7*z^8-z^4+2", 3.0),
         ("-2*z^8+z^4-3", 40.0),
@@ -534,13 +584,17 @@ class TestGraeffeKernel:
 
     @pytest.mark.parametrize("expr,r", CASES)
     @pytest.mark.parametrize("n", [16, 128, 512, 1024])
-    def test_every_level_matches_the_direct_sum(self, expr, r, n, graeffe_rows, direct_rows):
+    def test_every_level_matches_the_direct_sum(self, expr, r, n, graeffe_rows, root_rows,
+                                                direct_rows):
         alpha = parse_map(expr)
         p1, q1, p2, q2 = _level(alpha, r, n)
         scale = 0.5 / (n * len(p2))
         got = _graeffe_cross_sum(p1, q1, p2, q2, "kernel") * scale
         if _graeffe_admits(alpha, n):
-            assert graeffe_rows == [n]
+            # every row passes the check, or the level is summed from roots:
+            # no row of a level of degree up to 16 reaches the direct sum
+            assert (graeffe_rows == [n] and root_rows == []) or root_rows == [n]
+            assert graeffe_rows and direct_rows == []
             assert got == pytest.approx(_log_cross_sum(p1, q1, p2, q2, "kernel") * scale,
                                         rel=0, abs=1e-12)
         else:
@@ -609,20 +663,68 @@ class TestGraeffeKernel:
         first = quadrature.DEFAULT_SETTINGS.base_grid
         assert len(direct_rows[0]) == first and first not in graeffe_rows
 
-    def test_merging_fiber_roots_fall_back_row_by_row(self, direct_rows):
+    def test_merging_fiber_roots_are_summed_from_roots(self, direct_rows, root_rows):
         # at r = 10 the fiber roots of a degree-16 map lie near e(t) times the
-        # 16th roots of unity and merge under squaring; the check catches them
+        # 16th roots of unity and merge under squaring; the check catches
+        # them, and every row of the level is summed from its roots
         n = 1024
         p1, q1, p2, q2 = _level(parse_map("1+z-2*z^3+z^7-3*z^11+2*z^16"), 10.0, n)
         got = _graeffe_cross_sum(p1, q1, p2, q2, "kernel")
-        assert len(direct_rows) == 1 and len(direct_rows[0])
+        assert root_rows == [n] and direct_rows == []
         assert got == pytest.approx(_log_cross_sum(p1, q1, p2, q2, "kernel"),
                                     rel=0, abs=1e-12 * n * len(p2))
 
-    def test_failed_mirrored_rows_reach_the_direct_sum_as_they_are(self, direct_rows):
-        # Graeffe builds every row of this real map; the rows it hands on
-        # from the second half carry their own outer values, which differ in
-        # the last bits from the conjugates of their mirrors
+    @pytest.mark.parametrize("expr,r,n", [
+        # unchecked Graeffe is 1e-3 off on a level of this map at r = 100
+        ("2-z+3*z^2-z^5+z^8", 100.0, 512),
+        ("2-z+3*z^2-z^5+z^8", 1000.0, 512),
+        # 4 rows of this level passed the check, together 7.8e-7 off
+        ("2*z^4+3*z", 100.0, 1024),
+        ("2*z^4+3*z", 1000.0, 256),
+    ])
+    def test_root_summed_rows_match_the_direct_sum(self, expr, r, n, root_rows):
+        p1, q1, p2, q2 = _level(parse_map(expr), r, n)
+        m = len(p2)
+        ok, sums = quadrature._graeffe_rows(p1, q1, p2, q2)
+        assert root_rows == [n] and np.all(ok)
+        direct = [_log_cross_sum(p1[i:i + 1], q1[i:i + 1], p2, q2, "kernel") / 2
+                  for i in range(n)]
+        # 2^-46 m, about 1.42e-14 m: two units in the last place of a row's
+        # sum of log|K| near 1.5e5 at m = 4096
+        assert np.max(np.abs(sums - direct)) <= 2.0**-46 * m
+
+    def test_roots_that_do_not_rebuild_their_row_run_direct(self, direct_rows, root_rows,
+                                                            monkeypatch):
+        # the first row of each root solve gets one root 1e-3 off: the
+        # rebuild check refuses it, and the direct sum takes that row
+        solve, solves = quadrature.companion_roots, []
+
+        def off(monic):
+            roots = solve(monic)
+            roots[0, 0] *= 1.001
+            solves.append(monic)
+            return roots
+
+        monkeypatch.setattr(quadrature, "companion_roots", off)
+        n = 512
+        p1, q1, p2, q2 = _level(parse_map("2-z+3*z^2-z^5+z^8"), 100.0, n)
+        got = _graeffe_cross_sum(p1, q1, p2, q2, "kernel")
+        assert root_rows == [n]
+        (sent,) = direct_rows
+        assert len(solves) >= 1 and len(sent) == len(solves)
+        assert got == pytest.approx(_log_cross_sum(p1, q1, p2, q2, "kernel"),
+                                    rel=0, abs=1e-12 * n * len(p2))
+
+    def test_failed_mirrored_rows_reach_the_direct_sum_as_they_are(self, direct_rows,
+                                                                   monkeypatch):
+        # Graeffe builds every row of this real map and the level is summed
+        # from roots; the rows whose roots are refused (here every third of
+        # each block) carry their own outer values to the direct sum, and
+        # those from the second half differ in the last bits from the
+        # conjugates of their mirrors
+        rebuild = quadrature.roots_rebuild
+        monkeypatch.setattr(quadrature, "roots_rebuild", lambda monic, roots, tol: (
+            rebuild(monic, roots, tol) & (np.arange(len(monic)) % 3 > 0)))
         n = 1024
         p1, *_ = lattices = _level(parse_map("1+z-2*z^3+z^7-3*z^11+2*z^16"), 10.0, n)
         _graeffe_cross_sum(*lattices, "kernel")
@@ -668,9 +770,28 @@ class TestGraeffeKernel:
         floor = quadrature._COEFF_FLOOR * np.max(np.abs(a))
         a.real[np.abs(a.real) < floor] = 0.0
         a.imag[np.abs(a.imag) < floor] = 0.0
-        got = quadrature._inner_coefficients(values)
-        assert got.tobytes() == a.tobytes()
-        assert got[0] == c and not np.any(got[1:])
+        got = quadrature._inner_coefficients(values, 0)
+        assert got.tobytes() == a[:1].tobytes()
+        assert got[0] == c and not np.any(a[1:])
+
+    @pytest.mark.parametrize("expr,r,m", [
+        ("3+z-z^2+z^3", 0.714, 2048),
+        ("2-z+3*z^2-z^5+z^8", 100.0, 4096),
+        ("2+z-z^33+z^64", 1.01, 32),  # reduced mod y^32 + i
+    ])
+    def test_coefficient_heads_are_the_scaled_transform(self, expr, r, m):
+        # the heads are scaled after the transform, not before: the same
+        # floats, bit for bit, as the full transform of the scaled values
+        ts = quadrature._midpoints(m, 0.25)
+        p, _ = parse_map(expr).num_den_at(r * np.exp(2j * np.pi * ts))
+        k = math.frexp(np.max(np.abs(p)))[1] - 1
+        a = np.fft.fft(quadrature._scaled(p, k)) / m * np.exp(-1.5j * np.pi * np.arange(m) / m)
+        floor = quadrature._COEFF_FLOOR * np.max(np.abs(a))
+        a.real[np.abs(a.real) < floor] = 0.0
+        a.imag[np.abs(a.imag) < floor] = 0.0
+        got = quadrature._inner_coefficients(p, k)
+        assert got.tobytes() == a[: len(got)].tobytes()
+        assert got[-1] != 0 and not np.any(a[len(got):])
 
     def test_column_scale_is_the_larger_part(self):
         polys = np.array([[3 - 1j, -0.5 + 8j, 0j], [1 + 2j, 0.25 - 0.75j, -1e-300j]])

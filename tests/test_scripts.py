@@ -54,7 +54,9 @@ def test_torus_kernel_agreement_on_two_maps(tmp_path):
     summary = json.loads(summary)
     assert summary["largest_gap"] <= 1e-12
     assert summary["fallback_rows"] == 0 and summary["rows"] > 0
+    assert 0 <= summary["root_rows"] <= summary["rows"]
     assert 0.0 <= summary["direct_s"] <= summary["seconds"]
+    assert 0.0 <= summary["root_s"] <= summary["seconds"]
 
 
 def test_overclaim_report_on_two_maps(tmp_path):
@@ -76,6 +78,7 @@ def test_overclaim_report_on_two_maps(tmp_path):
 OVERCLAIM_BOUNDS = {
     "defaults": {"explicit": (11, 4), "oracle": (0, 0)},
     "criterion_7": {"explicit": (9, 2), "oracle": (0, 0)},
+    "oracle_tight": {"explicit": (10, 7), "oracle": (0, 0)},
 }
 
 
